@@ -1,0 +1,411 @@
+"""Reverse-mode automatic differentiation over numpy arrays.
+
+A small tape-based engine: every operation returns a new ``Tensor`` holding
+float64 data, the parent nodes, and a closure that routes the upstream
+gradient back to the parents.  ``Tensor.backward()`` runs the closures in
+reverse topological order.  Graph recording can be suspended with
+``no_grad()`` for teacher passes and evaluation.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+_GRAD_ENABLED = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Suspend graph recording; ops executed inside return leaf tensors."""
+    global _GRAD_ENABLED
+    prev = _GRAD_ENABLED
+    _GRAD_ENABLED = False
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED = prev
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # Sum the gradient of a broadcast result back down to `shape`.
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+class Tensor:
+    __slots__ = ("data", "grad", "_parents", "_backward")
+
+    def __init__(self, data, parents: tuple["Tensor", ...] = (), backward=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: np.ndarray | None = None
+        self._parents = parents
+        self._backward: Callable[[np.ndarray], None] | None = backward
+
+    # -- plumbing ---------------------------------------------------------
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.data.ndim
+
+    def item(self) -> float:
+        return float(self.data)
+
+    def detach(self) -> "Tensor":
+        return Tensor(self.data)
+
+    def _accumulate(self, grad: np.ndarray) -> None:
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        self.grad += grad
+
+    def backward(self) -> None:
+        """Backpropagate from this (typically scalar) tensor to all leaves."""
+        topo: list[Tensor] = []
+        visited: set[int] = set()
+        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                topo.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if id(p) not in visited:
+                    stack.append((p, False))
+        self._accumulate(np.ones_like(self.data))
+        for node in reversed(topo):
+            if node._backward is not None:
+                node._backward(node.grad)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"Tensor(shape={self.data.shape})"
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __add__(self, other) -> "Tensor":
+        other = _ensure(other)
+        out_data = self.data + other.data
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(_unbroadcast(g, self.data.shape))
+            other._accumulate(_unbroadcast(g, other.data.shape))
+
+        return Tensor(out_data, (self, other), backward)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "Tensor":
+        other = _ensure(other)
+        out_data = self.data * other.data
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+
+        return Tensor(out_data, (self, other), backward)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Tensor":
+        return self * -1.0
+
+    def __sub__(self, other) -> "Tensor":
+        return self + (_ensure(other) * -1.0)
+
+    def __rsub__(self, other) -> "Tensor":
+        return _ensure(other) + (self * -1.0)
+
+    def __truediv__(self, other) -> "Tensor":
+        if isinstance(other, (int, float)):
+            return self * (1.0 / other)
+        return self * (_ensure(other) ** -1.0)
+
+    def __pow__(self, p: float) -> "Tensor":
+        out_data = self.data**p
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g * p * self.data ** (p - 1))
+
+        return Tensor(out_data, (self,), backward)
+
+    def __matmul__(self, other) -> "Tensor":
+        other = _ensure(other)
+        assert self.data.ndim == 2 and other.data.ndim == 2
+        out_data = self.data @ other.data
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g @ other.data.T)
+            other._accumulate(self.data.T @ g)
+
+        return Tensor(out_data, (self, other), backward)
+
+    @property
+    def T(self) -> "Tensor":
+        out_data = self.data.T
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g.T)
+
+        return Tensor(out_data, (self,), backward)
+
+    # -- elementwise nonlinearities ----------------------------------------
+
+    def tanh(self) -> "Tensor":
+        out_data = np.tanh(self.data)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g * (1.0 - out_data * out_data))
+
+        return Tensor(out_data, (self,), backward)
+
+    def relu(self) -> "Tensor":
+        out_data = np.maximum(self.data, 0.0)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g * (self.data > 0.0))
+
+        return Tensor(out_data, (self,), backward)
+
+    def sigmoid(self) -> "Tensor":
+        x = self.data
+        out_data = np.empty_like(x)
+        pos = x >= 0
+        out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ez = np.exp(x[~pos])
+        out_data[~pos] = ez / (1.0 + ez)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g * out_data * (1.0 - out_data))
+
+        return Tensor(out_data, (self,), backward)
+
+    def exp(self) -> "Tensor":
+        out_data = np.exp(self.data)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g * out_data)
+
+        return Tensor(out_data, (self,), backward)
+
+    def log(self) -> "Tensor":
+        out_data = np.log(self.data)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g / self.data)
+
+        return Tensor(out_data, (self,), backward)
+
+    def sqrt(self) -> "Tensor":
+        out_data = np.sqrt(self.data)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            # Guarded at exact zeros so a zero upstream gradient stays zero
+            # instead of producing 0 * inf = nan.
+            safe = np.where(out_data > 0.0, out_data, 1.0)
+            self._accumulate(g * 0.5 / safe)
+
+        return Tensor(out_data, (self,), backward)
+
+    def clamp_min(self, floor: float) -> "Tensor":
+        out_data = np.maximum(self.data, floor)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            self._accumulate(g * (self.data > floor))
+
+        return Tensor(out_data, (self,), backward)
+
+    # -- reductions ---------------------------------------------------------
+
+    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+        in_shape = self.data.shape
+
+        def backward(g):
+            gx = g
+            if axis is not None and not keepdims:
+                gx = np.expand_dims(gx, axis)
+            self._accumulate(np.broadcast_to(gx, in_shape).copy())
+
+        return Tensor(out_data, (self,), backward)
+
+    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
+        count = self.data.size if axis is None else np.prod(
+            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
+        )
+        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
+
+    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
+        out_data = self.data.max(axis=axis, keepdims=keepdims)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            out_k = out_data
+            gk = g
+            if axis is not None and not keepdims:
+                out_k = np.expand_dims(out_data, axis)
+                gk = np.expand_dims(g, axis)
+            mask = self.data == out_k
+            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
+            self._accumulate(mask * (gk / counts))
+
+        return Tensor(out_data, (self,), backward)
+
+    # -- shape ops ----------------------------------------------------------
+
+    def reshape(self, *shape) -> "Tensor":
+        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
+            shape = tuple(shape[0])
+        out_data = self.data.reshape(shape)
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+        in_shape = self.data.shape
+
+        def backward(g):
+            self._accumulate(g.reshape(in_shape))
+
+        return Tensor(out_data, (self,), backward)
+
+    def __getitem__(self, idx) -> "Tensor":
+        out_data = self.data[idx]
+        if not _GRAD_ENABLED:
+            return Tensor(out_data)
+
+        def backward(g):
+            buf = np.zeros_like(self.data)
+            np.add.at(buf, idx, g)
+            self._accumulate(buf)
+
+        return Tensor(np.array(out_data), (self,), backward)
+
+
+def _ensure(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def constant(x) -> Tensor:
+    """Wrap data as a graph leaf."""
+    return Tensor(x)
+
+
+def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+    tensors = list(tensors)
+    out_data = np.concatenate([t.data for t in tensors], axis=axis)
+    if not _GRAD_ENABLED:
+        return Tensor(out_data)
+    sizes = [t.data.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def backward(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            t._accumulate(g[tuple(sl)])
+
+    return Tensor(out_data, tuple(tensors), backward)
+
+
+def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
+    """Stack 1-D tensors of equal length into a 2-D (m, d) tensor."""
+    return concat([t.reshape(1, -1) for t in tensors], axis=0)
+
+
+def range_rowmax(h: Tensor, starts: np.ndarray, stops: np.ndarray) -> Tensor:
+    """Per-row elementwise max over slices of ``h``.
+
+    Output row r equals ``h.data[starts[r]:stops[r]].max(axis=0)``; requires
+    starts[r] < stops[r].  Ties split the gradient evenly, consistent with
+    the central-difference subgradient.
+    """
+    n = h.data.shape[0]
+    rows = np.arange(n)
+    valid = (rows[None, :] >= starts[:, None]) & (rows[None, :] < stops[:, None])
+    expanded = np.where(valid[:, :, None], h.data[None, :, :], -np.inf)
+    out_data = expanded.max(axis=1)
+    if not _GRAD_ENABLED:
+        return Tensor(out_data)
+
+    def backward(g):
+        ties = (expanded == out_data[:, None, :]) & valid[:, :, None]
+        counts = ties.sum(axis=1, keepdims=True)
+        self_grad = (ties * (g[:, None, :] / counts)).sum(axis=0)
+        h._accumulate(self_grad)
+
+    return Tensor(out_data, (h,), backward)
+
+
+def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """3x3 same-padding convolution on an (n, n, c_in) map; w is (3, 3, c_in, c_out)."""
+    n = x.data.shape[0]
+    ci = x.data.shape[2]
+    co = w.data.shape[3]
+    xp = np.zeros((n + 2, n + 2, ci))
+    xp[1:-1, 1:-1] = x.data
+    acc = np.broadcast_to(b.data, (n, n, co)).copy()
+    for di in range(3):
+        for dj in range(3):
+            acc += (xp[di : di + n, dj : dj + n].reshape(n * n, ci) @ w.data[di, dj]).reshape(
+                n, n, co
+            )
+    if not _GRAD_ENABLED:
+        return Tensor(acc)
+
+    def backward(g):
+        g2 = g.reshape(n * n, co)
+        b._accumulate(g.sum(axis=(0, 1)))
+        dw = np.zeros_like(w.data)
+        gxp = np.zeros_like(xp)
+        for di in range(3):
+            for dj in range(3):
+                patch = xp[di : di + n, dj : dj + n].reshape(n * n, ci)
+                dw[di, dj] = patch.T @ g2
+                gxp[di : di + n, dj : dj + n] += (g2 @ w.data[di, dj].T).reshape(n, n, ci)
+        w._accumulate(dw)
+        x._accumulate(gxp[1:-1, 1:-1])
+
+    return Tensor(acc, (x, w, b), backward)
+
+
+def zero_grads(params: Iterable[Tensor]) -> None:
+    for p in params:
+        p.grad = None

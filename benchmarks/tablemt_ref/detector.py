@@ -1,0 +1,161 @@
+"""Corner scoring, top-k pruning, corner pairing, RoI pooling, and region
+classification over the encoded word-pair table."""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import autograd as ag
+from .autograd import Tensor
+from .corpus import Span, Triplet
+from .tagging import RegionClass, decode_regions
+
+
+class Mode(enum.Enum):
+    ASTE = "aste"  # 4-way region classes {POS, NEU, NEG, INVALID}
+    AOPE = "aope"  # binary region classes {VALID, INVALID}
+
+
+AOPE_VALID = 0
+AOPE_INVALID = 1
+
+
+def num_classes(mode: Mode) -> int:
+    return 4 if mode == Mode.ASTE else 2
+
+
+def invalid_class(mode: Mode) -> int:
+    return int(RegionClass.INVALID) if mode == Mode.ASTE else AOPE_INVALID
+
+
+def foreground_classes(mode: Mode) -> tuple[int, ...]:
+    if mode == Mode.ASTE:
+        return (int(RegionClass.POS), int(RegionClass.NEU), int(RegionClass.NEG))
+    return (AOPE_VALID,)
+
+
+def init_detector_params(d: int, mode: Mode, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    c = num_classes(mode)
+    return {
+        "rpn_b_w": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, 1)),
+        "rpn_b_b": np.zeros(1),
+        "rpn_e_w": rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, 1)),
+        "rpn_e_b": np.zeros(1),
+        "cls_w": rng.normal(0.0, 1.0 / np.sqrt(3 * d), size=(3 * d, c)),
+        "cls_b": np.zeros(c),
+    }
+
+
+@dataclass(frozen=True)
+class RpnScores:
+    pb: Tensor  # (n, n) top-left corner probabilities
+    pe: Tensor  # (n, n) bottom-right corner probabilities
+
+
+@dataclass(frozen=True)
+class RegionProposal:
+    a: int
+    b: int
+    c: int
+    d: int
+    b_score: float
+    e_score: float
+
+    def rect(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
+
+
+@dataclass(frozen=True)
+class CandidateSets:
+    b: list  # [(i, j, score)] sorted by descending score, row-major tie-break
+    e: list
+    k: int
+
+
+def rpn_scores(tl: Tensor, params: dict[str, Tensor]) -> RpnScores:
+    n = tl.shape[0]
+    d = tl.shape[2]
+    flat = tl.reshape(n * n, d)
+    pb = (flat @ params["rpn_b_w"] + params["rpn_b_b"]).sigmoid().reshape(n, n)
+    pe = (flat @ params["rpn_e_w"] + params["rpn_e_b"]).sigmoid().reshape(n, n)
+    return RpnScores(pb, pe)
+
+
+def topk_prune(scores: np.ndarray, kappa: float, n: int) -> list[tuple[int, int, float]]:
+    """Keep the k = max(1, ceil(kappa * n)) best cells; ties resolve in
+    row-major cell order."""
+    if not (0.0 < kappa <= 1.0):
+        raise ValueError("kappa must be in (0, 1]")
+    k = max(1, math.ceil(kappa * n))
+    cells = [
+        (float(scores[i, j]), i, j)
+        for i in range(scores.shape[0])
+        for j in range(scores.shape[1])
+    ]
+    cells.sort(key=lambda t: (-t[0], t[1], t[2]))
+    return [(i, j, s) for s, i, j in cells[:k]]
+
+
+def propose_regions(
+    bset: list[tuple[int, int, float]], eset: list[tuple[int, int, float]]
+) -> list[RegionProposal]:
+    """Pair every B candidate with every E candidate it can enclose with
+    (a <= c and b <= d); deduplicated per rectangle, sorted by (a, b, c, d)."""
+    by_rect: dict[tuple[int, int, int, int], RegionProposal] = {}
+    for a, b, bs in bset:
+        for c, d, es in eset:
+            if a <= c and b <= d:
+                rect = (a, b, c, d)
+                if rect not in by_rect:
+                    by_rect[rect] = RegionProposal(a, b, c, d, bs, es)
+    return [by_rect[r] for r in sorted(by_rect)]
+
+
+def roi_represent(tl: Tensor, prop: RegionProposal) -> Tensor:
+    """Fixed-length region vector: B-corner cell + E-corner cell + elementwise
+    max over every cell inside the rectangle; length 3d."""
+    t_ab = tl[prop.a, prop.b]
+    t_cd = tl[prop.c, prop.d]
+    pooled = tl[prop.a : prop.c + 1, prop.b : prop.d + 1].max(axis=(0, 1))
+    return ag.concat([t_ab, t_cd, pooled], axis=0)
+
+
+def classify_regions(rois: Tensor, params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor]:
+    """Softmax class probabilities and log-probabilities for (m, 3d) RoIs."""
+    logits = rois @ params["cls_w"] + params["cls_b"]
+    shift = Tensor(logits.data.max(axis=1, keepdims=True))
+    z = logits - shift
+    lse = z.exp().sum(axis=1, keepdims=True).log()
+    logp = z - lse
+    return logp.exp(), logp
+
+
+def classify_region(roi: Tensor, params: dict[str, Tensor], mode: Mode) -> Tensor:
+    probs, _ = classify_regions(roi.reshape(1, -1), params, mode)
+    return probs.reshape(-1)
+
+
+def decode_triplets(
+    proposals: list[RegionProposal], probs: np.ndarray, mode: Mode
+) -> list[Triplet] | list[tuple[Span, Span]]:
+    """Argmax class per proposal; rectangles classified INVALID are dropped.
+    ASTE returns triplets, AOPE returns (aspect, opinion) span pairs."""
+    assert len(proposals) == probs.shape[0]
+    picks = probs.argmax(axis=1)
+    if mode == Mode.ASTE:
+        kept = [
+            (p.a, p.b, p.c, p.d, RegionClass(int(k)))
+            for p, k in zip(proposals, picks)
+            if int(k) != int(RegionClass.INVALID)
+        ]
+        return decode_regions(kept)
+    pairs = {
+        (p.a, p.b, p.c, p.d): (Span(p.a, p.c), Span(p.b, p.d))
+        for p, k in zip(proposals, picks)
+        if int(k) == AOPE_VALID
+    }
+    return [pairs[r] for r in sorted(pairs)]

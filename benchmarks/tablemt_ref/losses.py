@@ -1,0 +1,197 @@
+"""Training objectives: supervised corner/region losses, teacher-student
+region consistency, and the kernel two-sample (MMD) domain losses."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
+
+from . import autograd as ag
+from .autograd import Tensor
+from .detector import Mode, RegionProposal, invalid_class
+from .tagging import GoldRegion
+
+_LOG_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class MmdConfig:
+    """Gaussian-RBF biased (V-statistic) estimator; bandwidth is the median
+    pairwise distance over the pooled samples unless fixed explicitly."""
+
+    bandwidth: float | None = None  # None -> median heuristic
+    fallback: float = 1.0
+
+
+@dataclass
+class LossBreakdown:
+    l_rpn: float = 0.0
+    l_rpc: float = 0.0
+    l_sup: float = 0.0
+    l_uns: float = 0.0
+    l_mmd_boundary: float = 0.0
+    l_mmd_region: float = 0.0
+    l_mmd: float = 0.0
+    total: float = 0.0
+
+    COLUMNS = ("l_rpn", "l_rpc", "l_sup", "l_uns", "l_mmd", "total")
+
+
+def loss_rpn(pb: Tensor, pe: Tensor, yb: np.ndarray, ye: np.ndarray) -> Tensor:
+    """Mean binary cross-entropy over all 2n^2 corner cells."""
+    if pb.shape != yb.shape or pe.shape != ye.shape:
+        raise ValueError("score/label shape mismatch")
+    n2 = yb.size
+
+    def bce_sum(p: Tensor, y: np.ndarray) -> Tensor:
+        logp = p.clamp_min(_LOG_FLOOR).log()
+        log1mp = (1.0 - p).clamp_min(_LOG_FLOOR).log()
+        return -(Tensor(y) * logp + Tensor(1.0 - y) * log1mp).sum()
+
+    return (bce_sum(pb, yb.astype(float)) + bce_sum(pe, ye.astype(float))) * (1.0 / (2 * n2))
+
+
+def loss_rpc(logp: Tensor | None, targets: np.ndarray) -> Tensor:
+    """Mean categorical cross-entropy -log p[target] over the proposals;
+    zero when there are none."""
+    m = len(targets)
+    if m == 0 or logp is None:
+        return Tensor(0.0)
+    picked = logp[(np.arange(m), np.asarray(targets, dtype=np.int64))]
+    return -picked.mean()
+
+
+def match_gold(
+    proposals: Sequence[RegionProposal],
+    gold_regions: Sequence[GoldRegion],
+    mode: Mode,
+    inject: bool = True,
+) -> tuple[list[RegionProposal], np.ndarray]:
+    """Class targets per proposal by exact rectangle match; unmatched
+    proposals are INVALID.  With ``inject``, gold rectangles absent from the
+    proposal list are appended once so the classifier always sees positives."""
+    gold_by_rect: dict[tuple[int, int, int, int], int] = {}
+    for g in gold_regions:
+        cls = int(g.cls) if mode == Mode.ASTE else 0
+        gold_by_rect.setdefault(g.rect(), cls)
+    out = list(proposals)
+    targets = [gold_by_rect.get(p.rect(), invalid_class(mode)) for p in out]
+    if inject:
+        have = {p.rect() for p in out}
+        for g in gold_regions:
+            if g.rect() not in have:
+                have.add(g.rect())
+                out.append(RegionProposal(g.a, g.b, g.c, g.d, 0.0, 0.0))
+                targets.append(gold_by_rect[g.rect()])
+    return out, np.array(targets, dtype=np.int64)
+
+
+def loss_uns(student_probs: Tensor | None, teacher_probs: np.ndarray) -> Tensor:
+    """Mean squared L2 distance between student and teacher class
+    probabilities over the retained pseudo-labeled regions."""
+    if student_probs is None or teacher_probs.shape[0] == 0:
+        return Tensor(0.0)
+    diff = student_probs - Tensor(teacher_probs)
+    return (diff * diff).sum(axis=1).mean()
+
+
+def _as_matrix(x) -> Tensor:
+    if isinstance(x, Tensor):
+        return x if x.ndim == 2 else x.reshape(1, -1)
+    if isinstance(x, (list, tuple)):
+        if len(x) == 0:
+            return Tensor(np.zeros((0, 1)))
+        if isinstance(x[0], Tensor):
+            return ag.concat(
+                [t if t.ndim == 2 else t.reshape(1, -1) for t in x], axis=0
+            )
+        return Tensor(np.atleast_2d(np.asarray(x, dtype=float)))
+    arr = np.asarray(x, dtype=float)
+    return Tensor(np.atleast_2d(arr))
+
+
+def _pairwise_sq_dists(x: Tensor, y: Tensor) -> Tensor:
+    m, k = x.shape[0], y.shape[0]
+    xi = x[np.repeat(np.arange(m), k)]
+    yj = y[np.tile(np.arange(k), m)]
+    diff = xi - yj
+    return (diff * diff).sum(axis=1)
+
+
+def _median_bandwidth(z: Tensor, fallback: float) -> Tensor:
+    n = z.shape[0]
+    if n < 2:
+        return Tensor(fallback)
+    iu, ju = np.triu_indices(n, k=1)
+    diff = z[iu] - z[ju]
+    dists = (diff * diff).sum(axis=1).sqrt()
+    order = np.argsort(dists.data, kind="stable")
+    p = order.shape[0]
+    if p % 2 == 1:
+        med = dists[order[p // 2]]
+    else:
+        med = (dists[order[p // 2 - 1]] + dists[order[p // 2]]) * 0.5
+    if float(med.data) <= 0.0:
+        return Tensor(fallback)
+    return med
+
+
+def mmd(x, y, cfg: MmdConfig = MmdConfig()) -> Tensor:
+    """Biased-estimator squared MMD with a Gaussian kernel:
+    mean k(x,x') + mean k(y,y') - 2 mean k(x,y), clamped at zero."""
+    xm = _as_matrix(x)
+    ym = _as_matrix(y)
+    if xm.shape[0] == 0 or ym.shape[0] == 0:
+        return Tensor(0.0)
+    if cfg.bandwidth is not None:
+        sigma = Tensor(float(cfg.bandwidth))
+    else:
+        sigma = _median_bandwidth(ag.concat([xm, ym], axis=0), cfg.fallback)
+    inv_two_sigma_sq = (sigma**-2.0) * 0.5
+
+    def kernel_mean(a: Tensor, b: Tensor) -> Tensor:
+        d2 = _pairwise_sq_dists(a, b)
+        return (d2 * -1.0 * inv_two_sigma_sq).exp().mean()
+
+    raw = kernel_mean(xm, xm) + kernel_mean(ym, ym) - 2.0 * kernel_mean(xm, ym)
+    return raw.clamp_min(0.0)
+
+
+@dataclass
+class RegionFeatures:
+    """Per-domain pooled features of the predicted regions of a batch."""
+
+    b_cells: list[Tensor] = field(default_factory=list)  # table cells at B corners
+    e_cells: list[Tensor] = field(default_factory=list)  # table cells at E corners
+    rois: list[Tensor] = field(default_factory=list)  # 3d region vectors
+
+
+def loss_mmd_region_level(
+    src: RegionFeatures, tgt: RegionFeatures, cfg: MmdConfig = MmdConfig()
+) -> tuple[Tensor, Tensor]:
+    """Boundary-level and region-level MMD between the domains; any empty
+    side contributes zero."""
+    l_boundary = mmd(src.b_cells, tgt.b_cells, cfg) + mmd(src.e_cells, tgt.e_cells, cfg)
+    l_region = mmd(src.rois, tgt.rois, cfg)
+    return l_boundary, l_region
+
+
+def loss_mmd_cell_level(
+    src_by_type: dict[int, list[Tensor]],
+    tgt_by_type: dict[int, list[Tensor]],
+    cfg: MmdConfig = MmdConfig(),
+) -> Tensor:
+    """Sum of per-cell-type MMD over the types populated on both sides."""
+    total = Tensor(0.0)
+    for key in sorted(set(src_by_type) | set(tgt_by_type)):
+        xs = src_by_type.get(key, [])
+        ys = tgt_by_type.get(key, [])
+        if xs and ys:
+            total = total + mmd(xs, ys, cfg)
+    return total
+
+
+def total_loss(l_sup: Tensor, l_uns_t: Tensor, l_mmd_t: Tensor, alpha: float, beta: float) -> Tensor:
+    return l_sup + alpha * l_uns_t + beta * l_mmd_t

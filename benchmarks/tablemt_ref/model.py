@@ -1,0 +1,110 @@
+"""Full model assembly: encoder + detector parameters, forward pass over one
+sentence, and decoding predictions."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import autograd as ag
+from .autograd import Tensor
+from .corpus import Sentence, Span, Triplet
+from .detector import (
+    Mode,
+    RegionProposal,
+    classify_regions,
+    decode_triplets,
+    init_detector_params,
+    propose_regions,
+    roi_represent,
+    rpn_scores,
+    topk_prune,
+)
+from .encoder import EncoderConfig, encode_sentence, init_encoder_params
+
+
+def init_params(cfg: EncoderConfig, mode: Mode, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    params = init_encoder_params(cfg, rng)
+    params.update(init_detector_params(cfg.d, mode, rng))
+    return params
+
+
+def as_tensors(params: dict[str, np.ndarray]) -> dict[str, Tensor]:
+    return {k: Tensor(v) for k, v in params.items()}
+
+
+def clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    return {k: v.copy() for k, v in params.items()}
+
+
+@dataclass
+class SentenceForward:
+    sentence: Sentence
+    tl: Tensor  # (n, n, d) final feature map
+    pb: Tensor  # (n, n)
+    pe: Tensor
+    bset: list  # top-k B candidates [(i, j, score)]
+    eset: list
+    proposals: list[RegionProposal]
+    n_predicted: int  # proposals[:n_predicted] came from the pruner, the rest were injected
+    rois: Tensor | None  # (m, 3d)
+    probs: Tensor | None  # (m, C)
+    logp: Tensor | None
+
+
+def forward(
+    sentence: Sentence,
+    params: dict[str, Tensor],
+    cfg: EncoderConfig,
+    mode: Mode,
+    kappa: float,
+    extra_rects: list[tuple[int, int, int, int]] | None = None,
+) -> SentenceForward:
+    """Run the full pipeline; ``extra_rects`` adds rectangles (deduplicated
+    against the proposals) so losses can score regions the pruner missed."""
+    tl = encode_sentence(sentence, params, cfg)
+    scores = rpn_scores(tl, params)
+    n = sentence.n
+    bset = topk_prune(scores.pb.data, kappa, n)
+    eset = topk_prune(scores.pe.data, kappa, n)
+    proposals = propose_regions(bset, eset)
+    n_predicted = len(proposals)
+    if extra_rects:
+        have = {p.rect() for p in proposals}
+        for rect in extra_rects:
+            if rect not in have:
+                have.add(rect)
+                proposals.append(RegionProposal(*rect, 0.0, 0.0))
+    if proposals:
+        rois = ag.stack_rows([roi_represent(tl, p) for p in proposals])
+        probs, logp = classify_regions(rois, params, mode)
+    else:
+        rois = probs = logp = None
+    return SentenceForward(
+        sentence, tl, scores.pb, scores.pe, bset, eset, proposals, n_predicted, rois, probs, logp
+    )
+
+
+def predict(
+    sentence: Sentence,
+    params: dict[str, np.ndarray],
+    cfg: EncoderConfig,
+    mode: Mode,
+    kappa: float,
+) -> list[Triplet] | list[tuple[Span, Span]]:
+    """Decode the model's triplets (ASTE) or aspect-opinion pairs (AOPE)."""
+    with ag.no_grad():
+        fwd = forward(sentence, as_tensors(params), cfg, mode, kappa)
+    if not fwd.proposals:
+        return []
+    return decode_triplets(fwd.proposals, fwd.probs.data, mode)
+
+
+def cell_probs(tl: Tensor, params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor]:
+    """Class probabilities for every cell treated as its own 1x1 region
+    (cell-level consistency variant); rows follow row-major cell order."""
+    n, _, d = tl.shape
+    flat = tl.reshape(n * n, d)
+    rois = ag.concat([flat, flat, flat], axis=1)
+    return classify_regions(rois, params, mode)

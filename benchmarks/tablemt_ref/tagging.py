@@ -1,0 +1,212 @@
+"""Codecs between triplet sets and the two word-pair table schemes.
+
+Region scheme: each triplet is a rectangle in the n x n table whose rows
+index aspect tokens and columns index opinion tokens; the top-left corner
+(aspect start, opinion start) is marked B and the bottom-right corner
+(aspect end, opinion end) is marked E, and the rectangle carries the
+sentiment class.
+
+Cell scheme: aspect tokens are marked A and opinion tokens O on the
+diagonal, and every (aspect token, opinion token) crossing cell carries the
+triplet's sentiment.
+"""
+
+from __future__ import annotations
+
+import enum
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from .corpus import LabeledSentence, Polarity, Span, Triplet
+
+
+class RegionClass(enum.IntEnum):
+    POS = 0
+    NEU = 1
+    NEG = 2
+    INVALID = 3
+
+
+_POLARITY_TO_CLASS = {
+    Polarity.POS: RegionClass.POS,
+    Polarity.NEU: RegionClass.NEU,
+    Polarity.NEG: RegionClass.NEG,
+}
+_CLASS_TO_POLARITY = {v: k for k, v in _POLARITY_TO_CLASS.items()}
+
+
+def polarity_to_class(p: Polarity) -> RegionClass:
+    return _POLARITY_TO_CLASS[p]
+
+
+def class_to_polarity(c: RegionClass) -> Polarity:
+    return _CLASS_TO_POLARITY[RegionClass(c)]
+
+
+@dataclass(frozen=True)
+class BoundaryLabels:
+    b: np.ndarray  # (n, n) 0/1 top-left corner map
+    e: np.ndarray  # (n, n) 0/1 bottom-right corner map
+
+
+@dataclass(frozen=True)
+class GoldRegion:
+    a: int  # aspect start (row)
+    b: int  # opinion start (col)
+    c: int  # aspect end (row)
+    d: int  # opinion end (col)
+    cls: RegionClass
+
+    def rect(self) -> tuple[int, int, int, int]:
+        return (self.a, self.b, self.c, self.d)
+
+
+def encode_region_labels(ls: LabeledSentence) -> tuple[BoundaryLabels, list[GoldRegion]]:
+    n = ls.sentence.n
+    b = np.zeros((n, n), dtype=np.int8)
+    e = np.zeros((n, n), dtype=np.int8)
+    regions = []
+    for t in ls.triplets:
+        b[t.aspect.start, t.opinion.start] = 1
+        e[t.aspect.end, t.opinion.end] = 1
+        regions.append(
+            GoldRegion(t.aspect.start, t.opinion.start, t.aspect.end, t.opinion.end,
+                       polarity_to_class(t.polarity))
+        )
+    return BoundaryLabels(b, e), regions
+
+
+def decode_regions(regions: Iterable[tuple[int, int, int, int, RegionClass]]) -> list[Triplet]:
+    """Map classified rectangles back to triplets; INVALID dropped, output
+    deduplicated and sorted by (a, b, c, d)."""
+    out = {}
+    for a, b, c, d, cls in regions:
+        cls = RegionClass(cls)
+        if cls == RegionClass.INVALID:
+            continue
+        if not (a <= c and b <= d):
+            raise ValueError(f"degenerate rectangle ({a},{b},{c},{d})")
+        t = Triplet(Span(a, c), Span(b, d), class_to_polarity(cls))
+        out[(a, b, c, d, int(cls))] = t
+    return [out[k] for k in sorted(out)]
+
+
+# -- cell-level scheme -------------------------------------------------------
+
+CELL_NONE = 0
+CELL_A = 1
+CELL_O = 2
+CELL_POS = 3
+CELL_NEU = 4
+CELL_NEG = 5
+
+CELL_SENTIMENT = {
+    Polarity.POS: CELL_POS,
+    Polarity.NEU: CELL_NEU,
+    Polarity.NEG: CELL_NEG,
+}
+_CELL_TO_POLARITY = {v: k for k, v in CELL_SENTIMENT.items()}
+
+
+class CellConflictError(ValueError):
+    """A cell received two different labels (e.g. a token is both aspect and opinion)."""
+
+
+def encode_cell_labels(ls: LabeledSentence) -> np.ndarray:
+    """Return the (n, n) int table with CELL_* codes."""
+    n = ls.sentence.n
+    tbl = np.zeros((n, n), dtype=np.int8)
+
+    def put(i: int, j: int, label: int) -> None:
+        if tbl[i, j] != CELL_NONE and tbl[i, j] != label:
+            raise CellConflictError(
+                f"cell ({i},{j}) already labeled {int(tbl[i, j])}, cannot relabel {label}"
+            )
+        tbl[i, j] = label
+
+    for t in ls.triplets:
+        for i in t.aspect.tokens():
+            put(i, i, CELL_A)
+        for j in t.opinion.tokens():
+            put(j, j, CELL_O)
+    for t in ls.triplets:
+        lab = CELL_SENTIMENT[t.polarity]
+        for i in t.aspect.tokens():
+            for j in t.opinion.tokens():
+                if i == j:
+                    raise CellConflictError(f"token {i} is both aspect and opinion")
+                put(i, j, lab)
+    return tbl
+
+
+def _diagonal_runs(tbl: np.ndarray, label: int) -> list[Span]:
+    n = tbl.shape[0]
+    runs = []
+    i = 0
+    while i < n:
+        if tbl[i, i] == label:
+            j = i
+            while j + 1 < n and tbl[j + 1, j + 1] == label:
+                j += 1
+            runs.append(Span(i, j))
+            i = j + 1
+        else:
+            i += 1
+    return runs
+
+
+def decode_cell_table(tbl: np.ndarray) -> list[Triplet]:
+    """Pair every maximal A-run with every O-run; majority sentiment over the
+    crossing cells decides the polarity, an exact tie or all-NONE crossing
+    drops the pair."""
+    aspects = _diagonal_runs(tbl, CELL_A)
+    opinions = _diagonal_runs(tbl, CELL_O)
+    triplets = []
+    for asp in aspects:
+        for op in opinions:
+            votes = Counter()
+            for i in asp.tokens():
+                for j in op.tokens():
+                    lab = int(tbl[i, j])
+                    if lab in _CELL_TO_POLARITY:
+                        votes[lab] += 1
+            if not votes:
+                continue
+            ranked = votes.most_common()
+            if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
+                continue
+            triplets.append(Triplet(asp, op, _CELL_TO_POLARITY[ranked[0][0]]))
+    triplets.sort(key=lambda t: (t.aspect.start, t.opinion.start, t.aspect.end, t.opinion.end))
+    return triplets
+
+
+def cells_by_type(triplets: Sequence[Triplet], n: int) -> dict[int, list[tuple[int, int]]]:
+    """Lenient cell grouping used for cell-level feature pooling: unlike
+    encode_cell_labels this never errors, a conflicted cell simply lands in
+    several groups."""
+    groups: dict[int, list[tuple[int, int]]] = {
+        CELL_A: [], CELL_O: [], CELL_POS: [], CELL_NEU: [], CELL_NEG: []
+    }
+    seen: dict[int, set] = {k: set() for k in groups}
+
+    def add(label: int, i: int, j: int) -> None:
+        if (i, j) not in seen[label]:
+            seen[label].add((i, j))
+            groups[label].append((i, j))
+
+    for t in triplets:
+        lab = CELL_SENTIMENT[t.polarity]
+        for i in t.aspect.tokens():
+            if i < n:
+                add(CELL_A, i, i)
+        for j in t.opinion.tokens():
+            if j < n:
+                add(CELL_O, j, j)
+        for i in t.aspect.tokens():
+            for j in t.opinion.tokens():
+                if i < n and j < n:
+                    add(lab, i, j)
+    return groups
