@@ -5,69 +5,45 @@ load(save(x)) is bit-exact."""
 
 from __future__ import annotations
 
+import enum
 import json
 import struct
+import typing
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .detector import Mode
-from .encoder import EncoderConfig
-from .trainer import Checkpoint, TrainConfig, Variant
+from .trainer import Checkpoint, TrainConfig
 
 MAGIC = b"TBLMT001"
+ENCODER_KIND = "hash_window_mixer"
 
 
-def _config_to_dict(cfg: TrainConfig) -> dict:
-    return {
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "ema_lambda": cfg.ema_lambda,
-        "eta": cfg.eta,
-        "kappa": cfg.kappa,
-        "aug_rate": cfg.aug_rate,
-        "batch": cfg.batch,
-        "epochs": cfg.epochs,
-        "lr": cfg.lr,
-        "seed": cfg.seed,
-        "mode": cfg.mode.value,
-        "variant": cfg.variant.value,
-        "ablations": sorted(cfg.ablations),
-        "encoder": {
-            "d": cfg.encoder.d,
-            "layers": cfg.encoder.layers,
-            "vocab_buckets": cfg.encoder.vocab_buckets,
-            "window": cfg.encoder.window,
-            "max_n": cfg.encoder.max_n,
-        },
-        "encoder_kind": "hash_window_mixer",
-    }
+def _to_json(value):
+    """A dataclass as a JSON tree: enums by value, frozensets sorted."""
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(value)
+    return value
 
 
-def _config_from_dict(d: dict) -> TrainConfig:
-    enc = d["encoder"]
-    return TrainConfig(
-        alpha=d["alpha"],
-        beta=d["beta"],
-        ema_lambda=d["ema_lambda"],
-        eta=d["eta"],
-        kappa=d["kappa"],
-        aug_rate=d["aug_rate"],
-        batch=d["batch"],
-        epochs=d["epochs"],
-        lr=d["lr"],
-        seed=d["seed"],
-        mode=Mode(d["mode"]),
-        variant=Variant(d["variant"]),
-        ablations=frozenset(d["ablations"]),
-        encoder=EncoderConfig(
-            d=enc["d"],
-            layers=enc["layers"],
-            vocab_buckets=enc["vocab_buckets"],
-            window=enc["window"],
-            max_n=enc["max_n"],
-        ),
-    )
+def _from_json(cls, tree: dict):
+    """Inverse of ``_to_json``, typed by the field annotations; every field
+    must be present (a missing one raises KeyError, never takes its default)."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in fields(cls):
+        kind, value = hints[f.name], tree[f.name]
+        if is_dataclass(kind):
+            value = _from_json(kind, value)
+        elif kind is frozenset or issubclass(kind, enum.Enum):
+            value = kind(value)
+        values[f.name] = value
+    return cls(**values)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -80,7 +56,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             blobs.append(arr.tobytes())
     header = {
         "version": 1,
-        "config": _config_to_dict(ckpt.config),
+        "config": {**_to_json(ckpt.config), "encoder_kind": ENCODER_KIND},
         "epoch": ckpt.epoch,
         "history": ckpt.history,
         "tensors": tensors,
@@ -114,7 +90,7 @@ def load_checkpoint(path) -> Checkpoint:
         group, name = spec["name"].split("/", 1)
         (student if group == "student" else teacher)[name] = arr
     return Checkpoint(
-        config=_config_from_dict(header["config"]),
+        config=_from_json(TrainConfig, header["config"]),
         student=student,
         teacher=teacher,
         epoch=header["epoch"],

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,12 @@ from .encoder import EncoderConfig
 from .evaluate import ErrorCategory, audit_pseudo_labels, build_report, gold_items
 from .gradcheck import run_gradcheck
 from .trainer import (
-    ABLATIONS,
-    Checkpoint,
+    HISTORY_COLUMNS,
     TrainConfig,
     Variant,
+    _predict_items,
     fit,
+    pseudo_triplet,
     teacher_pseudo_label,
 )
 
@@ -52,65 +54,45 @@ def _read_config_file(path: str) -> dict[str, str]:
         values[key.strip()] = val.strip()
     return values
 
+
+def _ablations(text: str) -> frozenset:  # comma- or plus-separated names
+    return frozenset(a for a in text.replace("+", ",").split(",") if a)
+
+
+# Config-file key -> (TrainConfig field, parser); "encoder." fields belong to
+# EncoderConfig.  The flag of the same name overrides the file; keys without
+# a flag (vocab_buckets, window, max_n) come from the file only.  Defaults are
+# the dataclasses' own.
 TRAIN_KEYS = {
-    "alpha": float, "beta": float, "lambda": float, "eta": float, "kappa": float,
-    "aug_rate": float, "epochs": int, "batch": int, "lr": float, "seed": int,
-    "mode": str, "variant": str, "ablate": str,
-    "d": int, "layers": int, "vocab_buckets": int, "window": int, "max_n": int,
+    "alpha": ("alpha", float), "beta": ("beta", float), "lambda": ("ema_lambda", float),
+    "eta": ("eta", float), "kappa": ("kappa", float), "aug_rate": ("aug_rate", float),
+    "epochs": ("epochs", int), "batch": ("batch", int), "lr": ("lr", float),
+    "mode": ("mode", Mode), "variant": ("variant", Variant), "ablate": ("ablations", _ablations),
+    "d": ("encoder.d", int), "layers": ("encoder.layers", int),
+    "vocab_buckets": ("encoder.vocab_buckets", int), "window": ("encoder.window", int),
+    "max_n": ("encoder.max_n", int),
 }
 
 
 def _train_config(args, seed: int) -> TrainConfig:
-    cfgfile = _read_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast):
-        if flag_value is not None:
-            return flag_value
-        if key in cfgfile:
-            try:
-                return cast(cfgfile[key])
-            except ValueError as exc:
-                raise UsageError(f"bad config value for {key}: {exc}") from None
-        return None
-
-    def pick_default(flag_value, key, cast, default):
-        v = pick(flag_value, key, cast)
-        return default if v is None else v
-
-    ablate_raw = pick_default(args.ablate, "ablate", str, "")
-    ablations = frozenset(a for a in ablate_raw.replace("+", ",").split(",") if a)
-    unknown = ablations - set(ABLATIONS)
-    if unknown:
-        raise UsageError(f"unknown ablations {sorted(unknown)}; valid: {ABLATIONS}")
+    given = _read_config_file(args.config) if args.config else {}
+    for key in given:
+        if key not in TRAIN_KEYS:
+            raise UsageError(f"unknown config key {key!r}; valid keys: {', '.join(TRAIN_KEYS)}")
+    given.update({k: getattr(args, k) for k in TRAIN_KEYS if getattr(args, k, None) is not None})
+    top, enc = {}, {}
+    for key, raw in given.items():
+        name, parse = TRAIN_KEYS[key]
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise UsageError(f"bad config value for {key}: {exc}") from None
+        if name.startswith("encoder."):
+            enc[name.removeprefix("encoder.")] = value
+        else:
+            top[name] = value
     try:
-        mode = Mode(pick_default(args.mode, "mode", str, "aste"))
-        variant = Variant(pick_default(args.variant, "variant", str, "tfmt"))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    enc = EncoderConfig(
-        d=pick_default(args.d, "d", int, 16),
-        layers=pick_default(args.layers, "layers", int, 2),
-        vocab_buckets=pick_default(None, "vocab_buckets", int, 4096),
-        window=pick_default(None, "window", int, 1),
-        max_n=pick_default(None, "max_n", int, 24),
-    )
-    try:
-        return TrainConfig(
-            alpha=pick_default(args.alpha, "alpha", float, 1.0),
-            beta=pick_default(args.beta, "beta", float, 0.005),
-            ema_lambda=pick_default(args.ema_lambda, "lambda", float, 0.6),
-            eta=pick_default(args.eta, "eta", float, 0.98),
-            kappa=pick_default(args.kappa, "kappa", float, 0.3),
-            aug_rate=pick_default(args.aug_rate, "aug_rate", float, 0.5),
-            batch=pick_default(args.batch, "batch", int, 4),
-            epochs=pick_default(args.epochs, "epochs", int, 10),
-            lr=pick_default(args.lr, "lr", float, 1e-2),
-            seed=seed,
-            mode=mode,
-            variant=variant,
-            ablations=ablations,
-            encoder=enc,
-        )
+        return TrainConfig(seed=seed, encoder=EncoderConfig(**enc), **top)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -130,7 +112,7 @@ def _load_bundle(data_dir: str) -> SynthCorpus:
     )
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: tuple | list, rows: list[list]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -141,52 +123,41 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
-METRIC_HEADER = ["epoch", "step", "l_rpn", "l_rpc", "l_sup", "l_uns", "l_mmd", "total",
-                 "dev_f1", "test_f1"]
-
-
-def _metric_rows(history: list[dict]) -> list[list[str]]:
-    return [[_fmt(row[k]) for k in METRIC_HEADER] for row in history]
-
-
 def _guard_overwrite(path: Path, force: bool) -> None:
     if path.exists() and not force:
         raise UsageError(f"refusing to overwrite {path}; pass --force")
 
 
 def _parse_seeds(args) -> list[int]:
-    if args.seeds:
-        try:
-            return [int(s) for s in args.seeds.split(",") if s]
-        except ValueError as exc:
-            raise UsageError(f"bad --seeds: {exc}") from None
-    return [args.seed if args.seed is not None else 0]
+    if args.seeds is None:
+        return [args.seed if args.seed is not None else 0]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",") if s]
+    except ValueError as exc:
+        raise UsageError(f"bad --seeds: {exc}") from None
+    if not seeds:
+        raise UsageError("--seeds lists no seed")
+    return seeds
 
 
-def _run_seeds(data: SynthCorpus, args, seeds: list[int], out: Path, tag: str,
-               overrides: dict | None = None, force: bool = False,
-               write_ckpt: bool = True) -> dict:
-    """Train once per seed, write per-seed metric CSVs, return summary stats."""
+def _run_seeds(data: SynthCorpus, cfg: TrainConfig, seeds: list[int], out: Path, tag: str,
+               force: bool = False, write_ckpt: bool = True) -> dict:
+    """Train ``cfg`` once per seed, write per-seed metric CSVs, return
+    summary stats."""
     finals = []
     for seed in seeds:
-        cfg = _train_config(args, seed)
-        if overrides:
-            from dataclasses import replace
-            cfg = replace(cfg, **overrides)
         mpath = out / f"metrics_{tag}_seed{seed}.csv"
         _guard_overwrite(mpath, force)
-        ckpt, rows = fit(data, cfg)
-        _write_csv(mpath, METRIC_HEADER, _metric_rows(rows))
+        ckpt, rows = fit(data, replace(cfg, seed=seed))
+        _write_csv(mpath, HISTORY_COLUMNS, [[_fmt(r[k]) for k in HISTORY_COLUMNS] for r in rows])
         if write_ckpt:
             save_checkpoint(out / f"checkpoint_{tag}_seed{seed}.bin", ckpt)
         finals.append(
             {
                 "seed": seed,
                 "best_epoch": ckpt.epoch,
-                "dev_f1": rows[-1]["dev_f1"] if rows else 0.0,
                 "best_dev_f1": max((r["dev_f1"] for r in rows), default=0.0),
                 "test_f1": rows[ckpt.epoch - 1]["test_f1"] if rows and ckpt.epoch >= 1 else 0.0,
-                "final_test_f1": rows[-1]["test_f1"] if rows else 0.0,
             }
         )
     test_scores = np.array([f["test_f1"] for f in finals])
@@ -225,10 +196,11 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = _parse_seeds(args)
-    variant = args.variant or "tfmt"
+    cfg = _train_config(args, seeds[0])
+    variant = cfg.variant.value
     spath = out / "summary.csv"
     _guard_overwrite(spath, args.force)
-    summary = _run_seeds(data, args, seeds, out, variant, force=args.force)
+    summary = _run_seeds(data, cfg, seeds, out, variant, force=args.force)
     header = ["variant", "seeds", "mean_dev_f1", "std_dev_f1", "mean_test_f1", "std_test_f1"]
     _write_csv(spath, header, [[
         variant, ";".join(str(s) for s in seeds),
@@ -251,8 +223,6 @@ def cmd_eval(args) -> int:
     records = load_dataset(args.data)
     if not records:
         raise UsageError(f"empty test file: {args.data}")
-    from .trainer import _predict_items
-
     preds = _predict_items(records, ckpt.student, ckpt.config)
     golds = [gold_items(ls, ckpt.config.mode) for ls in records]
     report = build_report(preds, golds)
@@ -275,24 +245,15 @@ def cmd_audit(args) -> int:
     if not any(ls.triplets for ls in records):
         raise UsageError(f"audit needs labeled target data: {args.data}")
     eta = args.eta if args.eta is not None else ckpt.config.eta
-    from .tagging import RegionClass, class_to_polarity
-    from .corpus import Span, Triplet
-
     counts = {cat: 0 for cat in ErrorCategory}
     total_retained = 0
     for ls in records:
-        labels = teacher_pseudo_label(ckpt.teacher, ls.sentence, ckpt.config, eta=eta)
-        pseudo = []
-        for pl in labels:
-            cls = int(np.argmax(pl.probs))
-            if cls == int(RegionClass.INVALID):
-                # retained by foreground confidence but argmax says invalid:
-                # use the most confident foreground class instead
-                fg = pl.probs[:3]
-                cls = int(np.argmax(fg))
-            pseudo.append(
-                Triplet(Span(pl.a, pl.c), Span(pl.b, pl.d), class_to_polarity(RegionClass(cls)))
-            )
+        # every retained label counts, under its most confident foreground
+        # polarity, even where the overall argmax says INVALID
+        pseudo = [
+            pseudo_triplet(pl, ckpt.config.mode)
+            for pl in teacher_pseudo_label(ckpt.teacher, ls.sentence, ckpt.config, eta=eta)
+        ]
         total_retained += len(pseudo)
         for cat, k in audit_pseudo_labels(pseudo, list(ls.triplets)).items():
             counts[cat] += k
@@ -336,40 +297,44 @@ ABLATION_ROWS = [
 ]
 
 
+def _grid(text: str | None, flag: str) -> list[float]:
+    try:
+        return [float(x) for x in (text or "").split(",") if x]
+    except ValueError as exc:
+        raise UsageError(f"bad {flag}: {exc}") from None
+
+
 def cmd_ablate(args) -> int:
     data = _load_bundle(args.data)
+    seeds = _parse_seeds(args)
+    rows = [(label, {"ablations": abl}, f"ablate_{label.replace('+', '_')}")
+            for label, abl in ABLATION_ROWS]
+    rows += [(f"alpha={a}", {"alpha": a}, f"alpha{a}")
+             for a in _grid(args.alpha_grid, "--alpha-grid")]
+    rows += [(f"beta={b}", {"beta": b}, f"beta{b}")
+             for b in _grid(args.beta_grid, "--beta-grid")]
+    base = _train_config(args, seeds[0])
+    try:  # check every row's config before the first fit
+        configs = [replace(base, **overrides) for _, overrides, _ in rows]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _guard_overwrite(out / "ablation.csv", args.force)
-    seeds = _parse_seeds(args)
+    path = out / "ablation.csv"
+    _guard_overwrite(path, args.force)
     header = ["row", "alpha", "beta", "ablations", "n_seeds",
               "mean_dev_f1", "std_dev_f1", "mean_test_f1", "std_test_f1"]
     rows_out = []
-
-    def add_row(label: str, overrides: dict, tag: str):
-        summary = _run_seeds(data, args, seeds, out, tag,
-                             overrides=overrides, force=args.force, write_ckpt=False)
-        cfg0 = _train_config(args, seeds[0])
-        from dataclasses import replace
-        cfg0 = replace(cfg0, **overrides)
+    for (label, _, tag), cfg in zip(rows, configs):
+        summary = _run_seeds(data, cfg, seeds, out, tag, force=args.force, write_ckpt=False)
         rows_out.append([
-            label, _fmt(cfg0.alpha), _fmt(cfg0.beta),
-            "+".join(sorted(cfg0.ablations)) or "none", str(len(seeds)),
+            label, _fmt(cfg.alpha), _fmt(cfg.beta),
+            "+".join(sorted(cfg.ablations)) or "none", str(len(seeds)),
             _fmt(summary["mean_dev_f1"]), _fmt(summary["std_dev_f1"]),
             _fmt(summary["mean_test_f1"]), _fmt(summary["std_test_f1"]),
         ])
         print(f"{label:16s} mean test F1 {summary['mean_test_f1']:.4f} "
               f"+- {summary['std_test_f1']:.4f}")
-
-    for label, ablations in ABLATION_ROWS:
-        add_row(label, {"ablations": ablations}, f"ablate_{label.replace('+', '_')}")
-    if args.alpha_grid:
-        for a in (float(x) for x in args.alpha_grid.split(",") if x):
-            add_row(f"alpha={a}", {"alpha": a}, f"alpha{a}")
-    if args.beta_grid:
-        for b in (float(x) for x in args.beta_grid.split(",") if x):
-            add_row(f"beta={b}", {"beta": b}, f"beta{b}")
-    path = out / "ablation.csv"
     _guard_overwrite(path, args.force)
     _write_csv(path, header, rows_out)
     print(f"wrote {path}")
@@ -385,7 +350,7 @@ def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--mode", choices=[m.value for m in Mode])
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
-    p.add_argument("--lambda", dest="ema_lambda", type=float)
+    p.add_argument("--lambda", type=float)
     p.add_argument("--eta", type=float)
     p.add_argument("--kappa", type=float)
     p.add_argument("--aug-rate", dest="aug_rate", type=float)

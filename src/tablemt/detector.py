@@ -134,11 +134,6 @@ def classify_regions(rois: Tensor, params: dict[str, Tensor], mode: Mode) -> tup
     return logp.exp(), logp
 
 
-def classify_region(roi: Tensor, params: dict[str, Tensor], mode: Mode) -> Tensor:
-    probs, _ = classify_regions(roi.reshape(1, -1), params, mode)
-    return probs.reshape(-1)
-
-
 def decode_triplets(
     proposals: list[RegionProposal], probs: np.ndarray, mode: Mode
 ) -> list[Triplet] | list[tuple[Span, Span]]:

@@ -10,17 +10,15 @@ the gradient scale with a floor of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import LabeledSentence, Polarity, Sentence, Span, Triplet
-from .detector import Mode
 from .encoder import EncoderConfig
 from .model import as_tensors, init_params
 from .trainer import (
     TrainConfig,
-    Variant,
     _stream,
     _target_flags,
     compute_losses,

@@ -12,14 +12,15 @@ replaces the teacher with iterative pseudo-label dataset growth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import LabeledSentence, Polarity, Sentence, Span, SynthCorpus, Triplet, vocabulary
-from .detector import Mode, decode_triplets, foreground_classes
+from .detector import Mode, decode_triplets, foreground_classes, invalid_class
 from .evaluate import gold_items, sentence_prf
 from .losses import (
     LossBreakdown,
@@ -35,9 +36,17 @@ from .losses import (
 )
 from .encoder import EncoderConfig, encode_sentence
 from .model import as_tensors, cell_probs, clone_params, forward, init_params, predict
-from .tagging import cells_by_type, encode_region_labels
+from .tagging import (
+    CELL_A,
+    CELL_O,
+    RegionClass,
+    cells_by_type,
+    class_to_polarity,
+    encode_region_labels,
+)
 
 ABLATIONS = ("no_aug", "no_uns", "no_mmd")
+HISTORY_COLUMNS = ("epoch", "step", *LossBreakdown.COLUMNS, "dev_f1", "test_f1")
 
 
 class Variant(enum.Enum):
@@ -77,13 +86,13 @@ class TrainConfig:
             raise ValueError("kappa must be in (0, 1]")
         if not (0.0 <= self.aug_rate <= 1.0):
             raise ValueError("aug_rate must be in [0, 1]")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.beta < np.inf):
+            raise ValueError("alpha and beta must be finite and >= 0")
         if self.batch < 1 or self.epochs < 0:
             raise ValueError("batch must be >= 1 and epochs >= 0")
         unknown = set(self.ablations) - set(ABLATIONS)
         if unknown:
-            raise ValueError(f"unknown ablations: {sorted(unknown)}")
+            raise ValueError(f"unknown ablations {sorted(unknown)}; valid: {ABLATIONS}")
 
 
 @dataclass(frozen=True)
@@ -173,46 +182,40 @@ def augment(sentence: Sentence, rate: float, lexicon: list, rng: np.random.Gener
     return Sentence(tuple(toks))
 
 
+def _confident(rects: list, probs: np.ndarray, mode: Mode, eta: float) -> list[PseudoLabel]:
+    """Rectangles whose maximum foreground-class probability reaches ``eta``."""
+    conf = probs[:, list(foreground_classes(mode))].max(axis=1)
+    return [
+        PseudoLabel(*rect, probs[i].copy(), float(conf[i]))
+        for i, rect in enumerate(rects)
+        if conf[i] >= eta
+    ]
+
+
 def teacher_pseudo_label(
     teacher: dict, sentence: Sentence, cfg: TrainConfig, eta: float | None = None
 ) -> list[PseudoLabel]:
     """Teacher forward pass, keeping proposals whose maximum foreground-class
     probability reaches ``eta``."""
-    eta = cfg.eta if eta is None else eta
-    fg = list(foreground_classes(cfg.mode))
     with ag.no_grad():
         fwd = forward(sentence, as_tensors(teacher), cfg.encoder, cfg.mode, cfg.kappa)
     if not fwd.proposals:
         return []
-    probs = fwd.probs.data
-    out = []
-    for i, p in enumerate(fwd.proposals):
-        conf = float(probs[i, fg].max())
-        if conf >= eta:
-            out.append(PseudoLabel(p.a, p.b, p.c, p.d, probs[i].copy(), conf))
-    return out
+    rects = [p.rect() for p in fwd.proposals]
+    return _confident(rects, fwd.probs.data, cfg.mode, cfg.eta if eta is None else eta)
 
 
 def teacher_pseudo_label_cells(
     teacher: dict, sentence: Sentence, cfg: TrainConfig, eta: float | None = None
 ) -> list[PseudoLabel]:
     """Cell-level variant: every cell is its own 1x1 region."""
-    eta = cfg.eta if eta is None else eta
-    fg = list(foreground_classes(cfg.mode))
     n = sentence.n
     with ag.no_grad():
         teacher_t = as_tensors(teacher)
         tl = encode_sentence(sentence, teacher_t, cfg.encoder)
         probs, _ = cell_probs(tl, teacher_t, cfg.mode)
-    out = []
-    pd = probs.data
-    for i in range(n):
-        for j in range(n):
-            row = pd[i * n + j]
-            conf = float(row[fg].max())
-            if conf >= eta:
-                out.append(PseudoLabel(i, j, i, j, row.copy(), conf))
-    return out
+    rects = [(i, j, i, j) for i in range(n) for j in range(n)]
+    return _confident(rects, probs.data, cfg.mode, cfg.eta if eta is None else eta)
 
 
 def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
@@ -247,20 +250,11 @@ def _collect_cell_features(fwd, mode: Mode, groups: dict) -> None:
     n = fwd.sentence.n
     if mode == Mode.ASTE:
         by_type = cells_by_type(triplets, n)
-    else:
-        from .tagging import CELL_A, CELL_O
-
-        by_type = {CELL_A: [], CELL_O: []}
-        seen = {CELL_A: set(), CELL_O: set()}
-        for asp, op in triplets:
-            for i in asp.tokens():
-                if (i, i) not in seen[CELL_A]:
-                    seen[CELL_A].add((i, i))
-                    by_type[CELL_A].append((i, i))
-            for j in op.tokens():
-                if (j, j) not in seen[CELL_O]:
-                    seen[CELL_O].add((j, j))
-                    by_type[CELL_O].append((j, j))
+    else:  # diagonal aspect and opinion cells, in order of first appearance
+        by_type = {
+            CELL_A: list(dict.fromkeys((i, i) for asp, _ in triplets for i in asp.tokens())),
+            CELL_O: list(dict.fromkeys((j, j) for _, op in triplets for j in op.tokens())),
+        }
     for key, cells in by_type.items():
         if cells:
             ii = np.array([c[0] for c in cells])
@@ -409,19 +403,60 @@ def train_step(
     return breakdown
 
 
+def _batches(records: list, rng: np.random.Generator, size: int):
+    """One epoch of batches over ``records`` in a fresh random order."""
+    order = rng.permutation(len(records))
+    for lo in range(0, len(order), size):
+        yield [records[i] for i in order[lo : lo + size]]
+
+
+def _endless(records: list, rng: np.random.Generator):
+    """Records in random order, reshuffled whenever the pool runs dry."""
+    while True:
+        for i in rng.permutation(len(records)):
+            yield records[i]
+
+
+def _run_epoch(
+    params: dict,
+    teacher: dict | None,
+    opt: Adam,
+    records: list,
+    rng: np.random.Generator,
+    cfg: TrainConfig,
+    target=None,
+    rng_aug: np.random.Generator | None = None,
+    aug_lexicon: list | None = None,
+) -> tuple[int, np.ndarray]:
+    """Train ``params`` for one pass over ``records``.  Each batch is paired
+    with as many sentences from the ``target`` stream, if any, and the
+    ``teacher``, if any, follows by EMA after every step.  Returns the step
+    count and the epoch mean of each ``LossBreakdown.COLUMNS`` entry."""
+    sums = np.zeros(len(LossBreakdown.COLUMNS))
+    steps = 0
+    for batch in _batches(records, rng, cfg.batch):
+        tgt_batch = list(islice(target, len(batch))) if target is not None else None
+        bd = train_step(params, teacher, opt, batch, tgt_batch, cfg, rng_aug, aug_lexicon)
+        if teacher is not None:
+            ema_update(teacher, params, cfg.ema_lambda)
+        sums += np.array([getattr(bd, c) for c in LossBreakdown.COLUMNS])
+        steps += 1
+    return steps, sums / max(steps, 1)
+
+
+def _supervised_warmup(params: dict, opt: Adam, source_train: list, cfg: TrainConfig) -> None:
+    """``cfg.epochs`` supervised-only epochs on labeled source data."""
+    rng = _stream(cfg.seed, _STREAM_PRETRAIN_BATCH)
+    for _ in range(cfg.epochs):
+        _run_epoch(params, None, opt, source_train, rng, cfg)
+
+
 def pretrain_teacher(source_train: list[LabeledSentence], cfg: TrainConfig) -> dict:
     """Supervised-only training of the teacher on labeled source data."""
     if not source_train:
         raise ValueError("source training set is empty")
     params = init_params(cfg.encoder, cfg.mode, _stream(cfg.seed, _STREAM_TEACHER_INIT))
-    opt = Adam(params, cfg.lr)
-    rng = _stream(cfg.seed, _STREAM_PRETRAIN_BATCH)
-    sup_cfg = replace(cfg, variant=Variant.SOURCE_ONLY)
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(source_train))
-        for lo in range(0, len(order), cfg.batch):
-            batch = [source_train[i] for i in order[lo : lo + cfg.batch]]
-            train_step(params, None, opt, batch, None, sup_cfg)
+    _supervised_warmup(params, Adam(params, cfg.lr), source_train, cfg)
     return params
 
 
@@ -437,148 +472,73 @@ def _f1(records, params, cfg: TrainConfig) -> float:
     return sentence_prf(preds, golds)[2]
 
 
-def _confident_self_labels(
-    params: dict, sentence: Sentence, cfg: TrainConfig
-) -> tuple[Triplet, ...]:
-    fg = list(foreground_classes(cfg.mode))
-    with ag.no_grad():
-        fwd = forward(sentence, as_tensors(params), cfg.encoder, cfg.mode, cfg.kappa)
-    if not fwd.proposals:
-        return ()
-    probs = fwd.probs.data
-    picks = probs.argmax(axis=1)
-    out = {}
-    for i, p in enumerate(fwd.proposals):
-        conf = float(probs[i, fg].max())
-        if conf >= cfg.eta and int(picks[i]) in fg:
-            if cfg.mode == Mode.ASTE:
-                from .tagging import RegionClass, class_to_polarity
+def pseudo_triplet(pl: PseudoLabel, mode: Mode) -> Triplet:
+    """The triplet a pseudo label asserts: its rectangle with the polarity of
+    its most probable foreground class (AOPE carries a placeholder POS)."""
+    fg = foreground_classes(mode)
+    cls = fg[int(np.argmax(pl.probs[list(fg)]))]
+    pol = class_to_polarity(RegionClass(cls)) if mode == Mode.ASTE else Polarity.POS
+    return Triplet(Span(pl.a, pl.c), Span(pl.b, pl.d), pol)
 
-                pol = class_to_polarity(RegionClass(int(picks[i])))
-            else:
-                pol = Polarity.POS  # placeholder: AOPE ignores polarity downstream
-            t = Triplet(Span(p.a, p.c), Span(p.b, p.d), pol)
-            out[p.rect()] = t
-    return tuple(out[r] for r in sorted(out))
+
+def _self_labels(params: dict, sentence: Sentence, cfg: TrainConfig) -> tuple[Triplet, ...]:
+    """Confident pseudo labels of ``params`` whose overall argmax is also a
+    foreground class, as triplets in rectangle order."""
+    return tuple(
+        pseudo_triplet(pl, cfg.mode)
+        for pl in teacher_pseudo_label(params, sentence, cfg)
+        if int(np.argmax(pl.probs)) != invalid_class(cfg.mode)
+    )
+
+
+def _snapshot(student: dict, teacher: dict | None) -> tuple[dict, dict]:
+    return clone_params(student), clone_params(teacher if teacher is not None else student)
 
 
 def fit(data: SynthCorpus, cfg: TrainConfig) -> tuple[Checkpoint, list[dict]]:
     """Train per the configured variant; returns the dev-selected checkpoint
-    and one metric row per epoch."""
+    and one ``HISTORY_COLUMNS`` row per epoch.  The mean-teacher variants
+    pretrain a teacher; ``self_train`` instead warms the student up on source
+    and adds its own confident target predictions to every epoch's pool."""
     if not data.source_train or not data.source_dev:
         raise ValueError("source train/dev sets must be non-empty")
-    uses_teacher = cfg.variant in (Variant.TFMT, Variant.CTFMT)
     uns_on, mmd_on = _target_flags(cfg)
-    if (uns_on or mmd_on) and not data.target_unlabeled:
+    uses_target = uns_on or mmd_on
+    if uses_target and not data.target_unlabeled:
         raise ValueError("target unlabeled set must be non-empty for this variant")
+    self_train = cfg.variant == Variant.SELF_TRAIN
 
-    if cfg.variant == Variant.SELF_TRAIN:
-        return _fit_self_train(data, cfg)
-
-    teacher = pretrain_teacher(data.source_train, cfg) if uses_teacher else None
+    teacher = None
+    if cfg.variant in (Variant.TFMT, Variant.CTFMT):
+        teacher = pretrain_teacher(data.source_train, cfg)
     student = init_params(cfg.encoder, cfg.mode, _stream(cfg.seed, _STREAM_STUDENT_INIT))
     opt = Adam(student, cfg.lr)
+    if self_train:
+        _supervised_warmup(student, opt, data.source_train, cfg)
     rng_src = _stream(cfg.seed, _STREAM_SRC_BATCH)
     rng_tgt = _stream(cfg.seed, _STREAM_TGT_BATCH)
+    target = _endless(data.target_unlabeled, rng_tgt) if uses_target else None
     rng_aug = _stream(cfg.seed, _STREAM_AUGMENT)
-    aug_lex = vocabulary(data.target_unlabeled) if (uns_on or mmd_on) else []
-
-    tgt_pool: list[int] = []
-
-    def next_tgt_batch(size: int) -> list[LabeledSentence]:
-        nonlocal tgt_pool
-        batch = []
-        while len(batch) < size:
-            if not tgt_pool:
-                tgt_pool = list(rng_tgt.permutation(len(data.target_unlabeled)))
-            batch.append(data.target_unlabeled[tgt_pool.pop(0)])
-        return batch
+    aug_lex = vocabulary(data.target_unlabeled) if uses_target else []
 
     rows: list[dict] = []
-    best: tuple[float, int, dict, dict] | None = None
+    best = None  # (dev_f1, epoch, student, teacher)
     step = 0
     for epoch in range(1, cfg.epochs + 1):
-        order = rng_src.permutation(len(data.source_train))
-        sums = np.zeros(6)
-        count = 0
-        for lo in range(0, len(order), cfg.batch):
-            src_batch = [data.source_train[i] for i in order[lo : lo + cfg.batch]]
-            tgt_batch = next_tgt_batch(len(src_batch)) if (uns_on or mmd_on) else None
-            bd = train_step(student, teacher, opt, src_batch, tgt_batch, cfg, rng_aug, aug_lex)
-            if teacher is not None:
-                ema_update(teacher, student, cfg.ema_lambda)
-            sums += np.array([bd.l_rpn, bd.l_rpc, bd.l_sup, bd.l_uns, bd.l_mmd, bd.total])
-            count += 1
-            step += 1
+        pool = list(data.source_train)
+        if self_train:
+            labeled = ((ls.sentence, _self_labels(student, ls.sentence, cfg))
+                       for ls in data.target_unlabeled)
+            pool += [LabeledSentence(s, trips) for s, trips in labeled if trips]
+        steps, means = _run_epoch(student, teacher, opt, pool, rng_src, cfg,
+                                  target, rng_aug, aug_lex)
+        step += steps
         dev_f1 = _f1(data.source_dev, student, cfg)
         test_f1 = _f1(data.target_test, student, cfg) if data.target_test else 0.0
-        means = sums / max(count, 1)
-        rows.append(
-            {
-                "epoch": epoch, "step": step,
-                "l_rpn": means[0], "l_rpc": means[1], "l_sup": means[2],
-                "l_uns": means[3], "l_mmd": means[4], "total": means[5],
-                "dev_f1": dev_f1, "test_f1": test_f1,
-            }
-        )
+        rows.append(dict(zip(HISTORY_COLUMNS, (epoch, step, *means, dev_f1, test_f1))))
         if best is None or dev_f1 > best[0]:
-            best = (dev_f1, epoch, clone_params(student),
-                    clone_params(teacher) if teacher is not None else clone_params(student))
+            best = (dev_f1, epoch, *_snapshot(student, teacher))
     if best is None:  # epochs == 0
-        best = (0.0, 0, clone_params(student),
-                clone_params(teacher) if teacher is not None else clone_params(student))
+        best = (0.0, 0, *_snapshot(student, teacher))
     ckpt = Checkpoint(config=cfg, student=best[2], teacher=best[3], epoch=best[1], history=rows)
-    return ckpt, rows
-
-
-def _fit_self_train(data: SynthCorpus, cfg: TrainConfig) -> tuple[Checkpoint, list[dict]]:
-    """Iterative self-training: pretrain on source, then repeatedly fold the
-    model's confident target predictions into the next iteration's train set."""
-    params = init_params(cfg.encoder, cfg.mode, _stream(cfg.seed, _STREAM_STUDENT_INIT))
-    opt = Adam(params, cfg.lr)
-    rng_pre = _stream(cfg.seed, _STREAM_PRETRAIN_BATCH)
-    rng_it = _stream(cfg.seed, _STREAM_SRC_BATCH)
-    sup_cfg = replace(cfg, variant=Variant.SOURCE_ONLY)
-    for _ in range(cfg.epochs):
-        order = rng_pre.permutation(len(data.source_train))
-        for lo in range(0, len(order), cfg.batch):
-            batch = [data.source_train[i] for i in order[lo : lo + cfg.batch]]
-            train_step(params, None, opt, batch, None, sup_cfg)
-
-    rows: list[dict] = []
-    best: tuple[float, int, dict] | None = None
-    step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        pseudo_set = []
-        for ls in data.target_unlabeled:
-            trips = _confident_self_labels(params, ls.sentence, cfg)
-            if trips:
-                pseudo_set.append(LabeledSentence(ls.sentence, trips))
-        pool = list(data.source_train) + pseudo_set
-        order = rng_it.permutation(len(pool))
-        sums = np.zeros(6)
-        count = 0
-        for lo in range(0, len(order), cfg.batch):
-            batch = [pool[i] for i in order[lo : lo + cfg.batch]]
-            bd = train_step(params, None, opt, batch, None, sup_cfg)
-            sums += np.array([bd.l_rpn, bd.l_rpc, bd.l_sup, bd.l_uns, bd.l_mmd, bd.total])
-            count += 1
-            step += 1
-        dev_f1 = _f1(data.source_dev, params, cfg)
-        test_f1 = _f1(data.target_test, params, cfg) if data.target_test else 0.0
-        means = sums / max(count, 1)
-        rows.append(
-            {
-                "epoch": epoch, "step": step,
-                "l_rpn": means[0], "l_rpc": means[1], "l_sup": means[2],
-                "l_uns": means[3], "l_mmd": means[4], "total": means[5],
-                "dev_f1": dev_f1, "test_f1": test_f1,
-            }
-        )
-        if best is None or dev_f1 > best[0]:
-            best = (dev_f1, epoch, clone_params(params))
-    if best is None:
-        best = (0.0, 0, clone_params(params))
-    ckpt = Checkpoint(config=cfg, student=best[2], teacher=clone_params(best[2]),
-                      epoch=best[1], history=rows)
     return ckpt, rows

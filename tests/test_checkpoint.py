@@ -1,9 +1,12 @@
 """Checkpoint serialization: bit-exact round-trip, byte-identical rewrites."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from tablemt.checkpoint import load_checkpoint, save_checkpoint
+from tablemt.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from tablemt.detector import Mode
 from tablemt.encoder import EncoderConfig
 from tablemt.model import init_params
@@ -67,3 +70,52 @@ def test_config_enums_and_ablations_survive(tmp_path):
     assert loaded.config.mode == Mode.AOPE
     assert loaded.config.ablations == frozenset({"no_aug"})
     assert loaded.config.encoder == ckpt.config.encoder
+
+
+def _split(path):
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[len(MAGIC) : len(MAGIC) + 8])
+    off = len(MAGIC) + 8
+    return json.loads(raw[off : off + hlen]), raw[off + hlen :]
+
+
+def _rewrite_header(path, header):
+    _, tensors = _split(path)
+    payload = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<Q", len(payload)) + payload + tensors)
+
+
+def test_config_on_disk_format(tmp_path):
+    enc = EncoderConfig(d=10, layers=3, vocab_buckets=128, window=2, max_n=20)
+    cfg = TrainConfig(
+        alpha=0.5, beta=0.01, ema_lambda=0.7, eta=0.9, kappa=0.4, aug_rate=0.25, batch=3,
+        epochs=7, lr=0.005, seed=11, mode=Mode.AOPE, variant=Variant.CTFMT,
+        ablations=frozenset({"no_mmd", "no_aug"}), encoder=enc,
+    )
+    params = init_params(enc, cfg.mode, np.random.default_rng(0))
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Checkpoint(config=cfg, student=params, teacher=params, epoch=0,
+                                     history=[]))
+    header, _ = _split(path)
+    assert header["config"] == {
+        "alpha": 0.5, "beta": 0.01, "ema_lambda": 0.7, "eta": 0.9, "kappa": 0.4,
+        "aug_rate": 0.25, "batch": 3, "epochs": 7, "lr": 0.005, "seed": 11,
+        "mode": "aope", "variant": "ctfmt", "ablations": ["no_aug", "no_mmd"],
+        "encoder": {"d": 10, "layers": 3, "vocab_buckets": 128, "window": 2, "max_n": 20},
+        "encoder_kind": "hash_window_mixer",
+    }
+    assert load_checkpoint(path).config == cfg
+
+
+@pytest.mark.parametrize("drop", [("eta",), ("ablations",), ("encoder", "window")])
+def test_missing_config_field_fails_to_load(tmp_path, drop):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())
+    header, _ = _split(path)
+    node = header["config"]
+    for key in drop[:-1]:
+        node = node[key]
+    del node[drop[-1]]
+    _rewrite_header(path, header)
+    with pytest.raises(KeyError):
+        load_checkpoint(path)

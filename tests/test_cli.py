@@ -114,6 +114,17 @@ def test_train_config_file_and_flag_precedence(tmp_path, corpus_dir):
     assert load_checkpoint(out2 / "checkpoint_tfmt_seed4.bin").config.epochs == 2
 
 
+@pytest.mark.parametrize("line", ["seed = 5", "epoch = 7"])
+def test_train_rejects_unknown_config_key(tmp_path, corpus_dir, capsys, line):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"d = 8\n{line}\n")
+    out = tmp_path / "cfgrun"
+    assert main(["train", "--data", str(corpus_dir), "--out", str(out),
+                 "--config", str(cfgfile)] + TINY_TRAIN) == EXIT_USAGE
+    assert repr(line.split()[0]) in capsys.readouterr().err
+    assert not list(out.glob("metrics_*.csv"))
+
+
 def test_eval_reports_and_mode_mismatch(tmp_path, corpus_dir, trained_dir, capsys):
     ckpt_path = trained_dir / "checkpoint_tfmt_seed1.bin"
     out_csv = tmp_path / "report.csv"
@@ -187,8 +198,36 @@ def test_ablate_row_set(tmp_path, corpus_dir):
         by_label["no_uns"][header.index("mean_test_f1")]
 
 
-def test_usage_errors_exit_1():
+@pytest.mark.parametrize("grid", [["--alpha-grid", "abc"], ["--beta-grid", "-1"],
+                                  ["--alpha-grid", "1,nan"]])
+def test_ablate_checks_grids_before_training(tmp_path, corpus_dir, grid):
+    out = tmp_path / "ablate_bad"
+    assert main(["ablate", "--data", str(corpus_dir), "--out", str(out), "--seeds", "1"]
+                + grid + TINY_TRAIN) == EXIT_USAGE
+    assert not list(out.glob("metrics_*.csv"))
+
+
+def test_audit_counts_invalid_argmax_under_best_foreground(tmp_path, trained_dir, monkeypatch):
+    """A label retained by foreground confidence whose overall argmax is
+    INVALID still counts, under its most probable foreground polarity."""
+    import tablemt.cli as cli
+    from tablemt.trainer import PseudoLabel
+
+    data = tmp_path / "one.txt"
+    data.write_text("the tnoun1 was tadj1####[([1], [3], 'NEU')]\n")
+    label = PseudoLabel(1, 3, 1, 3, np.array([0.1, 0.35, 0.05, 0.5]), 0.35)
+    monkeypatch.setattr(cli, "teacher_pseudo_label", lambda *a, **k: [label])
+    out_csv = tmp_path / "audit.csv"
+    assert main(["audit", "--checkpoint", str(trained_dir / "checkpoint_tfmt_seed1.bin"),
+                 "--data", str(data), "--eta", "0.3", "--out", str(out_csv)]) == EXIT_OK
+    counts = {r[0]: int(r[1]) for r in read_csv(out_csv)[1:]}
+    assert counts == {"correct": 1, "sentiment_error": 0, "words_mis_localized": 0, "error": 0}
+
+
+def test_usage_errors_exit_1(tmp_path, corpus_dir):
     assert main(["train", "--data", "/nonexistent", "--out", "/tmp/x"]) == EXIT_USAGE
+    assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "x"),
+                 "--seeds", ","] + TINY_TRAIN) == EXIT_USAGE
     assert main(["bogus-command"]) == EXIT_USAGE
     assert main(["train"]) == EXIT_USAGE  # missing required flags
 

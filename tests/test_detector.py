@@ -13,7 +13,6 @@ from tablemt.detector import (
     AOPE_VALID,
     Mode,
     RegionProposal,
-    classify_region,
     classify_regions,
     decode_triplets,
     foreground_classes,
@@ -144,7 +143,9 @@ def test_classify_zero_weights_uniform():
         params = _params(mode)
         params["cls_w"] = Tensor(np.zeros((3 * D, c)))
         params["cls_b"] = Tensor(np.zeros(c))
-        probs = classify_region(Tensor(np.random.default_rng(1).normal(size=3 * D)), params, mode)
+        rois = Tensor(np.random.default_rng(1).normal(size=(1, 3 * D)))
+        probs, _ = classify_regions(rois, params, mode)
+        assert probs.shape == (1, c)
         assert np.allclose(probs.data, 1.0 / c)
 
 

@@ -47,6 +47,11 @@ def test_config_validation():
         tiny_cfg(kappa=1.5)
     with pytest.raises(ValueError):
         tiny_cfg(alpha=-0.1)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            tiny_cfg(alpha=bad)
+        with pytest.raises(ValueError):
+            tiny_cfg(beta=bad)
     with pytest.raises(ValueError):
         tiny_cfg(ablations=frozenset({"bogus"}))
 
@@ -251,6 +256,34 @@ def test_fit_self_train_and_ctfmt_smoke(tiny_data):
         assert len(rows) == 1
         assert set(ckpt.student) == set(ckpt.teacher)
         assert np.isfinite([rows[0][c] for c in ("l_sup", "l_uns", "l_mmd", "total")]).all()
+
+
+def test_self_training_drops_invalid_argmax_labels(tiny_data, monkeypatch):
+    """Self-training keeps only labels whose overall argmax is foreground,
+    while pseudo_triplet (shared with the audit) reads the best foreground
+    class of any label."""
+    import tablemt.trainer as trainer
+    from tablemt.corpus import Polarity, Span, Triplet
+    from tablemt.trainer import PseudoLabel, pseudo_triplet
+
+    invalid = PseudoLabel(0, 1, 0, 1, np.array([0.1, 0.35, 0.05, 0.5]), 0.35)
+    valid = PseudoLabel(0, 2, 1, 2, np.array([0.05, 0.1, 0.6, 0.25]), 0.6)
+    assert pseudo_triplet(invalid, Mode.ASTE) == Triplet(Span(0, 0), Span(1, 1), Polarity.NEU)
+    monkeypatch.setattr(trainer, "teacher_pseudo_label", lambda *a, **k: [invalid, valid])
+    kept = trainer._self_labels({}, tiny_data.target_unlabeled[0].sentence, tiny_cfg(eta=0.3))
+    assert kept == (Triplet(Span(0, 1), Span(2, 2), Polarity.NEG),)
+
+
+@pytest.mark.parametrize("variant", [Variant.SOURCE_ONLY, Variant.SELF_TRAIN])
+def test_teacherless_checkpoint_stores_student_as_teacher(tiny_data, tmp_path, variant):
+    from tablemt.checkpoint import load_checkpoint, save_checkpoint
+
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, fit(tiny_data, tiny_cfg(variant=variant, eta=0.2))[0])
+    ckpt = load_checkpoint(path)
+    assert set(ckpt.teacher) == set(ckpt.student)
+    for k in ckpt.student:
+        assert ckpt.teacher[k].tobytes() == ckpt.student[k].tobytes()
 
 
 def test_fit_rejects_empty_source():
