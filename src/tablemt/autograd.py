@@ -10,7 +10,7 @@ reverse topological order.  Graph recording can be suspended with
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,9 +60,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
@@ -323,11 +320,6 @@ def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x) -> Tensor:
-    """Wrap data as a graph leaf."""
-    return Tensor(x)
-
-
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -404,8 +396,3 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         x._accumulate(gxp[1:-1, 1:-1])
 
     return Tensor(acc, (x, w, b), backward)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None

@@ -20,6 +20,10 @@ MAGIC = b"TBLMT001"
 ENCODER_KIND = "hash_window_mixer"
 
 
+class CheckpointError(ValueError):
+    """A file that is not a complete, well-formed checkpoint."""
+
+
 def _to_json(value):
     """A dataclass as a JSON tree: enums by value, frozensets sorted."""
     if is_dataclass(value):
@@ -71,26 +75,38 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Inverse of ``save_checkpoint``; raises ``CheckpointError`` naming
+    ``path`` for a file that is not exactly one complete checkpoint."""
     raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise ValueError(f"not a checkpoint file: {path}")
-    (hlen,) = struct.unpack("<Q", raw[len(MAGIC) : len(MAGIC) + 8])
     off = len(MAGIC) + 8
+    if raw[: len(MAGIC)] != MAGIC or len(raw) < off:
+        raise CheckpointError(f"not a checkpoint file: {path}")
+    (hlen,) = struct.unpack("<Q", raw[len(MAGIC) : off])
+    if len(raw) < off + hlen:
+        raise CheckpointError(f"{path}: truncated header")
     header = json.loads(raw[off : off + hlen].decode("utf-8"))
     if header["version"] != 1:
-        raise ValueError(f"unsupported checkpoint version {header['version']}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
     off += hlen
     student: dict = {}
     teacher: dict = {}
     for spec in header["tensors"]:
         shape = tuple(spec["shape"])
         count = int(np.prod(shape)) if shape else 1
+        if len(raw) < off + count * 8:
+            raise CheckpointError(f"{path}: truncated in tensor {spec['name']}")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
         off += count * 8
         group, name = spec["name"].split("/", 1)
         (student if group == "student" else teacher)[name] = arr
+    if off != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - off} bytes after the last tensor")
+    try:
+        config = _from_json(TrainConfig, header["config"])
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: config field {exc} is missing") from None
     return Checkpoint(
-        config=_from_json(TrainConfig, header["config"]),
+        config=config,
         student=student,
         teacher=teacher,
         epoch=header["epoch"],

@@ -62,18 +62,9 @@ class RegionProposal:
     b: int
     c: int
     d: int
-    b_score: float
-    e_score: float
 
     def rect(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-
-@dataclass(frozen=True)
-class CandidateSets:
-    b: list  # [(i, j, score)] sorted by descending score, row-major tie-break
-    e: list
-    k: int
 
 
 def rpn_scores(tl: Tensor, params: dict[str, Tensor]) -> RpnScores:
@@ -101,18 +92,12 @@ def topk_prune(scores: np.ndarray, kappa: float, n: int) -> list[tuple[int, int,
 
 
 def propose_regions(
-    bset: list[tuple[int, int, float]], eset: list[tuple[int, int, float]]
+    b_top: list[tuple[int, int, float]], e_top: list[tuple[int, int, float]]
 ) -> list[RegionProposal]:
     """Pair every B candidate with every E candidate it can enclose with
     (a <= c and b <= d); deduplicated per rectangle, sorted by (a, b, c, d)."""
-    by_rect: dict[tuple[int, int, int, int], RegionProposal] = {}
-    for a, b, bs in bset:
-        for c, d, es in eset:
-            if a <= c and b <= d:
-                rect = (a, b, c, d)
-                if rect not in by_rect:
-                    by_rect[rect] = RegionProposal(a, b, c, d, bs, es)
-    return [by_rect[r] for r in sorted(by_rect)]
+    rects = {(a, b, c, d) for a, b, _ in b_top for c, d, _ in e_top if a <= c and b <= d}
+    return [RegionProposal(*r) for r in sorted(rects)]
 
 
 def roi_represent(tl: Tensor, prop: RegionProposal) -> Tensor:

@@ -125,20 +125,3 @@ def conv_stack(t0: Tensor, params: dict[str, Tensor], cfg: EncoderConfig) -> Ten
 def encode_sentence(sentence: Sentence, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
     """Full encoder pipeline: tokens -> H -> layer-0 table -> layer-L table."""
     return conv_stack(build_table(embed(sentence, params, cfg), params), params, cfg)
-
-
-def encoder_grad(
-    sentence: Sentence,
-    params: dict[str, np.ndarray],
-    upstream: np.ndarray,
-    cfg: EncoderConfig,
-) -> dict[str, np.ndarray]:
-    """Exact parameter gradients of sum(T_L * upstream) for every encoder
-    parameter; the contract checked by finite differences."""
-    tensors = {k: Tensor(v) for k, v in params.items()}
-    tl = encode_sentence(sentence, tensors, cfg)
-    (tl * Tensor(upstream)).sum().backward()
-    return {
-        k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-        for k, t in tensors.items()
-    }

@@ -36,10 +36,6 @@ def sentence_prf(preds: Sequence, golds: Sequence) -> tuple[float, float, float]
     return precision, recall, _f1(precision, recall)
 
 
-def sentence_f1(preds: Sequence, golds: Sequence) -> float:
-    return sentence_prf(preds, golds)[2]
-
-
 def triplet_prf(preds: Sequence, golds: Sequence) -> tuple[float, float, float]:
     """Micro-averaged exact match over items pooled across sentences."""
     if len(preds) != len(golds):

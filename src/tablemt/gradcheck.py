@@ -17,13 +17,7 @@ import numpy as np
 from .corpus import LabeledSentence, Polarity, Sentence, Span, Triplet
 from .encoder import EncoderConfig
 from .model import as_tensors, init_params
-from .trainer import (
-    TrainConfig,
-    _stream,
-    _target_flags,
-    compute_losses,
-    teacher_pseudo_label,
-)
+from .trainer import TrainConfig, _stream, compute_losses, teacher_pseudo_label
 
 
 @dataclass
@@ -96,22 +90,16 @@ def run_gradcheck(
     src_batch, tgt_sentences = _micro_batches()
     student = _dense_random_params(cfg, _stream(seed, 1))
     teacher = _dense_random_params(cfg, _stream(seed, 0))
-    uns_on, mmd_on = _target_flags(cfg)
-    assert uns_on and mmd_on
     tgt_pseudo = [teacher_pseudo_label(teacher, s, cfg) for s in tgt_sentences]
     if not any(tgt_pseudo):
         raise RuntimeError("micro teacher produced no pseudo labels; check seed")
 
     def loss_value(params: dict) -> float:
-        total, _ = compute_losses(
-            as_tensors(params), src_batch, cfg, tgt_sentences, tgt_pseudo, uns_on, mmd_on
-        )
+        total, _ = compute_losses(as_tensors(params), src_batch, cfg, tgt_sentences, tgt_pseudo)
         return total.item()
 
     student_t = as_tensors(student)
-    total, bd = compute_losses(
-        student_t, src_batch, cfg, tgt_sentences, tgt_pseudo, uns_on, mmd_on
-    )
+    total, bd = compute_losses(student_t, src_batch, cfg, tgt_sentences, tgt_pseudo)
     if bd.l_uns == 0.0 or bd.l_mmd == 0.0:
         raise RuntimeError("a loss term is inactive; the check would be vacuous")
     total.backward()

@@ -14,15 +14,8 @@ from .detector import Mode, RegionProposal, invalid_class
 from .tagging import GoldRegion
 
 _LOG_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class MmdConfig:
-    """Gaussian-RBF biased (V-statistic) estimator; bandwidth is the median
-    pairwise distance over the pooled samples unless fixed explicitly."""
-
-    bandwidth: float | None = None  # None -> median heuristic
-    fallback: float = 1.0
+# MMD bandwidth when the median pairwise distance is undefined or zero.
+_FALLBACK_BANDWIDTH = 1.0
 
 
 @dataclass
@@ -67,25 +60,16 @@ def match_gold(
     proposals: Sequence[RegionProposal],
     gold_regions: Sequence[GoldRegion],
     mode: Mode,
-    inject: bool = True,
-) -> tuple[list[RegionProposal], np.ndarray]:
+) -> np.ndarray:
     """Class targets per proposal by exact rectangle match; unmatched
-    proposals are INVALID.  With ``inject``, gold rectangles absent from the
-    proposal list are appended once so the classifier always sees positives."""
+    proposals are INVALID.  Gold rectangles the pruner missed reach the
+    proposals through ``model.forward(extra_rects=)``, not here."""
     gold_by_rect: dict[tuple[int, int, int, int], int] = {}
     for g in gold_regions:
         cls = int(g.cls) if mode == Mode.ASTE else 0
         gold_by_rect.setdefault(g.rect(), cls)
-    out = list(proposals)
-    targets = [gold_by_rect.get(p.rect(), invalid_class(mode)) for p in out]
-    if inject:
-        have = {p.rect() for p in out}
-        for g in gold_regions:
-            if g.rect() not in have:
-                have.add(g.rect())
-                out.append(RegionProposal(g.a, g.b, g.c, g.d, 0.0, 0.0))
-                targets.append(gold_by_rect[g.rect()])
-    return out, np.array(targets, dtype=np.int64)
+    targets = [gold_by_rect.get(p.rect(), invalid_class(mode)) for p in proposals]
+    return np.array(targets, dtype=np.int64)
 
 
 def loss_uns(student_probs: Tensor | None, teacher_probs: np.ndarray) -> Tensor:
@@ -120,10 +104,10 @@ def _pairwise_sq_dists(x: Tensor, y: Tensor) -> Tensor:
     return (diff * diff).sum(axis=1)
 
 
-def _median_bandwidth(z: Tensor, fallback: float) -> Tensor:
+def _median_bandwidth(z: Tensor) -> Tensor:
     n = z.shape[0]
     if n < 2:
-        return Tensor(fallback)
+        return Tensor(_FALLBACK_BANDWIDTH)
     iu, ju = np.triu_indices(n, k=1)
     diff = z[iu] - z[ju]
     dists = (diff * diff).sum(axis=1).sqrt()
@@ -134,21 +118,19 @@ def _median_bandwidth(z: Tensor, fallback: float) -> Tensor:
     else:
         med = (dists[order[p // 2 - 1]] + dists[order[p // 2]]) * 0.5
     if float(med.data) <= 0.0:
-        return Tensor(fallback)
+        return Tensor(_FALLBACK_BANDWIDTH)
     return med
 
 
-def mmd(x, y, cfg: MmdConfig = MmdConfig()) -> Tensor:
-    """Biased-estimator squared MMD with a Gaussian kernel:
-    mean k(x,x') + mean k(y,y') - 2 mean k(x,y), clamped at zero."""
+def mmd(x, y) -> Tensor:
+    """Biased-estimator (V-statistic) squared MMD with a Gaussian kernel:
+    mean k(x,x') + mean k(y,y') - 2 mean k(x,y), clamped at zero.  The
+    bandwidth is the median pairwise distance over the pooled samples."""
     xm = _as_matrix(x)
     ym = _as_matrix(y)
     if xm.shape[0] == 0 or ym.shape[0] == 0:
         return Tensor(0.0)
-    if cfg.bandwidth is not None:
-        sigma = Tensor(float(cfg.bandwidth))
-    else:
-        sigma = _median_bandwidth(ag.concat([xm, ym], axis=0), cfg.fallback)
+    sigma = _median_bandwidth(ag.concat([xm, ym], axis=0))
     inv_two_sigma_sq = (sigma**-2.0) * 0.5
 
     def kernel_mean(a: Tensor, b: Tensor) -> Tensor:
@@ -168,20 +150,16 @@ class RegionFeatures:
     rois: list[Tensor] = field(default_factory=list)  # 3d region vectors
 
 
-def loss_mmd_region_level(
-    src: RegionFeatures, tgt: RegionFeatures, cfg: MmdConfig = MmdConfig()
-) -> tuple[Tensor, Tensor]:
+def loss_mmd_region_level(src: RegionFeatures, tgt: RegionFeatures) -> tuple[Tensor, Tensor]:
     """Boundary-level and region-level MMD between the domains; any empty
     side contributes zero."""
-    l_boundary = mmd(src.b_cells, tgt.b_cells, cfg) + mmd(src.e_cells, tgt.e_cells, cfg)
-    l_region = mmd(src.rois, tgt.rois, cfg)
+    l_boundary = mmd(src.b_cells, tgt.b_cells) + mmd(src.e_cells, tgt.e_cells)
+    l_region = mmd(src.rois, tgt.rois)
     return l_boundary, l_region
 
 
 def loss_mmd_cell_level(
-    src_by_type: dict[int, list[Tensor]],
-    tgt_by_type: dict[int, list[Tensor]],
-    cfg: MmdConfig = MmdConfig(),
+    src_by_type: dict[int, list[Tensor]], tgt_by_type: dict[int, list[Tensor]]
 ) -> Tensor:
     """Sum of per-cell-type MMD over the types populated on both sides."""
     total = Tensor(0.0)
@@ -189,7 +167,7 @@ def loss_mmd_cell_level(
         xs = src_by_type.get(key, [])
         ys = tgt_by_type.get(key, [])
         if xs and ys:
-            total = total + mmd(xs, ys, cfg)
+            total = total + mmd(xs, ys)
     return total
 
 

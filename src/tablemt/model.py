@@ -44,8 +44,6 @@ class SentenceForward:
     tl: Tensor  # (n, n, d) final feature map
     pb: Tensor  # (n, n)
     pe: Tensor
-    bset: list  # top-k B candidates [(i, j, score)]
-    eset: list
     proposals: list[RegionProposal]
     n_predicted: int  # proposals[:n_predicted] came from the pruner, the rest were injected
     rois: Tensor | None  # (m, 3d)
@@ -66,23 +64,23 @@ def forward(
     tl = encode_sentence(sentence, params, cfg)
     scores = rpn_scores(tl, params)
     n = sentence.n
-    bset = topk_prune(scores.pb.data, kappa, n)
-    eset = topk_prune(scores.pe.data, kappa, n)
-    proposals = propose_regions(bset, eset)
+    proposals = propose_regions(
+        topk_prune(scores.pb.data, kappa, n), topk_prune(scores.pe.data, kappa, n)
+    )
     n_predicted = len(proposals)
     if extra_rects:
         have = {p.rect() for p in proposals}
         for rect in extra_rects:
             if rect not in have:
                 have.add(rect)
-                proposals.append(RegionProposal(*rect, 0.0, 0.0))
+                proposals.append(RegionProposal(*rect))
     if proposals:
         rois = ag.stack_rows([roi_represent(tl, p) for p in proposals])
         probs, logp = classify_regions(rois, params, mode)
     else:
         rois = probs = logp = None
     return SentenceForward(
-        sentence, tl, scores.pb, scores.pe, bset, eset, proposals, n_predicted, rois, probs, logp
+        sentence, tl, scores.pb, scores.pe, proposals, n_predicted, rois, probs, logp
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,30 +115,28 @@ class CellConflictError(ValueError):
     """A cell received two different labels (e.g. a token is both aspect and opinion)."""
 
 
+def _cell_marks(triplets: Sequence[Triplet]) -> Iterator[tuple[int, int, int]]:
+    """(label, i, j) for every cell the triplets mark: the diagonal aspect
+    and opinion cells of all triplets first, then every crossing cell."""
+    for t in triplets:
+        yield from ((CELL_A, i, i) for i in t.aspect.tokens())
+        yield from ((CELL_O, j, j) for j in t.opinion.tokens())
+    for t in triplets:
+        lab = CELL_SENTIMENT[t.polarity]
+        yield from ((lab, i, j) for i in t.aspect.tokens() for j in t.opinion.tokens())
+
+
 def encode_cell_labels(ls: LabeledSentence) -> np.ndarray:
-    """Return the (n, n) int table with CELL_* codes."""
+    """Return the (n, n) int table with CELL_* codes.  A token that is both
+    aspect and opinion is a conflict on its diagonal cell."""
     n = ls.sentence.n
     tbl = np.zeros((n, n), dtype=np.int8)
-
-    def put(i: int, j: int, label: int) -> None:
+    for label, i, j in _cell_marks(ls.triplets):
         if tbl[i, j] != CELL_NONE and tbl[i, j] != label:
             raise CellConflictError(
                 f"cell ({i},{j}) already labeled {int(tbl[i, j])}, cannot relabel {label}"
             )
         tbl[i, j] = label
-
-    for t in ls.triplets:
-        for i in t.aspect.tokens():
-            put(i, i, CELL_A)
-        for j in t.opinion.tokens():
-            put(j, j, CELL_O)
-    for t in ls.triplets:
-        lab = CELL_SENTIMENT[t.polarity]
-        for i in t.aspect.tokens():
-            for j in t.opinion.tokens():
-                if i == j:
-                    raise CellConflictError(f"token {i} is both aspect and opinion")
-                put(i, j, lab)
     return tbl
 
 
@@ -183,30 +181,13 @@ def decode_cell_table(tbl: np.ndarray) -> list[Triplet]:
     return triplets
 
 
-def cells_by_type(triplets: Sequence[Triplet], n: int) -> dict[int, list[tuple[int, int]]]:
+def cells_by_type(triplets: Sequence[Triplet]) -> dict[int, list[tuple[int, int]]]:
     """Lenient cell grouping used for cell-level feature pooling: unlike
     encode_cell_labels this never errors, a conflicted cell simply lands in
-    several groups."""
+    several groups.  Each group lists its cells once, in order of first mark."""
     groups: dict[int, list[tuple[int, int]]] = {
         CELL_A: [], CELL_O: [], CELL_POS: [], CELL_NEU: [], CELL_NEG: []
     }
-    seen: dict[int, set] = {k: set() for k in groups}
-
-    def add(label: int, i: int, j: int) -> None:
-        if (i, j) not in seen[label]:
-            seen[label].add((i, j))
-            groups[label].append((i, j))
-
-    for t in triplets:
-        lab = CELL_SENTIMENT[t.polarity]
-        for i in t.aspect.tokens():
-            if i < n:
-                add(CELL_A, i, i)
-        for j in t.opinion.tokens():
-            if j < n:
-                add(CELL_O, j, j)
-        for i in t.aspect.tokens():
-            for j in t.opinion.tokens():
-                if i < n and j < n:
-                    add(lab, i, j)
+    for label, i, j in dict.fromkeys(_cell_marks(triplets)):
+        groups[label].append((i, j))
     return groups

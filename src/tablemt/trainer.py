@@ -24,7 +24,6 @@ from .detector import Mode, decode_triplets, foreground_classes, invalid_class
 from .evaluate import gold_items, sentence_prf
 from .losses import (
     LossBreakdown,
-    MmdConfig,
     RegionFeatures,
     loss_mmd_cell_level,
     loss_mmd_region_level,
@@ -88,6 +87,8 @@ class TrainConfig:
             raise ValueError("aug_rate must be in [0, 1]")
         if not (0.0 <= self.alpha < np.inf and 0.0 <= self.beta < np.inf):
             raise ValueError("alpha and beta must be finite and >= 0")
+        if not (0.0 < self.lr < np.inf):
+            raise ValueError("lr must be finite and > 0")
         if self.batch < 1 or self.epochs < 0:
             raise ValueError("batch must be >= 1 and epochs >= 0")
         unknown = set(self.ablations) - set(ABLATIONS)
@@ -247,9 +248,8 @@ def _collect_region_features(fwd, feats: RegionFeatures) -> None:
 
 def _collect_cell_features(fwd, mode: Mode, groups: dict) -> None:
     triplets = _decoded_predictions(fwd, mode)
-    n = fwd.sentence.n
     if mode == Mode.ASTE:
-        by_type = cells_by_type(triplets, n)
+        by_type = cells_by_type(triplets)
     else:  # diagonal aspect and opinion cells, in order of first appearance
         by_type = {
             CELL_A: list(dict.fromkeys((i, i) for asp, _ in triplets for i in asp.tokens())),
@@ -268,13 +268,14 @@ def compute_losses(
     cfg: TrainConfig,
     tgt_sentences: list[Sentence] | None = None,
     tgt_pseudo: list[list[PseudoLabel]] | None = None,
-    uns_on: bool = False,
-    mmd_on: bool = False,
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the step loss graph on the student.  Supervised terms come
     from ``src_batch``; the consistency and MMD terms come from the target
-    sentences (already augmented) and the teacher's retained pseudo labels."""
-    mmd_cfg = MmdConfig()
+    sentences (already augmented) and the teacher's retained pseudo labels.
+    Consistency is on exactly when ``tgt_pseudo`` is given; MMD follows
+    ``_target_flags(cfg)``."""
+    uns_on = tgt_pseudo is not None
+    mmd_on = _target_flags(cfg)[1]
     src_feats = RegionFeatures()
     rpn_terms, rpc_terms = [], []
     src_fwds = []
@@ -286,9 +287,7 @@ def compute_losses(
         )
         src_fwds.append(fwd)
         rpn_terms.append(loss_rpn(fwd.pb, fwd.pe, boundaries.b, boundaries.e))
-        proposals, targets = match_gold(fwd.proposals, gold, cfg.mode, inject=True)
-        assert len(proposals) == len(fwd.proposals), "gold injection must be idempotent here"
-        rpc_terms.append(loss_rpc(fwd.logp, targets))
+        rpc_terms.append(loss_rpc(fwd.logp, match_gold(fwd.proposals, gold, cfg.mode)))
     l_rpn_t = _mean(rpn_terms)
     l_rpc_t = _mean(rpc_terms)
     l_sup_t = l_rpn_t + l_rpc_t
@@ -304,7 +303,7 @@ def compute_losses(
         student_rows = []
         teacher_rows = []
         for si, sentence in enumerate(tgt_sentences):
-            pseudo = tgt_pseudo[si] if (tgt_pseudo and uns_on) else []
+            pseudo = tgt_pseudo[si] if uns_on else []
             if cfg.variant == Variant.CTFMT:
                 fwd = forward(sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa)
                 if uns_on and pseudo:
@@ -334,9 +333,9 @@ def compute_losses(
                 else:
                     _collect_region_features(fwd, src_feats)
             if cfg.variant == Variant.CTFMT:
-                l_mmd_t = loss_mmd_cell_level(cell_groups_src, cell_groups_tgt, mmd_cfg)
+                l_mmd_t = loss_mmd_cell_level(cell_groups_src, cell_groups_tgt)
             else:
-                l_bnd_t, l_reg_t = loss_mmd_region_level(src_feats, tgt_feats, mmd_cfg)
+                l_bnd_t, l_reg_t = loss_mmd_region_level(src_feats, tgt_feats)
                 l_mmd_t = l_bnd_t + l_reg_t
         if uns_on and student_rows:
             l_uns_t = loss_uns(ag.concat(student_rows, axis=0), np.concatenate(teacher_rows, axis=0))
@@ -389,9 +388,7 @@ def train_step(
             )
             tgt_pseudo = [label(teacher, s, cfg) for s in tgt_sentences]
     student_t = as_tensors(student)
-    total, breakdown = compute_losses(
-        student_t, src_batch, cfg, tgt_sentences, tgt_pseudo, uns_on, mmd_on
-    )
+    total, breakdown = compute_losses(student_t, src_batch, cfg, tgt_sentences, tgt_pseudo)
     if not np.isfinite(breakdown.total):
         raise TrainingDivergence(f"non-finite loss: {breakdown}")
     total.backward()

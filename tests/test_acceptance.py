@@ -27,7 +27,7 @@ from tablemt.detector import Mode, foreground_classes, propose_regions
 from tablemt.encoder import EncoderConfig
 from tablemt.evaluate import ErrorCategory, audit_pseudo_labels
 from tablemt.gradcheck import run_gradcheck
-from tablemt.losses import MmdConfig, mmd
+from tablemt.losses import mmd
 from tablemt.model import init_params
 from tablemt.tagging import decode_regions, encode_region_labels
 from tablemt.trainer import (

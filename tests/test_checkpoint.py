@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from tablemt.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from tablemt.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from tablemt.detector import Mode
 from tablemt.encoder import EncoderConfig
 from tablemt.model import init_params
@@ -117,5 +117,26 @@ def test_missing_config_field_fails_to_load(tmp_path, drop):
         node = node[key]
     del node[drop[-1]]
     _rewrite_header(path, header)
-    with pytest.raises(KeyError):
+    with pytest.raises(CheckpointError, match=f"{drop[-1]}.*missing") as err:
         load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("cut", [1, 8, 1000])
+def test_truncated_tensor_bytes_fail_to_load(tmp_path, cut):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(CheckpointError, match="truncated") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize("junk", [b"\0", b"x" * 8, MAGIC], ids=["nul", "word", "magic"])
+def test_trailing_bytes_fail_to_load(tmp_path, junk):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())
+    path.write_bytes(path.read_bytes() + junk)
+    with pytest.raises(CheckpointError, match=f"{len(junk)} bytes after the last tensor") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)

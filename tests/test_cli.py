@@ -228,6 +228,10 @@ def test_usage_errors_exit_1(tmp_path, corpus_dir):
     assert main(["train", "--data", "/nonexistent", "--out", "/tmp/x"]) == EXIT_USAGE
     assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "x"),
                  "--seeds", ","] + TINY_TRAIN) == EXIT_USAGE
+    for lr in ("0", "-1", "nan"):
+        assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "lr"),
+                     "--lr", lr] + TINY_TRAIN) == EXIT_USAGE
+    assert not (tmp_path / "lr" / "summary.csv").exists()
     assert main(["bogus-command"]) == EXIT_USAGE
     assert main(["train"]) == EXIT_USAGE  # missing required flags
 

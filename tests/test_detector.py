@@ -115,7 +115,7 @@ def test_propose_regions_matches_bruteforce_on_random_sets():
 
 def test_roi_single_cell_triples_the_cell():
     tl = Tensor(np.random.default_rng(0).normal(size=(3, 3, D)))
-    r = roi_represent(tl, RegionProposal(1, 2, 1, 2, 0.5, 0.5))
+    r = roi_represent(tl, RegionProposal(1, 2, 1, 2))
     assert r.shape == (3 * D,)
     cell = tl.data[1, 2]
     assert np.allclose(r.data, np.concatenate([cell, cell, cell]))
@@ -128,7 +128,7 @@ def test_roi_pool_matches_loop_oracle():
         tl_data = rng.normal(size=(n, n, D))
         a, c = sorted(rng.integers(0, n, size=2))
         b, d = sorted(rng.integers(0, n, size=2))
-        r = roi_represent(Tensor(tl_data), RegionProposal(int(a), int(b), int(c), int(d), 0, 0))
+        r = roi_represent(Tensor(tl_data), RegionProposal(int(a), int(b), int(c), int(d)))
         direct = np.array(
             [tl_data[a : c + 1, b : d + 1, k].max() for k in range(D)]
         )
@@ -165,7 +165,7 @@ def test_classify_simplex_and_shift_invariance():
 
 
 def test_decode_triplets_basic_and_invalid():
-    props = [RegionProposal(1, 4, 2, 4, 0.9, 0.9)]
+    props = [RegionProposal(1, 4, 2, 4)]
     probs = np.array([[0.9, 0.05, 0.03, 0.02]])
     out = decode_triplets(props, probs, Mode.ASTE)
     assert out == [Triplet(Span(1, 2), Span(4, 4), Polarity.POS)]
@@ -174,14 +174,14 @@ def test_decode_triplets_basic_and_invalid():
 
 
 def test_decode_triplets_dedups_identical_rectangles():
-    props = [RegionProposal(0, 0, 1, 1, 0.9, 0.9), RegionProposal(0, 0, 1, 1, 0.2, 0.2)]
+    props = [RegionProposal(0, 0, 1, 1), RegionProposal(0, 0, 1, 1)]
     probs = np.array([[0.9, 0.05, 0.03, 0.02], [0.9, 0.05, 0.03, 0.02]])
     out = decode_triplets(props, probs, Mode.ASTE)
     assert len(out) == 1
 
 
 def test_decode_aope_pairs():
-    props = [RegionProposal(0, 1, 0, 1, 0.9, 0.9), RegionProposal(1, 1, 2, 2, 0.9, 0.9)]
+    props = [RegionProposal(0, 1, 0, 1), RegionProposal(1, 1, 2, 2)]
     probs = np.array([[0.8, 0.2], [0.1, 0.9]])
     out = decode_triplets(props, probs, Mode.AOPE)
     assert out == [(Span(0, 0), Span(1, 1))]

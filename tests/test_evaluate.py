@@ -10,7 +10,6 @@ from tablemt.evaluate import (
     audit_pseudo_labels,
     build_report,
     gold_items,
-    sentence_f1,
     sentence_prf,
     triplet_prf,
 )
@@ -22,7 +21,7 @@ def t(a0, a1, o0, o1, pol=Polarity.POS):
 
 def test_sentence_f1_perfect():
     golds = [[t(0, 0, 1, 1)], [t(1, 2, 3, 3)], [t(0, 1, 2, 2, Polarity.NEG)]]
-    assert sentence_f1(golds, golds) == 1.0
+    assert sentence_prf(golds, golds)[2] == 1.0
 
 
 def test_sentence_f1_half():
@@ -35,7 +34,7 @@ def test_sentence_f1_half():
 def test_sentence_f1_subset_prediction_not_tp():
     golds = [[t(0, 0, 1, 1), t(2, 2, 3, 3)]]
     preds = [[t(0, 0, 1, 1)]]
-    assert sentence_f1(preds, golds) == 0.0
+    assert sentence_prf(preds, golds)[2] == 0.0
 
 
 def test_sentence_denominator_conventions():
@@ -57,7 +56,7 @@ def test_sentence_f1_bounds_random():
     for _ in range(200):
         golds = [[x for x in pool if rng.random() < 0.5] for _ in range(5)]
         preds = [[x for x in pool if rng.random() < 0.5] for _ in range(5)]
-        f1 = sentence_f1(preds, golds)
+        f1 = sentence_prf(preds, golds)[2]
         assert 0.0 <= f1 <= 1.0
         assert (f1 == 1.0) == all(
             set(p) == set(g) for p, g in zip(preds, golds) if p or g
@@ -66,7 +65,7 @@ def test_sentence_f1_bounds_random():
 
 def test_sentence_f1_length_mismatch():
     with pytest.raises(ValueError):
-        sentence_f1([[]], [[], []])
+        sentence_prf([[]], [[], []])
 
 
 def test_triplet_prf_all_correct_and_empty():

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from tablemt.autograd import Tensor
-from tablemt.corpus import Polarity
+from tablemt.corpus import Polarity, Sentence
 from tablemt.detector import Mode, RegionProposal
+from tablemt.encoder import EncoderConfig
 from tablemt.losses import (
     LossBreakdown,
-    MmdConfig,
     RegionFeatures,
     loss_mmd_cell_level,
     loss_mmd_region_level,
@@ -21,6 +21,7 @@ from tablemt.losses import (
     mmd,
     total_loss,
 )
+from tablemt.model import as_tensors, forward, init_params
 from tablemt.tagging import GoldRegion, RegionClass
 
 
@@ -88,26 +89,38 @@ def _gold(a, b, c, d, cls=RegionClass.POS):
 
 
 def test_match_gold_exact_match_and_invalid():
-    props = [RegionProposal(1, 4, 2, 4, 0.9, 0.9), RegionProposal(0, 0, 2, 4, 0.9, 0.9)]
-    out, targets = match_gold(props, [_gold(1, 4, 2, 4)], Mode.ASTE)
+    props = [RegionProposal(1, 4, 2, 4), RegionProposal(0, 0, 2, 4)]
+    targets = match_gold(props, [_gold(1, 4, 2, 4)], Mode.ASTE)
     assert list(targets) == [int(RegionClass.POS), int(RegionClass.INVALID)]
-    assert len(out) == 2  # gold already present, nothing appended
+    # a gold rectangle no proposal covers gets no target row
+    missed = match_gold(props[:1], [_gold(1, 4, 2, 4), _gold(0, 0, 1, 1)], Mode.ASTE)
+    assert list(missed) == [int(RegionClass.POS)]
 
 
-def test_match_gold_injects_missing_gold_once():
-    props = [RegionProposal(0, 0, 0, 0, 0.9, 0.9)]
-    out, targets = match_gold(props, [_gold(1, 1, 2, 2, RegionClass.NEG)], Mode.ASTE)
-    assert len(out) == 2
-    assert out[1].rect() == (1, 1, 2, 2)
-    assert list(targets) == [int(RegionClass.INVALID), int(RegionClass.NEG)]
-    # without injection the gold is not appended
-    out2, targets2 = match_gold(props, [_gold(1, 1, 2, 2)], Mode.ASTE, inject=False)
-    assert len(out2) == 1 and list(targets2) == [int(RegionClass.INVALID)]
+def test_forward_appends_missing_extra_rect_once():
+    cfg = EncoderConfig(d=8, layers=1, vocab_buckets=64, max_n=8)
+    params = as_tensors(init_params(cfg, Mode.ASTE, np.random.default_rng(0)))
+    sentence = Sentence(("the", "snoun0", "was", "sadj0", "here"))
+    base = forward(sentence, params, cfg, Mode.ASTE, kappa=0.3)
+    predicted = [p.rect() for p in base.proposals]
+    assert base.n_predicted == len(predicted) > 0
+    n = sentence.n
+    missing = next(
+        (a, b, c, d)
+        for a in range(n) for b in range(n) for c in range(a, n) for d in range(b, n)
+        if (a, b, c, d) not in predicted
+    )
+    fwd = forward(sentence, params, cfg, Mode.ASTE, kappa=0.3,
+                  extra_rects=[missing, predicted[0], missing])
+    assert [p.rect() for p in fwd.proposals] == predicted + [missing]
+    assert fwd.n_predicted == len(predicted)
+    assert fwd.probs.shape[0] == len(predicted) + 1
+    assert np.array_equal(fwd.probs.data[:-1], base.probs.data)
 
 
 def test_match_gold_aope_targets_binary():
-    props = [RegionProposal(1, 1, 2, 2, 0.9, 0.9), RegionProposal(0, 0, 0, 0, 0.9, 0.9)]
-    _, targets = match_gold(props, [_gold(1, 1, 2, 2)], Mode.AOPE)
+    props = [RegionProposal(1, 1, 2, 2), RegionProposal(0, 0, 0, 0)]
+    targets = match_gold(props, [_gold(1, 1, 2, 2)], Mode.AOPE)
     assert list(targets) == [0, 1]
 
 
@@ -157,11 +170,12 @@ def oracle_mmd(x, y, sigma=None):
     return max(xx + yy - 2 * xy, 0.0)
 
 
-def test_mmd_paper_style_fixed_bandwidth_example():
-    out = mmd(np.array([[0.0]]), np.array([[2.0]]), MmdConfig(bandwidth=1.0))
-    expected = 1 + 1 - 2 * math.exp(-2.0)
+def test_mmd_paper_style_two_point_example():
+    # one pair at distance 2, so the median bandwidth is sigma = 2
+    out = mmd(np.array([[0.0]]), np.array([[2.0]]))
+    expected = 1 + 1 - 2 * math.exp(-0.5)
     assert out.item() == pytest.approx(expected, rel=1e-12)
-    assert out.item() == pytest.approx(1.7293, abs=1e-4)
+    assert out.item() == pytest.approx(0.786939, abs=1e-6)
 
 
 def test_mmd_identical_sets_zero():

@@ -255,8 +255,19 @@ def test_cell_roundtrip_constrained_random():
 
 def test_cells_by_type_lenient_grouping():
     t1 = Triplet(Span(0, 1), Span(3, 3), Polarity.POS)
-    groups = cells_by_type([t1], n=5)
+    groups = cells_by_type([t1])
     assert groups[CELL_A] == [(0, 0), (1, 1)]
     assert groups[CELL_O] == [(3, 3)]
     assert groups[CELL_POS] == [(0, 3), (1, 3)]
     assert groups[CELL_NEG] == []
+    # token 1 is aspect and opinion, (1, 3) is POS and NEG: encode_cell_labels
+    # rejects this set, the grouping lists each cell once per group it is in
+    t2 = Triplet(Span(1, 1), Span(3, 3), Polarity.NEG)
+    t3 = Triplet(Span(4, 4), Span(1, 1), Polarity.NEG)
+    groups = cells_by_type([t1, t2, t3, t1])
+    assert groups[CELL_A] == [(0, 0), (1, 1), (4, 4)]
+    assert groups[CELL_O] == [(3, 3), (1, 1)]
+    assert groups[CELL_POS] == [(0, 3), (1, 3)]
+    assert groups[CELL_NEG] == [(1, 3), (4, 1)]
+    with pytest.raises(CellConflictError):
+        encode_cell_labels(LabeledSentence(Sentence(tuple("abcde")), (t1, t2, t3)))

@@ -1,0 +1,55 @@
+"""The benchmark tracer (benchmarks/tracer.py) wraps tablemt from outside by
+module, function and argument name; a refactor that renames any of them
+breaks ``benchmarks/run.py --trace 1``.  This runs a tiny traced fit,
+predict and checkpoint round trip and checks that every wrapped name exists
+and every work counter the tracer derives from bound arguments moves."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import tablemt.cli  # noqa: F401  (the tracer wraps names in every tablemt module)
+from tablemt import checkpoint, model, trainer
+from tablemt.corpus import SynthConfig, synth_corpus
+from tablemt.encoder import EncoderConfig
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("tablemt_bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_a_fit_predict_and_checkpoint_round_trip(tmp_path):
+    tracer_mod = _load_tracer()
+    for mod, attr, _span in tracer_mod._SPANS + tracer_mod._LOCAL_SPANS:
+        assert hasattr(sys.modules[f"tablemt.{mod}"], attr), f"tablemt.{mod}.{attr}"
+
+    data = synth_corpus(SynthConfig(seed=5, num_source=8, num_dev=4, num_target=6, num_test=4))
+    cfg = trainer.TrainConfig(
+        epochs=1, batch=2, eta=0.2, seed=0,
+        encoder=EncoderConfig(d=8, layers=1, vocab_buckets=256, max_n=16),
+    )
+    original_step = trainer.train_step
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        ckpt, _ = trainer.fit(data, cfg)
+        for ls in data.target_test:
+            model.predict(ls.sentence, ckpt.student, cfg.encoder, cfg.mode, cfg.kappa)
+        path = tmp_path / "model.bin"
+        checkpoint.save_checkpoint(path, ckpt)
+        checkpoint.load_checkpoint(path)
+    finally:
+        tracer.uninstall()
+    assert trainer.train_step is original_step
+
+    for name in ("gold", "proposals", "pseudo_scored", "decoded", "checkpoint_bytes"):
+        assert tracer.counts[name] > 0, name
+    for span in ("losses.match_gold", "trainer.teacher_pseudo_label", "model.predict",
+                 "checkpoint.save", "checkpoint.load"):
+        assert tracer.calls[span] > 0, span
+    assert tracer.metrics()["detector.proposals_per_sentence"][0] > 0

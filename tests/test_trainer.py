@@ -52,6 +52,9 @@ def test_config_validation():
             tiny_cfg(alpha=bad)
         with pytest.raises(ValueError):
             tiny_cfg(beta=bad)
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            tiny_cfg(lr=bad)
     with pytest.raises(ValueError):
         tiny_cfg(ablations=frozenset({"bogus"}))
 
@@ -311,11 +314,11 @@ def test_gradient_of_assembled_step_matches_fd(tiny_data):
     assert any(pseudo)
 
     def value(params):
-        total, _ = compute_losses(as_tensors(params), src, cfg, tgt, pseudo, True, True)
+        total, _ = compute_losses(as_tensors(params), src, cfg, tgt, pseudo)
         return total.item()
 
     st = as_tensors(student)
-    total, bd = compute_losses(st, src, cfg, tgt, pseudo, True, True)
+    total, bd = compute_losses(st, src, cfg, tgt, pseudo)
     assert bd.l_uns > 0 and bd.l_mmd > 0
     total.backward()
     eps = 1e-5
@@ -343,7 +346,7 @@ def test_mmd_gradient_scales_linearly_with_beta(tiny_data):
 
     def grad_of(cfg):
         st = as_tensors(clone_params(student))
-        total, _ = compute_losses(st, src, cfg, tgt, None, False, True)
+        total, _ = compute_losses(st, src, cfg, tgt, None)
         total.backward()
         return st["emb"].grad.copy()
 
