@@ -10,10 +10,12 @@ import json
 import struct
 import typing
 from dataclasses import fields, is_dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
+from .model import init_params
 from .trainer import Checkpoint, TrainConfig
 
 MAGIC = b"TBLMT001"
@@ -50,12 +52,26 @@ def _from_json(cls, tree: dict):
     return cls(**values)
 
 
+def _check_finite(path, name: str, arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
+
+
+def _manifest(config: TrainConfig) -> list[tuple[str, list[int]]]:
+    """(name, shape) of each tensor saved for ``config``, in file order."""
+    shapes = init_params(config.encoder, config.mode, np.random.default_rng(0))
+    return [(f"{group}/{name}", list(shapes[name].shape))
+            for group in ("student", "teacher") for name in sorted(shapes)]
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt``; a non-finite tensor raises ``CheckpointError`` first."""
     tensors = []
     blobs = []
     for group, params in (("student", ckpt.student), ("teacher", ckpt.teacher)):
         for name in sorted(params):
             arr = np.ascontiguousarray(params[name], dtype="<f8")
+            _check_finite(path, f"{group}/{name}", arr)
             tensors.append({"name": f"{group}/{name}", "shape": list(arr.shape)})
             blobs.append(arr.tobytes())
     header = {
@@ -76,7 +92,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of ``save_checkpoint``; raises ``CheckpointError`` naming
-    ``path`` for a file that is not exactly one complete checkpoint."""
+    ``path`` for a file that is not exactly one complete checkpoint, whose
+    tensor names or shapes differ from those its config builds, or whose
+    tensors hold a non-finite value."""
     raw = Path(path).read_bytes()
     off = len(MAGIC) + 8
     if raw[: len(MAGIC)] != MAGIC or len(raw) < off:
@@ -88,23 +106,27 @@ def load_checkpoint(path) -> Checkpoint:
     if header["version"] != 1:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
     off += hlen
-    student: dict = {}
-    teacher: dict = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        if len(raw) < off + count * 8:
-            raise CheckpointError(f"{path}: truncated in tensor {spec['name']}")
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += count * 8
-        group, name = spec["name"].split("/", 1)
-        (student if group == "student" else teacher)[name] = arr
-    if off != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - off} bytes after the last tensor")
     try:
         config = _from_json(TrainConfig, header["config"])
     except KeyError as exc:
         raise CheckpointError(f"{path}: config field {exc} is missing") from None
+    found = [(spec["name"], spec["shape"]) for spec in header["tensors"]]
+    for got, want in zip_longest(found, _manifest(config)):
+        if got != want:
+            raise CheckpointError(f"{path}: file has tensor {got}, config builds {want}")
+    student: dict = {}
+    teacher: dict = {}
+    for name, shape in found:
+        count = int(np.prod(shape)) if shape else 1
+        if len(raw) < off + count * 8:
+            raise CheckpointError(f"{path}: truncated in tensor {name}")
+        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
+        _check_finite(path, name, arr)
+        off += count * 8
+        group, key = name.split("/", 1)
+        (student if group == "student" else teacher)[key] = arr
+    if off != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - off} bytes after the last tensor")
     return Checkpoint(
         config=config,
         student=student,

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import enum
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +61,8 @@ def _ablations(text: str) -> frozenset:  # comma- or plus-separated names
 
 
 # Config-file key -> (TrainConfig field, parser); "encoder." fields belong to
-# EncoderConfig.  The flag of the same name overrides the file; keys without
-# a flag (vocab_buckets, window, max_n) come from the file only.  Defaults are
-# the dataclasses' own.
+# EncoderConfig.  Each key outside FILE_ONLY_KEYS also gets a flag (--aug-rate
+# for aug_rate) that overrides the file.  Defaults are the dataclasses' own.
 TRAIN_KEYS = {
     "alpha": ("alpha", float), "beta": ("beta", float), "lambda": ("ema_lambda", float),
     "eta": ("eta", float), "kappa": ("kappa", float), "aug_rate": ("aug_rate", float),
@@ -72,6 +72,7 @@ TRAIN_KEYS = {
     "vocab_buckets": ("encoder.vocab_buckets", int), "window": ("encoder.window", int),
     "max_n": ("encoder.max_n", int),
 }
+FILE_ONLY_KEYS = ("vocab_buckets", "window", "max_n")
 
 
 def _train_config(args, seed: int) -> TrainConfig:
@@ -86,7 +87,7 @@ def _train_config(args, seed: int) -> TrainConfig:
         try:
             value = parse(raw)
         except ValueError as exc:
-            raise UsageError(f"bad config value for {key}: {exc}") from None
+            raise UsageError(f"bad value for {key}: {exc}") from None
         if name.startswith("encoder."):
             enc[name.removeprefix("encoder.")] = value
         else:
@@ -98,18 +99,15 @@ def _train_config(args, seed: int) -> TrainConfig:
 
 
 def _load_bundle(data_dir: str) -> SynthCorpus:
-    base = Path(data_dir)
-    def read(name):
-        p = base / f"{name}.txt"
+    """The four ``<split>.txt`` files that ``synth`` writes, one per
+    ``SynthCorpus`` field."""
+    splits = {}
+    for f in fields(SynthCorpus):
+        p = Path(data_dir) / f"{f.name}.txt"
         if not p.exists():
             raise UsageError(f"missing corpus file: {p}")
-        return load_dataset(p)
-    return SynthCorpus(
-        source_train=read("source_train"),
-        source_dev=read("source_dev"),
-        target_unlabeled=read("target_unlabeled"),
-        target_test=read("target_test"),
-    )
+        splits[f.name] = load_dataset(p)
+    return SynthCorpus(**splits)
 
 
 def _write_csv(path: Path, header: tuple | list, rows: list[list]) -> None:
@@ -140,10 +138,13 @@ def _parse_seeds(args) -> list[int]:
     return seeds
 
 
+SUMMARY_STATS = ("mean_dev_f1", "std_dev_f1", "mean_test_f1", "std_test_f1")
+
+
 def _run_seeds(data: SynthCorpus, cfg: TrainConfig, seeds: list[int], out: Path, tag: str,
-               force: bool = False, write_ckpt: bool = True) -> dict:
-    """Train ``cfg`` once per seed, write per-seed metric CSVs, return
-    summary stats."""
+               force: bool = False, write_ckpt: bool = True) -> tuple[list[dict], list[float]]:
+    """Train ``cfg`` once per seed and write per-seed metric CSVs; returns
+    the per-seed finals and the ``SUMMARY_STATS`` values, in that order."""
     finals = []
     for seed in seeds:
         mpath = out / f"metrics_{tag}_seed{seed}.csv"
@@ -152,38 +153,39 @@ def _run_seeds(data: SynthCorpus, cfg: TrainConfig, seeds: list[int], out: Path,
         _write_csv(mpath, HISTORY_COLUMNS, [[_fmt(r[k]) for k in HISTORY_COLUMNS] for r in rows])
         if write_ckpt:
             save_checkpoint(out / f"checkpoint_{tag}_seed{seed}.bin", ckpt)
-        finals.append(
-            {
-                "seed": seed,
-                "best_epoch": ckpt.epoch,
-                "best_dev_f1": max((r["dev_f1"] for r in rows), default=0.0),
-                "test_f1": rows[ckpt.epoch - 1]["test_f1"] if rows and ckpt.epoch >= 1 else 0.0,
-            }
-        )
-    test_scores = np.array([f["test_f1"] for f in finals])
-    dev_scores = np.array([f["best_dev_f1"] for f in finals])
-    return {
-        "per_seed": finals,
-        "mean_test_f1": float(test_scores.mean()),
-        "std_test_f1": float(test_scores.std()),
-        "mean_dev_f1": float(dev_scores.mean()),
-        "std_dev_f1": float(dev_scores.std()),
-    }
+        finals.append({
+            "seed": seed, "best_epoch": ckpt.epoch,
+            "best_dev_f1": max((r["dev_f1"] for r in rows), default=0.0),
+            "test_f1": rows[ckpt.epoch - 1]["test_f1"] if rows and ckpt.epoch >= 1 else 0.0,
+        })
+    dev = np.array([f["best_dev_f1"] for f in finals])
+    test = np.array([f["test_f1"] for f in finals])
+    return finals, [float(dev.mean()), float(dev.std()), float(test.mean()), float(test.std())]
+
+
+def _mean_test_f1(stats: list[float]) -> str:
+    return f"mean test F1 {stats[2]:.4f} +- {stats[3]:.4f}"
+
+
+def _write_out(out: str | None, header: list, rows: list[list]) -> None:
+    """Write the ``--out`` CSV of ``eval`` and ``audit``, if one was asked for."""
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_csv(path, header, rows)
+        print(f"wrote {path}")
 
 
 # -- subcommands -------------------------------------------------------------
 
 
+# The CLI corpus draws from larger lexicons than SynthConfig(), so
+# `tablemt synth --seed 7` and SynthConfig(seed=7) are different corpora.
+SYNTH_LEXICON_DEFAULTS = {"num_aspects": 10, "num_opinions": 8}
+
+
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        num_source=args.num_source,
-        num_dev=args.num_dev,
-        num_target=args.num_target,
-        num_test=args.num_test,
-        seed=args.seed if args.seed is not None else 0,
-        num_aspects=args.num_aspects,
-        num_opinions=args.num_opinions,
-    )
+    cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
     corpus = synth_corpus(cfg)
     paths = write_corpus(corpus, args.out)
     for name, p in paths.items():
@@ -193,24 +195,20 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     data = _load_bundle(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     seeds = _parse_seeds(args)
     cfg = _train_config(args, seeds[0])
     variant = cfg.variant.value
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     spath = out / "summary.csv"
     _guard_overwrite(spath, args.force)
-    summary = _run_seeds(data, cfg, seeds, out, variant, force=args.force)
-    header = ["variant", "seeds", "mean_dev_f1", "std_dev_f1", "mean_test_f1", "std_test_f1"]
-    _write_csv(spath, header, [[
-        variant, ";".join(str(s) for s in seeds),
-        _fmt(summary["mean_dev_f1"]), _fmt(summary["std_dev_f1"]),
-        _fmt(summary["mean_test_f1"]), _fmt(summary["std_test_f1"]),
-    ]])
-    for f in summary["per_seed"]:
+    finals, stats = _run_seeds(data, cfg, seeds, out, variant, force=args.force)
+    _write_csv(spath, ["variant", "seeds", *SUMMARY_STATS],
+               [[variant, ";".join(str(s) for s in seeds), *map(_fmt, stats)]])
+    for f in finals:
         print(f"seed {f['seed']}: best epoch {f['best_epoch']}, "
               f"dev F1 {f['best_dev_f1']:.4f}, test F1 {f['test_f1']:.4f}")
-    print(f"mean test F1 {summary['mean_test_f1']:.4f} +- {summary['std_test_f1']:.4f}")
+    print(_mean_test_f1(stats))
     return EXIT_OK
 
 
@@ -229,11 +227,7 @@ def cmd_eval(args) -> int:
     print(f"evaluated {report.n_sentences} sentences ({ckpt.config.mode.value})")
     for name, value in report.rows():
         print(f"  {name:20s} {value:.6f}")
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(path, ["metric", "value"], [[n, _fmt(v)] for n, v in report.rows()])
-        print(f"wrote {path}")
+    _write_out(args.out, ["metric", "value"], [[n, _fmt(v)] for n, v in report.rows()])
     return EXIT_OK
 
 
@@ -263,21 +257,13 @@ def cmd_audit(args) -> int:
         frac = counts[cat] / total_retained if total_retained else 0.0
         print(f"  {cat.value:20s} {counts[cat]:6d}  ({frac:.3f})")
         rows.append([cat.value, str(counts[cat]), _fmt(frac)])
-    if args.out:
-        path = Path(args.out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        _write_csv(path, ["category", "count", "fraction"], rows)
-        print(f"wrote {path}")
+    _write_out(args.out, ["category", "count", "fraction"], rows)
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    result = run_gradcheck(
-        d=args.d if args.d is not None else 8,
-        seed=args.seed if args.seed is not None else 19,
-        eps=args.eps,
-        tol=args.tol,
-    )
+    given = {k: getattr(args, k) for k in ("d", "seed", "eps", "tol")}
+    result = run_gradcheck(**{k: v for k, v in given.items() if v is not None})
     for name in sorted(result.per_group):
         print(f"  {name:12s} rel err {result.per_group[name]:.3e}")
     print(f"max relative error: {result.max_rel_err:.3e} (tolerance {result.tol:.0e})")
@@ -322,21 +308,16 @@ def cmd_ablate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / "ablation.csv"
     _guard_overwrite(path, args.force)
-    header = ["row", "alpha", "beta", "ablations", "n_seeds",
-              "mean_dev_f1", "std_dev_f1", "mean_test_f1", "std_test_f1"]
     rows_out = []
     for (label, _, tag), cfg in zip(rows, configs):
-        summary = _run_seeds(data, cfg, seeds, out, tag, force=args.force, write_ckpt=False)
+        _, stats = _run_seeds(data, cfg, seeds, out, tag, force=args.force, write_ckpt=False)
         rows_out.append([
             label, _fmt(cfg.alpha), _fmt(cfg.beta),
-            "+".join(sorted(cfg.ablations)) or "none", str(len(seeds)),
-            _fmt(summary["mean_dev_f1"]), _fmt(summary["std_dev_f1"]),
-            _fmt(summary["mean_test_f1"]), _fmt(summary["std_test_f1"]),
+            "+".join(sorted(cfg.ablations)) or "none", str(len(seeds)), *map(_fmt, stats),
         ])
-        print(f"{label:16s} mean test F1 {summary['mean_test_f1']:.4f} "
-              f"+- {summary['std_test_f1']:.4f}")
+        print(f"{label:16s} {_mean_test_f1(stats)}")
     _guard_overwrite(path, args.force)
-    _write_csv(path, header, rows_out)
+    _write_csv(path, ["row", "alpha", "beta", "ablations", "n_seeds", *SUMMARY_STATS], rows_out)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -346,20 +327,10 @@ def cmd_ablate(args) -> int:
 
 def _add_train_flags(p: _Parser) -> None:
     p.add_argument("--config", help="flat key = value config file; flags override")
-    p.add_argument("--variant", choices=[v.value for v in Variant])
-    p.add_argument("--mode", choices=[m.value for m in Mode])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--lambda", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--aug-rate", dest="aug_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--d", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--ablate", help="comma- or plus-separated: no_aug,no_uns,no_mmd")
+    for key, (_, parse) in TRAIN_KEYS.items():  # values are parsed by _train_config
+        if key not in FILE_ONLY_KEYS:
+            values = "|".join(m.value for m in parse) if isinstance(parse, enum.EnumMeta) else None
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=values)
     p.add_argument("--seed", type=int)
     p.add_argument("--seeds", help="comma-separated seed list")
     p.add_argument("--force", action="store_true")
@@ -371,13 +342,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="write a synthetic two-domain corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--num-source", type=int, default=50)
-    p.add_argument("--num-dev", type=int, default=20)
-    p.add_argument("--num-target", type=int, default=50)
-    p.add_argument("--num-test", type=int, default=30)
-    p.add_argument("--num-aspects", type=int, default=10)
-    p.add_argument("--num-opinions", type=int, default=8)
+    for f in fields(SynthConfig):  # one flag per field, with the field's default
+        p.add_argument("--" + f.name.replace("_", "-"), type=int,
+                       default=SYNTH_LEXICON_DEFAULTS.get(f.name, f.default))
     p.add_argument("--force", action="store_true")
     p.set_defaults(func=cmd_synth)
 
@@ -404,8 +371,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="finite-difference check of the full loss")
     p.add_argument("--d", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--eps", type=float, default=1e-3)
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("ablate", help="ablation table and coefficient sweeps")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import ast
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -179,10 +179,15 @@ INTENSIFIERS = ("very", "really", "quite", "so")
 TRAILERS = ("here", "today", "overall", "though")
 FUNCTION_WORDS = DETERMINERS + LINKERS + INTENSIFIERS + TRAILERS
 
-DEFAULT_POLARITY_CYCLE = (
+# Opinion words take their polarities from POLARITY_CYCLE in turn; a sentence
+# holds two triplets with probability TWO_TRIPLET_RATE and at most MAX_LEN
+# tokens.
+POLARITY_CYCLE = (
     Polarity.POS, Polarity.NEG, Polarity.POS,
     Polarity.POS, Polarity.NEU, Polarity.NEG,
 )
+TWO_TRIPLET_RATE = 0.3
+MAX_LEN = 24
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,6 @@ class SynthConfig:
     seed: int = 0
     num_aspects: int = 8
     num_opinions: int = 6
-    max_len: int = 24
-    two_triplet_rate: float = 0.3
-    polarity_cycle: tuple[Polarity, ...] = DEFAULT_POLARITY_CYCLE
 
     def __post_init__(self):
         for name in ("num_source", "num_dev", "num_target", "num_test"):
@@ -204,10 +206,6 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.num_aspects < 4 or self.num_opinions < 2:
             raise ValueError("lexicons exhausted: need >= 4 aspect and >= 2 opinion words")
-        if self.max_len < 14:
-            raise ValueError("max_len must be >= 14 to fit two-triplet sentences")
-        if not self.polarity_cycle:
-            raise ValueError("polarity_cycle must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -221,9 +219,7 @@ def domain_lexicon(cfg: SynthConfig, domain: str) -> DomainLexicon:
     prefix = {"source": "s", "target": "t"}[domain]
     aspects = tuple(f"{prefix}noun{i}" for i in range(cfg.num_aspects))
     opinions = tuple(f"{prefix}adj{i}" for i in range(cfg.num_opinions))
-    pol = {
-        w: cfg.polarity_cycle[i % len(cfg.polarity_cycle)] for i, w in enumerate(opinions)
-    }
+    pol = {w: POLARITY_CYCLE[i % len(POLARITY_CYCLE)] for i, w in enumerate(opinions)}
     return DomainLexicon(aspects, opinions, pol)
 
 
@@ -239,7 +235,7 @@ def _make_sentence(rng: np.random.Generator, lex: DomainLexicon, cfg: SynthConfi
     """One sentence per the unit grammar ``<ctx>* <aspect> <ctx>* <opinion>
     <ctx>*`` where the context slots draw from the typed shared pools:
     optional determiner, mandatory linker, optional intensifier and trailer."""
-    n_triplets = 2 if rng.random() < cfg.two_triplet_rate else 1
+    n_triplets = 2 if rng.random() < TWO_TRIPLET_RATE else 1
     # Sample aspect/opinion words without replacement so triplets are distinct.
     asp_words = [lex.aspects[i] for i in rng.choice(len(lex.aspects), size=2 * n_triplets, replace=False)]
     op_words = [lex.opinions[i] for i in rng.choice(len(lex.opinions), size=n_triplets, replace=False)]
@@ -273,8 +269,8 @@ def _make_sentence(rng: np.random.Generator, lex: DomainLexicon, cfg: SynthConfi
         triplets.append(
             Triplet(Span(a_start, a_end), Span(o_pos, o_pos), lex.polarity_of[opinion])
         )
-    if len(tokens) > cfg.max_len:
-        raise ValueError(f"generated sentence exceeds max_len={cfg.max_len}")
+    if len(tokens) > MAX_LEN:
+        raise ValueError(f"generated sentence exceeds MAX_LEN={MAX_LEN}")
     return LabeledSentence(Sentence(tuple(tokens)), tuple(triplets))
 
 
@@ -297,8 +293,8 @@ def write_corpus(corpus: SynthCorpus, out_dir) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for name in ("source_train", "source_dev", "target_unlabeled", "target_test"):
-        p = out / f"{name}.txt"
-        save_dataset(p, getattr(corpus, name))
-        paths[name] = p
+    for f in fields(corpus):
+        p = out / f"{f.name}.txt"
+        save_dataset(p, getattr(corpus, f.name))
+        paths[f.name] = p
     return paths

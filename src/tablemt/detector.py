@@ -76,19 +76,15 @@ def rpn_scores(tl: Tensor, params: dict[str, Tensor]) -> RpnScores:
     return RpnScores(pb, pe)
 
 
-def topk_prune(scores: np.ndarray, kappa: float, n: int) -> list[tuple[int, int, float]]:
-    """Keep the k = max(1, ceil(kappa * n)) best cells; ties resolve in
-    row-major cell order."""
+def topk_prune(scores: np.ndarray, kappa: float) -> list[tuple[int, int, float]]:
+    """Keep the k = max(1, ceil(kappa * n)) best cells of an (n, n) map; ties
+    resolve in row-major cell order and NaN cells rank after every finite one."""
     if not (0.0 < kappa <= 1.0):
         raise ValueError("kappa must be in (0, 1]")
-    k = max(1, math.ceil(kappa * n))
-    cells = [
-        (float(scores[i, j]), i, j)
-        for i in range(scores.shape[0])
-        for j in range(scores.shape[1])
-    ]
-    cells.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return [(i, j, s) for s, i, j in cells[:k]]
+    k = max(1, math.ceil(kappa * scores.shape[0]))
+    order = np.argsort(-scores.ravel(), kind="stable")[:k]
+    rows, cols = np.divmod(order, scores.shape[1])
+    return [(int(i), int(j), float(scores[i, j])) for i, j in zip(rows, cols)]
 
 
 def propose_regions(

@@ -4,7 +4,7 @@ error taxonomy."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .corpus import LabeledSentence, Triplet
@@ -106,15 +106,8 @@ class EvalReport:
     n_sentences: int
 
     def rows(self) -> list[tuple[str, float]]:
-        return [
-            ("sentence_precision", self.sentence_precision),
-            ("sentence_recall", self.sentence_recall),
-            ("sentence_f1", self.sentence_f1),
-            ("triplet_precision", self.triplet_precision),
-            ("triplet_recall", self.triplet_recall),
-            ("triplet_f1", self.triplet_f1),
-            ("n_sentences", float(self.n_sentences)),
-        ]
+        """(field name, value as float) in field order."""
+        return [(f.name, float(getattr(self, f.name))) for f in fields(self)]
 
 
 def build_report(preds: Sequence, golds: Sequence) -> EvalReport:

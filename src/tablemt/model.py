@@ -63,10 +63,7 @@ def forward(
     against the proposals) so losses can score regions the pruner missed."""
     tl = encode_sentence(sentence, params, cfg)
     scores = rpn_scores(tl, params)
-    n = sentence.n
-    proposals = propose_regions(
-        topk_prune(scores.pb.data, kappa, n), topk_prune(scores.pe.data, kappa, n)
-    )
+    proposals = propose_regions(topk_prune(scores.pb.data, kappa), topk_prune(scores.pe.data, kappa))
     n_predicted = len(proposals)
     if extra_rects:
         have = {p.rect() for p in proposals}

@@ -136,30 +136,30 @@ def _stream(seed: int, key: int) -> np.random.Generator:
 
 
 class Adam:
-    """Adaptive moment estimation with the standard defaults."""
+    """Adaptive moment estimation with the standard moment decays and eps."""
 
-    def __init__(self, params: dict, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: dict, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, grads: dict) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for k in sorted(self.params):
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            self.m[k] = self.BETA1 * self.m[k] + (1.0 - self.BETA1) * g
+            self.v[k] = self.BETA2 * self.v[k] + (1.0 - self.BETA2) * g * g
             mhat = self.m[k] / b1c
             vhat = self.v[k] / b2c
-            self.params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
 
 
 def ema_update(teacher: dict, student: dict, lam: float) -> None:
@@ -207,7 +207,7 @@ def teacher_pseudo_label(
 
 
 def teacher_pseudo_label_cells(
-    teacher: dict, sentence: Sentence, cfg: TrainConfig, eta: float | None = None
+    teacher: dict, sentence: Sentence, cfg: TrainConfig
 ) -> list[PseudoLabel]:
     """Cell-level variant: every cell is its own 1x1 region."""
     n = sentence.n
@@ -216,7 +216,7 @@ def teacher_pseudo_label_cells(
         tl = encode_sentence(sentence, teacher_t, cfg.encoder)
         probs, _ = cell_probs(tl, teacher_t, cfg.mode)
     rects = [(i, j, i, j) for i in range(n) for j in range(n)]
-    return _confident(rects, probs.data, cfg.mode, cfg.eta if eta is None else eta)
+    return _confident(rects, probs.data, cfg.mode, cfg.eta)
 
 
 def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:

@@ -140,3 +140,48 @@ def test_trailing_bytes_fail_to_load(tmp_path, junk):
     with pytest.raises(CheckpointError, match=f"{len(junk)} bytes after the last tensor") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
+
+
+def test_nan_tensor_byte_fails_to_load(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())
+    header, tensors = _split(path)
+    raw = bytearray(path.read_bytes())
+    first = header["tensors"][0]  # patch the last value of the first tensor
+    at = len(raw) - len(tensors) + 8 * (int(np.prod(first["shape"])) - 1)
+    raw[at : at + 8] = struct.pack("<d", float("nan"))
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match=f"{first['name']}.*non-finite") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_config_that_builds_other_shapes_fails_to_load(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())  # d = 8
+    header, _ = _split(path)
+    header["config"]["encoder"]["d"] = 10
+    _rewrite_header(path, header)
+    with pytest.raises(CheckpointError, match="tensor") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_tensor_names_must_match_config(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())
+    header, _ = _split(path)
+    header["tensors"][-1]["name"] = "teacher/extra"
+    _rewrite_header(path, header)
+    with pytest.raises(CheckpointError, match="teacher/extra"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_saving_non_finite_params_raises(tmp_path, bad):
+    ckpt = _checkpoint()
+    ckpt.student["cls_b"][0] = bad
+    path = tmp_path / "model.bin"
+    with pytest.raises(CheckpointError, match="student/cls_b.*non-finite"):
+        save_checkpoint(path, ckpt)
+    assert not path.exists()

@@ -6,8 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tablemt.cli as cli
 from tablemt.checkpoint import load_checkpoint
-from tablemt.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from tablemt.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, FILE_ONLY_KEYS, TRAIN_KEYS, main
+from tablemt.detector import Mode
+from tablemt.gradcheck import run_gradcheck
+from tablemt.trainer import TrainConfig, Variant
 
 
 def read_csv(path):
@@ -125,6 +129,92 @@ def test_train_rejects_unknown_config_key(tmp_path, corpus_dir, capsys, line):
     assert not list(out.glob("metrics_*.csv"))
 
 
+# Flag key -> (value on the command line, config field, parsed value); every
+# value differs from the field's default.
+FLAG_VALUES = {
+    "alpha": ("0.5", "alpha", 0.5), "beta": ("0.25", "beta", 0.25),
+    "lambda": ("0.7", "ema_lambda", 0.7), "eta": ("0.5", "eta", 0.5),
+    "kappa": ("0.5", "kappa", 0.5), "aug_rate": ("0.25", "aug_rate", 0.25),
+    "epochs": ("3", "epochs", 3), "batch": ("2", "batch", 2), "lr": ("0.05", "lr", 0.05),
+    "mode": ("aope", "mode", Mode.AOPE), "variant": ("ctfmt", "variant", Variant.CTFMT),
+    "ablate": ("no_aug+no_mmd", "ablations", frozenset({"no_aug", "no_mmd"})),
+    "d": ("8", "encoder.d", 8), "layers": ("1", "encoder.layers", 1),
+}
+FILE_VALUES = {"vocab_buckets": 128, "window": 2, "max_n": 20}
+
+
+def _field(cfg, name):
+    for part in name.split("."):
+        cfg = getattr(cfg, part)
+    return cfg
+
+
+def _configs_trained(monkeypatch, argv) -> tuple[int, list]:
+    """Run ``tablemt train argv`` with fitting replaced by a recorder of the
+    configs it would train."""
+    seen = []
+
+    def record(data, cfg, *args, **kwargs):
+        seen.append(cfg)
+        return [], [0.0] * 4
+
+    monkeypatch.setattr(cli, "_run_seeds", record)
+    return main(["train"] + argv), seen
+
+
+def test_flag_table_covers_train_keys():
+    assert set(FLAG_VALUES) | set(FILE_VALUES) == set(TRAIN_KEYS)
+    assert set(FILE_VALUES) == set(FILE_ONLY_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(FLAG_VALUES))
+def test_train_flag_sets_its_field(tmp_path, corpus_dir, monkeypatch, key):
+    raw, name, value = FLAG_VALUES[key]
+    assert _field(TrainConfig(), name) != value
+    code, seen = _configs_trained(monkeypatch, [
+        "--data", str(corpus_dir), "--out", str(tmp_path / "o"), "--" + key.replace("_", "-"), raw])
+    assert code == EXIT_OK
+    assert [_field(cfg, name) for cfg in seen] == [value]
+
+
+@pytest.mark.parametrize("key", sorted(FILE_VALUES))
+def test_file_only_key_has_no_flag(tmp_path, corpus_dir, monkeypatch, key):
+    value = FILE_VALUES[key]
+    assert _field(TrainConfig(), "encoder." + key) != value
+    base = ["--data", str(corpus_dir), "--out", str(tmp_path / "o")]
+    code, seen = _configs_trained(monkeypatch, base + ["--" + key.replace("_", "-"), str(value)])
+    assert (code, seen) == (EXIT_USAGE, [])
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    code, seen = _configs_trained(monkeypatch, base + ["--config", str(cfgfile)])
+    assert code == EXIT_OK
+    assert [_field(cfg, "encoder." + key) for cfg in seen] == [value]
+
+
+@pytest.mark.parametrize("flag", ["--alpha", "--variant", "--epochs"])
+def test_bad_flag_value_names_its_key(tmp_path, corpus_dir, capsys, flag):
+    assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "o"),
+                 flag, "bogus"]) == EXIT_USAGE
+    assert flag.lstrip("-") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_gradcheck_defaults_are_run_gradchecks(monkeypatch, capsys):
+    calls = []
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return run_gradcheck(**kwargs)
+
+    monkeypatch.setattr(cli, "run_gradcheck", spy)
+    assert main(["gradcheck"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    default = run_gradcheck()
+    assert f"max relative error: {default.max_rel_err:.3e} (tolerance {default.tol:.0e})" in printed
+    assert main(["gradcheck", "--d", "6", "--seed", "3"]) in (EXIT_OK, EXIT_RUNTIME)
+    assert calls == [{}, {"d": 6, "seed": 3}]
+
+
 def test_eval_reports_and_mode_mismatch(tmp_path, corpus_dir, trained_dir, capsys):
     ckpt_path = trained_dir / "checkpoint_tfmt_seed1.bin"
     out_csv = tmp_path / "report.csv"
@@ -231,7 +321,7 @@ def test_usage_errors_exit_1(tmp_path, corpus_dir):
     for lr in ("0", "-1", "nan"):
         assert main(["train", "--data", str(corpus_dir), "--out", str(tmp_path / "lr"),
                      "--lr", lr] + TINY_TRAIN) == EXIT_USAGE
-    assert not (tmp_path / "lr" / "summary.csv").exists()
+    assert not (tmp_path / "lr").exists()
     assert main(["bogus-command"]) == EXIT_USAGE
     assert main(["train"]) == EXIT_USAGE  # missing required flags
 

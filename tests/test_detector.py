@@ -64,25 +64,57 @@ def test_rpn_matches_direct_sigmoid_2x2():
 
 def test_topk_count_rule():
     scores = np.zeros((6, 6))
-    assert len(topk_prune(scores, 0.3, 6)) == 2  # ceil(1.8)
-    assert len(topk_prune(np.zeros((1, 1)), 0.3, 1)) == 1  # floor guard
-    assert len(topk_prune(np.zeros((2, 2)), 1.0, 2)) == 2
+    assert len(topk_prune(scores, 0.3)) == 2  # ceil(1.8)
+    assert len(topk_prune(np.zeros((1, 1)), 0.3)) == 1  # floor guard
+    assert len(topk_prune(np.zeros((2, 2)), 1.0)) == 2
     with pytest.raises(ValueError):
-        topk_prune(scores, 0.0, 6)
+        topk_prune(scores, 0.0)
 
 
 def test_topk_uniform_ties_row_major():
-    cells = topk_prune(np.full((3, 3), 0.7), 0.5, 3)  # k = 2
+    cells = topk_prune(np.full((3, 3), 0.7), 0.5)  # k = 2
     assert [(i, j) for i, j, _ in cells] == [(0, 0), (0, 1)]
 
 
 def test_topk_sorted_descending():
     rng = np.random.default_rng(4)
     scores = rng.random((5, 5))
-    cells = topk_prune(scores, 0.6, 5)
+    cells = topk_prune(scores, 0.6)
     vals = [s for _, _, s in cells]
     assert vals == sorted(vals, reverse=True)
     assert len(cells) == 3
+
+
+def _topk_by_tuple_sort(scores, kappa):
+    """The (-score, i, j) tuple sort that topk_prune must reproduce."""
+    n = scores.shape[0]
+    cells = [(float(scores[i, j]), i, j) for i in range(n) for j in range(n)]
+    cells.sort(key=lambda t: (-t[0], t[1], t[2]))
+    return [(i, j, s) for s, i, j in cells[: max(1, math.ceil(kappa * n))]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_topk_matches_tuple_sort_with_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    scores = rng.integers(0, 4, size=(n, n)) / 4.0  # few distinct values: many ties
+    for kappa in (0.3, 0.5, 1.0):
+        cells = topk_prune(scores, kappa)
+        assert cells == _topk_by_tuple_sort(scores, kappa)
+        assert all(type(i) is int and type(j) is int for i, j, _ in cells)
+
+
+def test_topk_ranks_nan_after_finite():
+    rng = np.random.default_rng(7)
+    scores = rng.random((5, 5))
+    nan_cells = {(0, 0), (1, 3), (4, 4)}
+    for i, j in nan_cells:
+        scores[i, j] = np.nan
+    cells = topk_prune(scores, 1.0)  # k = 5 of 22 finite cells
+    assert not nan_cells & {(i, j) for i, j, _ in cells}
+    scores[:] = np.nan
+    scores[2, 1] = -np.inf
+    assert topk_prune(scores, 0.2)[0][:2] == (2, 1)
 
 
 def test_propose_regions_forced_examples():
@@ -206,8 +238,8 @@ def test_end_to_end_plumbing_with_adversarially_perfect_scores():
     for t in gold:
         pb[t.aspect.start, t.opinion.start] = 1 - eps
         pe[t.aspect.end, t.opinion.end] = 1 - eps
-    bset = topk_prune(pb, 0.3, n)
-    eset = topk_prune(pe, 0.3, n)
+    bset = topk_prune(pb, 0.3)
+    eset = topk_prune(pe, 0.3)
     props = propose_regions(bset, eset)
     gold_rects = {
         (t.aspect.start, t.opinion.start, t.aspect.end, t.opinion.end): t for t in gold

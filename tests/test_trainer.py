@@ -149,10 +149,10 @@ def test_pseudo_label_eta_one_yields_empty_and_eta_zero_keeps_all(tiny_data):
 
 
 def test_pseudo_label_cells_rects_are_cells(tiny_data):
-    cfg = tiny_cfg(variant=Variant.CTFMT)
+    cfg = tiny_cfg(variant=Variant.CTFMT, eta=0.2)
     params = init_params(cfg.encoder, cfg.mode, np.random.default_rng(3))
     sent = tiny_data.target_unlabeled[0].sentence
-    labels = teacher_pseudo_label_cells(params, sent, cfg, eta=0.2)
+    labels = teacher_pseudo_label_cells(params, sent, cfg)
     for pl in labels:
         assert pl.a == pl.c and pl.b == pl.d
 
