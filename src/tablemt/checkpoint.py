@@ -93,8 +93,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of ``save_checkpoint``; raises ``CheckpointError`` naming
     ``path`` for a file that is not exactly one complete checkpoint, whose
-    tensor names or shapes differ from those its config builds, or whose
-    tensors hold a non-finite value."""
+    header is malformed (not JSON, a missing field, a config value
+    ``TrainConfig`` rejects), whose tensor names or shapes differ from those
+    its config builds, or whose tensors hold a non-finite value."""
     raw = Path(path).read_bytes()
     off = len(MAGIC) + 8
     if raw[: len(MAGIC)] != MAGIC or len(raw) < off:
@@ -102,15 +103,20 @@ def load_checkpoint(path) -> Checkpoint:
     (hlen,) = struct.unpack("<Q", raw[len(MAGIC) : off])
     if len(raw) < off + hlen:
         raise CheckpointError(f"{path}: truncated header")
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    if header["version"] != 1:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
-    off += hlen
     try:
+        header = json.loads(raw[off : off + hlen].decode("utf-8"))
+        if header["version"] != 1:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
         config = _from_json(TrainConfig, header["config"])
+        found = [(spec["name"], spec["shape"]) for spec in header["tensors"]]
+        epoch, history = header["epoch"], header["history"]
+    except CheckpointError:
+        raise
     except KeyError as exc:
-        raise CheckpointError(f"{path}: config field {exc} is missing") from None
-    found = [(spec["name"], spec["shape"]) for spec in header["tensors"]]
+        raise CheckpointError(f"{path}: header field {exc} is missing") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from None
+    off += hlen
     for got, want in zip_longest(found, _manifest(config)):
         if got != want:
             raise CheckpointError(f"{path}: file has tensor {got}, config builds {want}")
@@ -131,6 +137,6 @@ def load_checkpoint(path) -> Checkpoint:
         config=config,
         student=student,
         teacher=teacher,
-        epoch=header["epoch"],
-        history=header["history"],
+        epoch=epoch,
+        history=history,
     )

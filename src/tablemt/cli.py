@@ -186,6 +186,8 @@ SYNTH_LEXICON_DEFAULTS = {"num_aspects": 10, "num_opinions": 8}
 
 def cmd_synth(args) -> int:
     cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
+    for f in fields(SynthCorpus):
+        _guard_overwrite(Path(args.out) / f"{f.name}.txt", args.force)
     corpus = synth_corpus(cfg)
     paths = write_corpus(corpus, args.out)
     for name, p in paths.items():
@@ -239,6 +241,8 @@ def cmd_audit(args) -> int:
     if not any(ls.triplets for ls in records):
         raise UsageError(f"audit needs labeled target data: {args.data}")
     eta = args.eta if args.eta is not None else ckpt.config.eta
+    if not 0.0 < eta <= 1.0:
+        raise UsageError(f"--eta must be in (0, 1], got {eta}")
     counts = {cat: 0 for cat in ErrorCategory}
     total_retained = 0
     for ls in records:

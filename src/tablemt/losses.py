@@ -3,7 +3,7 @@ region consistency, and the kernel two-sample (MMD) domain losses."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,16 +20,15 @@ _FALLBACK_BANDWIDTH = 1.0
 
 @dataclass
 class LossBreakdown:
+    """The step's loss terms; its fields, in order, are the loss columns of
+    the training history."""
+
     l_rpn: float = 0.0
     l_rpc: float = 0.0
     l_sup: float = 0.0
     l_uns: float = 0.0
-    l_mmd_boundary: float = 0.0
-    l_mmd_region: float = 0.0
     l_mmd: float = 0.0
     total: float = 0.0
-
-    COLUMNS = ("l_rpn", "l_rpc", "l_sup", "l_uns", "l_mmd", "total")
 
 
 def loss_rpn(pb: Tensor, pe: Tensor, yb: np.ndarray, ye: np.ndarray) -> Tensor:
@@ -141,34 +140,13 @@ def mmd(x, y) -> Tensor:
     return raw.clamp_min(0.0)
 
 
-@dataclass
-class RegionFeatures:
-    """Per-domain pooled features of the predicted regions of a batch."""
-
-    b_cells: list[Tensor] = field(default_factory=list)  # table cells at B corners
-    e_cells: list[Tensor] = field(default_factory=list)  # table cells at E corners
-    rois: list[Tensor] = field(default_factory=list)  # 3d region vectors
-
-
-def loss_mmd_region_level(src: RegionFeatures, tgt: RegionFeatures) -> tuple[Tensor, Tensor]:
-    """Boundary-level and region-level MMD between the domains; any empty
-    side contributes zero."""
-    l_boundary = mmd(src.b_cells, tgt.b_cells) + mmd(src.e_cells, tgt.e_cells)
-    l_region = mmd(src.rois, tgt.rois)
-    return l_boundary, l_region
-
-
-def loss_mmd_cell_level(
-    src_by_type: dict[int, list[Tensor]], tgt_by_type: dict[int, list[Tensor]]
-) -> Tensor:
-    """Sum of per-cell-type MMD over the types populated on both sides."""
-    total = Tensor(0.0)
-    for key in sorted(set(src_by_type) | set(tgt_by_type)):
-        xs = src_by_type.get(key, [])
-        ys = tgt_by_type.get(key, [])
-        if xs and ys:
-            total = total + mmd(xs, ys)
-    return total
+def loss_mmd(src_groups: dict, tgt_groups: dict) -> Tensor:
+    """Sum of ``mmd`` over the feature groups present on both sides, in
+    sorted key order.  Each group maps a key to its feature rows: an (m, k)
+    tensor or a list of them, one per sentence."""
+    keys = sorted(src_groups.keys() & tgt_groups.keys())
+    terms = [mmd(src_groups[k], tgt_groups[k]) for k in keys]
+    return sum(terms[1:], terms[0]) if terms else Tensor(0.0)
 
 
 def total_loss(l_sup: Tensor, l_uns_t: Tensor, l_mmd_t: Tensor, alpha: float, beta: float) -> Tensor:

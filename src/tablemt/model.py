@@ -38,6 +38,16 @@ def clone_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return {k: v.copy() for k, v in params.items()}
 
 
+class NonFiniteScoreError(ValueError):
+    """Scores that hold a NaN or an infinity, as non-finite parameters give."""
+
+
+def check_finite_scores(*scores: np.ndarray) -> None:
+    """Raise ``NonFiniteScoreError`` unless every score is finite."""
+    if not all(np.isfinite(s).all() for s in scores):
+        raise NonFiniteScoreError("non-finite scores: the parameters hold a NaN or an infinity")
+
+
 @dataclass
 class SentenceForward:
     sentence: Sentence
@@ -88,17 +98,20 @@ def predict(
     mode: Mode,
     kappa: float,
 ) -> list[Triplet] | list[tuple[Span, Span]]:
-    """Decode the model's triplets (ASTE) or aspect-opinion pairs (AOPE)."""
+    """Decode the model's triplets (ASTE) or aspect-opinion pairs (AOPE);
+    non-finite corner or class scores raise ``NonFiniteScoreError``."""
     with ag.no_grad():
         fwd = forward(sentence, as_tensors(params), cfg, mode, kappa)
+    check_finite_scores(fwd.pb.data, fwd.pe.data)
     if not fwd.proposals:
         return []
+    check_finite_scores(fwd.probs.data)
     return decode_triplets(fwd.proposals, fwd.probs.data, mode)
 
 
 def cell_probs(tl: Tensor, params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor]:
-    """Class probabilities for every cell treated as its own 1x1 region
-    (cell-level consistency variant); rows follow row-major cell order."""
+    """Class probabilities for every cell treated as its own 1x1 region, as
+    the cell-level teacher scores them; rows follow row-major cell order."""
     n, _, d = tl.shape
     flat = tl.reshape(n * n, d)
     rois = ag.concat([flat, flat, flat], axis=1)

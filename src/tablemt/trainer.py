@@ -12,7 +12,7 @@ replaces the teacher with iterative pseudo-label dataset growth.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from itertools import islice
 
 import numpy as np
@@ -24,9 +24,7 @@ from .detector import Mode, decode_triplets, foreground_classes, invalid_class
 from .evaluate import gold_items, sentence_prf
 from .losses import (
     LossBreakdown,
-    RegionFeatures,
-    loss_mmd_cell_level,
-    loss_mmd_region_level,
+    loss_mmd,
     loss_rpc,
     loss_rpn,
     loss_uns,
@@ -34,7 +32,8 @@ from .losses import (
     total_loss,
 )
 from .encoder import EncoderConfig, encode_sentence
-from .model import as_tensors, cell_probs, clone_params, forward, init_params, predict
+from .model import (as_tensors, cell_probs, check_finite_scores, clone_params, forward,
+                    init_params, predict)
 from .tagging import (
     CELL_A,
     CELL_O,
@@ -45,7 +44,7 @@ from .tagging import (
 )
 
 ABLATIONS = ("no_aug", "no_uns", "no_mmd")
-HISTORY_COLUMNS = ("epoch", "step", *LossBreakdown.COLUMNS, "dev_f1", "test_f1")
+HISTORY_COLUMNS = ("epoch", "step", *(f.name for f in fields(LossBreakdown)), "dev_f1", "test_f1")
 
 
 class Variant(enum.Enum):
@@ -184,7 +183,9 @@ def augment(sentence: Sentence, rate: float, lexicon: list, rng: np.random.Gener
 
 
 def _confident(rects: list, probs: np.ndarray, mode: Mode, eta: float) -> list[PseudoLabel]:
-    """Rectangles whose maximum foreground-class probability reaches ``eta``."""
+    """Rectangles whose maximum foreground-class probability reaches ``eta``;
+    non-finite ``probs`` raise ``NonFiniteScoreError``."""
+    check_finite_scores(probs)
     conf = probs[:, list(foreground_classes(mode))].max(axis=1)
     return [
         PseudoLabel(*rect, probs[i].copy(), float(conf[i]))
@@ -226,40 +227,26 @@ def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
     return uns_on, mmd_on
 
 
-def _decoded_predictions(fwd, mode: Mode):
-    if fwd.n_predicted == 0 or fwd.probs is None:
-        return []
-    return decode_triplets(fwd.proposals[: fwd.n_predicted], fwd.probs.data[: fwd.n_predicted], mode)
-
-
-def _collect_region_features(fwd, feats: RegionFeatures) -> None:
+def _mmd_groups(fwd, cfg: TrainConfig) -> dict:
+    """The MMD feature groups of the regions the pruner proposed, as (m, k)
+    tensors: the B-corner cells ``b``, the E-corner cells ``e`` and the RoI
+    vectors ``roi``; for ``ctfmt``, the table cells of each populated
+    ``CELL_*`` type of the decoded predictions instead."""
     m = fwd.n_predicted
     if m == 0:
-        return
-    preds = fwd.proposals[:m]
-    aa = np.array([p.a for p in preds])
-    bb = np.array([p.b for p in preds])
-    cc = np.array([p.c for p in preds])
-    dd = np.array([p.d for p in preds])
-    feats.b_cells.append(fwd.tl[(aa, bb)])
-    feats.e_cells.append(fwd.tl[(cc, dd)])
-    feats.rois.append(fwd.rois[:m])
-
-
-def _collect_cell_features(fwd, mode: Mode, groups: dict) -> None:
-    triplets = _decoded_predictions(fwd, mode)
-    if mode == Mode.ASTE:
+        return {}
+    if cfg.variant != Variant.CTFMT:
+        a, b, c, d = np.array([p.rect() for p in fwd.proposals[:m]]).T
+        return {"b": fwd.tl[(a, b)], "e": fwd.tl[(c, d)], "roi": fwd.rois[:m]}
+    triplets = decode_triplets(fwd.proposals[:m], fwd.probs.data[:m], cfg.mode)
+    if cfg.mode == Mode.ASTE:
         by_type = cells_by_type(triplets)
     else:  # diagonal aspect and opinion cells, in order of first appearance
         by_type = {
             CELL_A: list(dict.fromkeys((i, i) for asp, _ in triplets for i in asp.tokens())),
             CELL_O: list(dict.fromkeys((j, j) for _, op in triplets for j in op.tokens())),
         }
-    for key, cells in by_type.items():
-        if cells:
-            ii = np.array([c[0] for c in cells])
-            jj = np.array([c[1] for c in cells])
-            groups.setdefault(key, []).append(fwd.tl[(ii, jj)])
+    return {key: fwd.tl[tuple(np.array(cells).T)] for key, cells in by_type.items() if cells}
 
 
 def compute_losses(
@@ -271,12 +258,12 @@ def compute_losses(
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the step loss graph on the student.  Supervised terms come
     from ``src_batch``; the consistency and MMD terms come from the target
-    sentences (already augmented) and the teacher's retained pseudo labels.
-    Consistency is on exactly when ``tgt_pseudo`` is given; MMD follows
+    sentences (already augmented) and the teacher's retained pseudo labels,
+    each scored by the student as a region of its forward pass.  Consistency
+    is on exactly when ``tgt_pseudo`` is given; MMD follows
     ``_target_flags(cfg)``."""
     uns_on = tgt_pseudo is not None
     mmd_on = _target_flags(cfg)[1]
-    src_feats = RegionFeatures()
     rpn_terms, rpc_terms = [], []
     src_fwds = []
     for ls in src_batch:
@@ -293,51 +280,30 @@ def compute_losses(
     l_sup_t = l_rpn_t + l_rpc_t
 
     l_uns_t = Tensor(0.0)
-    l_bnd_t = Tensor(0.0)
-    l_reg_t = Tensor(0.0)
     l_mmd_t = Tensor(0.0)
     if (uns_on or mmd_on) and tgt_sentences:
-        tgt_feats = RegionFeatures()
-        cell_groups_src: dict = {}
-        cell_groups_tgt: dict = {}
+        tgt_groups: dict = {}
         student_rows = []
         teacher_rows = []
         for si, sentence in enumerate(tgt_sentences):
             pseudo = tgt_pseudo[si] if uns_on else []
-            if cfg.variant == Variant.CTFMT:
-                fwd = forward(sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa)
-                if uns_on and pseudo:
-                    probs, _ = cell_probs(fwd.tl, student_t, cfg.mode)
-                    n = sentence.n
-                    rows = np.array([p.a * n + p.b for p in pseudo])
-                    student_rows.append(probs[rows])
-                    teacher_rows.append(np.stack([p.probs for p in pseudo]))
-                if mmd_on:
-                    _collect_cell_features(fwd, cfg.mode, cell_groups_tgt)
-            else:
-                fwd = forward(
-                    sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa,
-                    extra_rects=[p.rect() for p in pseudo],
-                )
-                if uns_on and pseudo:
-                    index = {p.rect(): i for i, p in enumerate(fwd.proposals)}
-                    rows = np.array([index[p.rect()] for p in pseudo])
-                    student_rows.append(fwd.probs[rows])
-                    teacher_rows.append(np.stack([p.probs for p in pseudo]))
-                if mmd_on:
-                    _collect_region_features(fwd, tgt_feats)
+            fwd = forward(
+                sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa,
+                extra_rects=[p.rect() for p in pseudo],
+            )
+            if pseudo:
+                index = {p.rect(): i for i, p in enumerate(fwd.proposals)}
+                rows = np.array([index[p.rect()] for p in pseudo])
+                student_rows.append(fwd.probs[rows])
+                teacher_rows.append(np.stack([p.probs for p in pseudo]))
+            if mmd_on:
+                _extend_groups(tgt_groups, fwd, cfg)
         if mmd_on:
+            src_groups: dict = {}
             for fwd in src_fwds:
-                if cfg.variant == Variant.CTFMT:
-                    _collect_cell_features(fwd, cfg.mode, cell_groups_src)
-                else:
-                    _collect_region_features(fwd, src_feats)
-            if cfg.variant == Variant.CTFMT:
-                l_mmd_t = loss_mmd_cell_level(cell_groups_src, cell_groups_tgt)
-            else:
-                l_bnd_t, l_reg_t = loss_mmd_region_level(src_feats, tgt_feats)
-                l_mmd_t = l_bnd_t + l_reg_t
-        if uns_on and student_rows:
+                _extend_groups(src_groups, fwd, cfg)
+            l_mmd_t = loss_mmd(src_groups, tgt_groups)
+        if student_rows:
             l_uns_t = loss_uns(ag.concat(student_rows, axis=0), np.concatenate(teacher_rows, axis=0))
 
     total = total_loss(l_sup_t, l_uns_t, l_mmd_t, cfg.alpha, cfg.beta)
@@ -346,12 +312,16 @@ def compute_losses(
         l_rpc=float(l_rpc_t.data),
         l_sup=float(l_sup_t.data),
         l_uns=float(l_uns_t.data),
-        l_mmd_boundary=float(l_bnd_t.data),
-        l_mmd_region=float(l_reg_t.data),
         l_mmd=float(l_mmd_t.data),
         total=float(total.data),
     )
     return total, breakdown
+
+
+def _extend_groups(groups: dict, fwd, cfg: TrainConfig) -> None:
+    """Append each MMD feature group of ``fwd`` to its per-sentence list."""
+    for key, feats in _mmd_groups(fwd, cfg).items():
+        groups.setdefault(key, []).append(feats)
 
 
 def _mean(terms: list[Tensor]) -> Tensor:
@@ -428,15 +398,15 @@ def _run_epoch(
     """Train ``params`` for one pass over ``records``.  Each batch is paired
     with as many sentences from the ``target`` stream, if any, and the
     ``teacher``, if any, follows by EMA after every step.  Returns the step
-    count and the epoch mean of each ``LossBreakdown.COLUMNS`` entry."""
-    sums = np.zeros(len(LossBreakdown.COLUMNS))
+    count and the epoch mean of each ``LossBreakdown`` field."""
+    sums = np.zeros(len(fields(LossBreakdown)))
     steps = 0
     for batch in _batches(records, rng, cfg.batch):
         tgt_batch = list(islice(target, len(batch))) if target is not None else None
         bd = train_step(params, teacher, opt, batch, tgt_batch, cfg, rng_aug, aug_lexicon)
         if teacher is not None:
             ema_update(teacher, params, cfg.ema_lambda)
-        sums += np.array([getattr(bd, c) for c in LossBreakdown.COLUMNS])
+        sums += np.array(astuple(bd))
         steps += 1
     return steps, sums / max(steps, 1)
 

@@ -185,3 +185,29 @@ def test_saving_non_finite_params_raises(tmp_path, bad):
     with pytest.raises(CheckpointError, match="student/cls_b.*non-finite"):
         save_checkpoint(path, ckpt)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("defect", [
+    "not_json", "not_an_object", "encoder_d_3", "bogus_mode",
+    "no_version", "no_tensors", "no_epoch", "no_history",
+])
+def test_malformed_header_fails_to_load(tmp_path, capsys, defect):
+    from tablemt.cli import EXIT_RUNTIME, main
+
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())
+    header, tensors = _split(path)
+    if defect.startswith("no_"):
+        del header[defect.removeprefix("no_")]
+    elif defect == "encoder_d_3":
+        header["config"]["encoder"]["d"] = 3
+    elif defect == "bogus_mode":
+        header["config"]["mode"] = "bogus"
+    payload = {"not_json": b"{not json", "not_an_object": b"[1]"}.get(
+        defect, json.dumps(header).encode("utf-8"))
+    path.write_bytes(MAGIC + struct.pack("<Q", len(payload)) + payload + tensors)
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+    assert main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "x.txt")]) == EXIT_RUNTIME
+    assert "error: CheckpointError:" in capsys.readouterr().err

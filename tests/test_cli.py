@@ -53,6 +53,17 @@ def test_synth_rerun_byte_identical(tmp_path, corpus_dir):
     assert dir_bytes(again) == dir_bytes(corpus_dir)
 
 
+def test_synth_refuses_overwrite_without_force(tmp_path):
+    out = tmp_path / "c"
+    small = ["--num-source", "4", "--num-dev", "2", "--num-target", "3", "--num-test", "2"]
+    assert main(["synth", "--out", str(out), "--seed", "1"] + small) == EXIT_OK
+    before = dir_bytes(out)
+    assert main(["synth", "--out", str(out), "--seed", "2"] + small) == EXIT_USAGE
+    assert dir_bytes(out) == before
+    assert main(["synth", "--out", str(out), "--seed", "2", "--force"] + small) == EXIT_OK
+    assert dir_bytes(out) != before
+
+
 def test_synth_counts_match_flags(corpus_dir):
     lines = (corpus_dir / "source_train.txt").read_text().strip().splitlines()
     assert len(lines) == 12
@@ -265,6 +276,15 @@ def test_audit_eta_one_empty_histogram(tmp_path, corpus_dir, trained_dir):
                  "--out", str(out_csv)]) == EXIT_OK
     rows = read_csv(out_csv)
     assert all(int(r[1]) == 0 for r in rows[1:])
+
+
+@pytest.mark.parametrize("eta", ["-1", "2", "nan"])
+def test_audit_rejects_eta_outside_unit_interval(tmp_path, corpus_dir, trained_dir, eta):
+    out_csv = tmp_path / "audit.csv"
+    assert main(["audit", "--checkpoint", str(trained_dir / "checkpoint_tfmt_seed1.bin"),
+                 "--data", str(corpus_dir / "target_test.txt"), "--eta", eta,
+                 "--out", str(out_csv)]) == EXIT_USAGE
+    assert not out_csv.exists()
 
 
 def test_audit_requires_labels(tmp_path, corpus_dir, trained_dir):

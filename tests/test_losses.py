@@ -11,9 +11,7 @@ from tablemt.detector import Mode, RegionProposal
 from tablemt.encoder import EncoderConfig
 from tablemt.losses import (
     LossBreakdown,
-    RegionFeatures,
-    loss_mmd_cell_level,
-    loss_mmd_region_level,
+    loss_mmd,
     loss_rpc,
     loss_rpn,
     loss_uns,
@@ -237,55 +235,37 @@ def test_mmd_gradient_matches_fd_through_median():
 
 def test_loss_mmd_region_level_identical_and_empty():
     rng = np.random.default_rng(7)
-    feats = RegionFeatures(
-        b_cells=[Tensor(rng.normal(size=(3, 4)))],
-        e_cells=[Tensor(rng.normal(size=(3, 4)))],
-        rois=[Tensor(rng.normal(size=(3, 12)))],
-    )
-    same = RegionFeatures(
-        b_cells=[Tensor(feats.b_cells[0].data.copy())],
-        e_cells=[Tensor(feats.e_cells[0].data.copy())],
-        rois=[Tensor(feats.rois[0].data.copy())],
-    )
-    l_b, l_r = loss_mmd_region_level(feats, same)
-    assert l_b.item() == 0.0 and l_r.item() == 0.0
-    l_b2, l_r2 = loss_mmd_region_level(feats, RegionFeatures())
-    assert l_b2.item() == 0.0 and l_r2.item() == 0.0
+    feats = {
+        "b": [Tensor(rng.normal(size=(3, 4)))],
+        "e": [Tensor(rng.normal(size=(3, 4)))],
+        "roi": [Tensor(rng.normal(size=(3, 12)))],
+    }
+    same = {k: [Tensor(v[0].data.copy())] for k, v in feats.items()}
+    assert loss_mmd(feats, same).item() == 0.0
+    assert loss_mmd(feats, {}).item() == 0.0
 
 
 def test_loss_mmd_region_level_matches_oracle_sum():
     rng = np.random.default_rng(8)
-    src = RegionFeatures(
-        b_cells=[Tensor(rng.normal(size=(2, 4)))],
-        e_cells=[Tensor(rng.normal(size=(2, 4)))],
-        rois=[Tensor(rng.normal(size=(2, 12)))],
-    )
-    tgt = RegionFeatures(
-        b_cells=[Tensor(rng.normal(size=(2, 4)))],
-        e_cells=[Tensor(rng.normal(size=(2, 4)))],
-        rois=[Tensor(rng.normal(size=(2, 12)))],
-    )
-    l_b, l_r = loss_mmd_region_level(src, tgt)
-    expected_b = oracle_mmd(src.b_cells[0].data, tgt.b_cells[0].data) + oracle_mmd(
-        src.e_cells[0].data, tgt.e_cells[0].data
-    )
-    expected_r = oracle_mmd(src.rois[0].data, tgt.rois[0].data)
-    assert l_b.item() == pytest.approx(expected_b, abs=1e-10)
-    assert l_r.item() == pytest.approx(expected_r, abs=1e-10)
+    shapes = {"b": (2, 4), "e": (2, 4), "roi": (2, 12)}
+    src = {k: [Tensor(rng.normal(size=shape))] for k, shape in shapes.items()}
+    tgt = {k: [Tensor(rng.normal(size=shape))] for k, shape in shapes.items()}
+    expected = sum(oracle_mmd(src[k][0].data, tgt[k][0].data) for k in ("b", "e", "roi"))
+    assert loss_mmd(src, tgt).item() == pytest.approx(expected, abs=1e-10)
 
 
 def test_loss_mmd_cell_level_by_type():
     rng = np.random.default_rng(9)
     a_src = rng.normal(size=(3, 4)); a_tgt = rng.normal(size=(2, 4))
     o_src = rng.normal(size=(2, 4)); o_tgt = rng.normal(size=(2, 4))
-    src = {1: [Tensor(a_src)], 2: [Tensor(o_src)], 3: []}
+    src = {1: [Tensor(a_src)], 2: [Tensor(o_src)], 3: [Tensor(rng.normal(size=(2, 4)))]}
     tgt = {1: [Tensor(a_tgt)], 2: [Tensor(o_tgt)], 5: [Tensor(rng.normal(size=(1, 4)))]}
-    out = loss_mmd_cell_level(src, tgt)
+    out = loss_mmd(src, tgt)
     expected = oracle_mmd(a_src, a_tgt) + oracle_mmd(o_src, o_tgt)  # types 3, 5 skipped
     assert out.item() == pytest.approx(expected, abs=1e-10)
-    only_a = loss_mmd_cell_level({1: [Tensor(a_src)]}, {1: [Tensor(a_tgt)]})
+    only_a = loss_mmd({1: [Tensor(a_src)]}, {1: Tensor(a_tgt)})
     assert only_a.item() == pytest.approx(oracle_mmd(a_src, a_tgt), abs=1e-12)
-    identical = loss_mmd_cell_level(src, {k: [Tensor(v[0].data.copy())] for k, v in src.items() if v})
+    identical = loss_mmd(src, {k: [Tensor(v[0].data.copy())] for k, v in src.items()})
     assert identical.item() == 0.0
 
 
@@ -299,7 +279,5 @@ def test_total_loss_arithmetic_and_linearity():
 
 
 def test_breakdown_invariants():
-    bd = LossBreakdown(l_rpn=0.25, l_rpc=0.5, l_sup=0.75, l_uns=0.1,
-                       l_mmd_boundary=0.2, l_mmd_region=0.3, l_mmd=0.5, total=0.8525)
+    bd = LossBreakdown(l_rpn=0.25, l_rpc=0.5, l_sup=0.75, l_uns=0.1, l_mmd=0.5, total=0.8525)
     assert bd.l_sup == bd.l_rpn + bd.l_rpc
-    assert bd.l_mmd == bd.l_mmd_boundary + bd.l_mmd_region

@@ -7,7 +7,7 @@ import pytest
 from tablemt.corpus import Sentence, SynthConfig, SynthCorpus, synth_corpus, vocabulary
 from tablemt.detector import Mode, foreground_classes
 from tablemt.encoder import EncoderConfig
-from tablemt.model import clone_params, init_params
+from tablemt.model import NonFiniteScoreError, clone_params, init_params, predict
 from tablemt.trainer import (
     Adam,
     TrainConfig,
@@ -155,6 +155,20 @@ def test_pseudo_label_cells_rects_are_cells(tiny_data):
     labels = teacher_pseudo_label_cells(params, sent, cfg)
     for pl in labels:
         assert pl.a == pl.c and pl.b == pl.d
+
+
+@pytest.mark.parametrize("name", ["cls_w", "emb", "tab_w"])
+def test_non_finite_params_fail_loudly(tiny_data, name):
+    cfg = tiny_cfg(eta=0.2)
+    params = init_params(cfg.encoder, cfg.mode, np.random.default_rng(3))
+    params[name][...] = np.nan
+    sent = tiny_data.target_unlabeled[0].sentence
+    with pytest.raises(NonFiniteScoreError):
+        predict(sent, params, cfg.encoder, cfg.mode, 1.0)
+    with pytest.raises(NonFiniteScoreError):
+        teacher_pseudo_label(params, sent, cfg)
+    with pytest.raises(NonFiniteScoreError):
+        teacher_pseudo_label_cells(params, sent, cfg)
 
 
 def test_teacher_params_only_change_via_ema(tiny_data):
@@ -354,3 +368,72 @@ def test_mmd_gradient_scales_linearly_with_beta(tiny_data):
     g2 = grad_of(cfg2)
     sup = grad_of(tiny_cfg(eta=0.05, beta=1e-300, ablations=frozenset({"no_uns", "no_mmd"})))
     assert np.allclose(g2 - sup, 2.0 * (g1 - sup), rtol=1e-9, atol=1e-12)
+
+
+def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
+    """ctfmt scores each pseudo-labelled cell as a 1x1 region of the
+    student's forward pass; its loss and gradients equal those built from
+    the cells' ``cell_probs`` rows."""
+    import tablemt.autograd as ag
+    from tablemt.encoder import encode_sentence
+    from tablemt.losses import loss_uns
+    from tablemt.model import as_tensors, cell_probs
+
+    cfg = tiny_cfg(variant=Variant.CTFMT, eta=0.05, ablations=frozenset({"no_mmd"}))
+    teacher = init_params(cfg.encoder, cfg.mode, _stream(20, 0))
+    student = init_params(cfg.encoder, cfg.mode, _stream(20, 1))
+    tgt = [ls.sentence for ls in tiny_data.target_unlabeled[:2]]
+    pseudo = [teacher_pseudo_label_cells(teacher, s, cfg) for s in tgt]
+    assert all(pseudo)
+
+    new_t = as_tensors(student)
+    total, bd = compute_losses(new_t, [], cfg, tgt, pseudo)
+    total.backward()
+
+    old_t = as_tensors(student)
+    rows = []
+    for sent, labels in zip(tgt, pseudo):
+        probs, _ = cell_probs(encode_sentence(sent, old_t, cfg.encoder), old_t, cfg.mode)
+        rows.append(probs[np.array([p.a * sent.n + p.b for p in labels])])
+    teacher_rows = np.concatenate([np.stack([p.probs for p in labels]) for labels in pseudo])
+    old = loss_uns(ag.concat(rows, axis=0), teacher_rows)
+    old.backward()
+
+    assert bd.l_uns > 0
+    assert abs(bd.l_uns - old.item()) <= 1e-12
+    for name in ("emb", "cls_w"):
+        np.testing.assert_allclose(new_t[name].grad, old_t[name].grad, rtol=1e-10)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_ctfmt_gradient_of_assembled_step_matches_fd(tiny_data, mode):
+    """Micro-model gradient of the ctfmt loss: cell consistency through the
+    1x1 regions and MMD over the decoded cell groups, both active."""
+    from tablemt.model import as_tensors
+
+    cfg = tiny_cfg(variant=Variant.CTFMT, mode=mode, eta=0.05, beta=0.5, alpha=1.0)
+    teacher = init_params(cfg.encoder, cfg.mode, _stream(20, 0))
+    student = init_params(cfg.encoder, cfg.mode, _stream(20, 1))
+    src = tiny_data.source_train[:2]
+    tgt = [ls.sentence for ls in tiny_data.target_unlabeled[:2]]
+    pseudo = [teacher_pseudo_label_cells(teacher, s, cfg) for s in tgt]
+
+    def value(params):
+        total, _ = compute_losses(as_tensors(params), src, cfg, tgt, pseudo)
+        return total.item()
+
+    st = as_tensors(student)
+    total, bd = compute_losses(st, src, cfg, tgt, pseudo)
+    assert bd.l_uns > 0 and bd.l_mmd > 0
+    total.backward()
+    eps = 1e-5
+    for name in ("emb", "tab_w", "cls_w", "rpn_b_w", "conv1_w1"):
+        g = st[name].grad
+        idx = np.unravel_index(int(np.argmax(np.abs(g))), g.shape)
+        mod = clone_params(student)
+        mod[name][idx] += eps
+        fp = value(mod)
+        mod[name][idx] -= 2 * eps
+        fm = value(mod)
+        fd = (fp - fm) / (2 * eps)
+        assert abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1.0) < 1e-4, name
