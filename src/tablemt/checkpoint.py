@@ -94,8 +94,9 @@ def load_checkpoint(path) -> Checkpoint:
     """Inverse of ``save_checkpoint``; raises ``CheckpointError`` naming
     ``path`` for a file that is not exactly one complete checkpoint, whose
     header is malformed (not JSON, a missing field, a config value
-    ``TrainConfig`` rejects), whose tensor names or shapes differ from those
-    its config builds, or whose tensors hold a non-finite value."""
+    ``TrainConfig`` rejects or the model cannot be built from), whose tensor
+    names or shapes differ from those its config builds, or whose tensors
+    hold a non-finite value."""
     raw = Path(path).read_bytes()
     off = len(MAGIC) + 8
     if raw[: len(MAGIC)] != MAGIC or len(raw) < off:
@@ -110,6 +111,7 @@ def load_checkpoint(path) -> Checkpoint:
         config = _from_json(TrainConfig, header["config"])
         found = [(spec["name"], spec["shape"]) for spec in header["tensors"]]
         epoch, history = header["epoch"], header["history"]
+        expected = _manifest(config)
     except CheckpointError:
         raise
     except KeyError as exc:
@@ -117,7 +119,7 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from None
     off += hlen
-    for got, want in zip_longest(found, _manifest(config)):
+    for got, want in zip_longest(found, expected):
         if got != want:
             raise CheckpointError(f"{path}: file has tensor {got}, config builds {want}")
     student: dict = {}
@@ -133,10 +135,4 @@ def load_checkpoint(path) -> Checkpoint:
         (student if group == "student" else teacher)[key] = arr
     if off != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - off} bytes after the last tensor")
-    return Checkpoint(
-        config=config,
-        student=student,
-        teacher=teacher,
-        epoch=epoch,
-        history=history,
-    )
+    return Checkpoint(config, student, teacher, epoch, history)

@@ -235,27 +235,28 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    if ckpt.config.mode != Mode.ASTE:
+    try:
+        cfg = ckpt.config if args.eta is None else replace(ckpt.config, eta=args.eta)
+    except ValueError as exc:
+        raise UsageError(f"bad --eta: {exc}") from None
+    if cfg.mode != Mode.ASTE:
         raise UsageError("audit requires an ASTE checkpoint (taxonomy includes polarity)")
     records = load_dataset(args.data)
     if not any(ls.triplets for ls in records):
         raise UsageError(f"audit needs labeled target data: {args.data}")
-    eta = args.eta if args.eta is not None else ckpt.config.eta
-    if not 0.0 < eta <= 1.0:
-        raise UsageError(f"--eta must be in (0, 1], got {eta}")
     counts = {cat: 0 for cat in ErrorCategory}
     total_retained = 0
     for ls in records:
         # every retained label counts, under its most confident foreground
         # polarity, even where the overall argmax says INVALID
         pseudo = [
-            pseudo_triplet(pl, ckpt.config.mode)
-            for pl in teacher_pseudo_label(ckpt.teacher, ls.sentence, ckpt.config, eta=eta)
+            pseudo_triplet(pl, cfg.mode)
+            for pl in teacher_pseudo_label(ckpt.teacher, ls.sentence, cfg)
         ]
         total_retained += len(pseudo)
         for cat, k in audit_pseudo_labels(pseudo, list(ls.triplets)).items():
             counts[cat] += k
-    print(f"retained {total_retained} pseudo labels at eta={eta}")
+    print(f"retained {total_retained} pseudo labels at eta={cfg.eta}")
     rows = []
     for cat in ErrorCategory:
         frac = counts[cat] / total_retained if total_retained else 0.0

@@ -111,7 +111,7 @@ def predict(
 
 def cell_probs(tl: Tensor, params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor]:
     """Class probabilities for every cell treated as its own 1x1 region, as
-    the cell-level teacher scores them; rows follow row-major cell order."""
+    the cell-level variant scores them; rows follow row-major cell order."""
     n, _, d = tl.shape
     flat = tl.reshape(n * n, d)
     rois = ag.concat([flat, flat, flat], axis=1)

@@ -32,8 +32,8 @@ from .losses import (
     total_loss,
 )
 from .encoder import EncoderConfig, encode_sentence
-from .model import (as_tensors, cell_probs, check_finite_scores, clone_params, forward,
-                    init_params, predict)
+from .model import (SentenceForward, as_tensors, cell_probs, check_finite_scores, clone_params,
+                    forward, init_params, predict)
 from .tagging import (
     CELL_A,
     CELL_O,
@@ -78,8 +78,8 @@ class TrainConfig:
     def __post_init__(self):
         if not (0.0 < self.ema_lambda < 1.0):
             raise ValueError("ema_lambda must be in (0, 1)")
-        if not (0.0 < self.eta < 1.0):
-            raise ValueError("eta must be in (0, 1)")
+        if not (0.0 < self.eta <= 1.0):
+            raise ValueError("eta must be in (0, 1]")
         if not (0.0 < self.kappa <= 1.0):
             raise ValueError("kappa must be in (0, 1]")
         if not (0.0 <= self.aug_rate <= 1.0):
@@ -227,26 +227,53 @@ def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
     return uns_on, mmd_on
 
 
-def _mmd_groups(fwd, cfg: TrainConfig) -> dict:
-    """The MMD feature groups of the regions the pruner proposed, as (m, k)
-    tensors: the B-corner cells ``b``, the E-corner cells ``e`` and the RoI
-    vectors ``roi``; for ``ctfmt``, the table cells of each populated
-    ``CELL_*`` type of the decoded predictions instead."""
-    m = fwd.n_predicted
-    if m == 0:
-        return {}
-    if cfg.variant != Variant.CTFMT:
-        a, b, c, d = np.array([p.rect() for p in fwd.proposals[:m]]).T
-        return {"b": fwd.tl[(a, b)], "e": fwd.tl[(c, d)], "roi": fwd.rois[:m]}
-    triplets = decode_triplets(fwd.proposals[:m], fwd.probs.data[:m], cfg.mode)
-    if cfg.mode == Mode.ASTE:
-        by_type = cells_by_type(triplets)
-    else:  # diagonal aspect and opinion cells, in order of first appearance
-        by_type = {
-            CELL_A: list(dict.fromkeys((i, i) for asp, _ in triplets for i in asp.tokens())),
-            CELL_O: list(dict.fromkeys((j, j) for _, op in triplets for j in op.tokens())),
-        }
-    return {key: fwd.tl[tuple(np.array(cells).T)] for key, cells in by_type.items() if cells}
+def _student_forward(
+    sentence: Sentence, student_t: dict, cfg: TrainConfig, pseudo: list[PseudoLabel]
+) -> tuple[SentenceForward, Tensor | None]:
+    """The student's forward pass over a target sentence and its class
+    probabilities for the ``pseudo`` regions, one row each in order (None
+    without pseudo labels).  The region variants inject the rectangles into
+    the proposals and read their rows; ``ctfmt`` reads its cells' rows from
+    one ``cell_probs`` batch over all n^2 cells, as its teacher scores them,
+    so its graph does not grow with the number of retained cells."""
+    cells = cfg.variant == Variant.CTFMT
+    fwd = forward(sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa,
+                  extra_rects=None if cells else [p.rect() for p in pseudo])
+    if not pseudo:
+        return fwd, None
+    if cells:
+        probs, _ = cell_probs(fwd.tl, student_t, cfg.mode)
+        return fwd, probs[np.array([p.a * sentence.n + p.b for p in pseudo])]
+    index = {p.rect(): i for i, p in enumerate(fwd.proposals)}
+    return fwd, fwd.probs[np.array([index[p.rect()] for p in pseudo])]
+
+
+def _mmd_groups(fwds: list[SentenceForward], cfg: TrainConfig) -> dict:
+    """The MMD feature groups of the regions the pruner proposed, one (m, k)
+    tensor per sentence that has any: the B-corner cells ``b``, the E-corner
+    cells ``e`` and the RoI vectors ``roi``; for ``ctfmt``, the table cells of
+    each populated ``CELL_*`` type of the decoded predictions instead."""
+    groups: dict = {}
+    for fwd in fwds:
+        m = fwd.n_predicted
+        if m == 0:
+            continue
+        if cfg.variant != Variant.CTFMT:
+            a, b, c, d = np.array([p.rect() for p in fwd.proposals[:m]]).T
+            by_key = {"b": fwd.tl[(a, b)], "e": fwd.tl[(c, d)], "roi": fwd.rois[:m]}
+        else:
+            triplets = decode_triplets(fwd.proposals[:m], fwd.probs.data[:m], cfg.mode)
+            if cfg.mode == Mode.ASTE:
+                by_type = cells_by_type(triplets)
+            else:  # diagonal aspect and opinion cells, in order of first appearance
+                by_type = {
+                    CELL_A: list(dict.fromkeys((i, i) for asp, _ in triplets for i in asp.tokens())),
+                    CELL_O: list(dict.fromkeys((j, j) for _, op in triplets for j in op.tokens())),
+                }
+            by_key = {k: fwd.tl[tuple(np.array(cells).T)] for k, cells in by_type.items() if cells}
+        for key, feats in by_key.items():
+            groups.setdefault(key, []).append(feats)
+    return groups
 
 
 def compute_losses(
@@ -259,9 +286,8 @@ def compute_losses(
     """Assemble the step loss graph on the student.  Supervised terms come
     from ``src_batch``; the consistency and MMD terms come from the target
     sentences (already augmented) and the teacher's retained pseudo labels,
-    each scored by the student as a region of its forward pass.  Consistency
-    is on exactly when ``tgt_pseudo`` is given; MMD follows
-    ``_target_flags(cfg)``."""
+    which ``_student_forward`` scores on the student.  Consistency is on
+    exactly when ``tgt_pseudo`` is given; MMD follows ``_target_flags(cfg)``."""
     uns_on = tgt_pseudo is not None
     mmd_on = _target_flags(cfg)[1]
     rpn_terms, rpc_terms = [], []
@@ -282,46 +308,24 @@ def compute_losses(
     l_uns_t = Tensor(0.0)
     l_mmd_t = Tensor(0.0)
     if (uns_on or mmd_on) and tgt_sentences:
-        tgt_groups: dict = {}
+        tgt_fwds = []
         student_rows = []
         teacher_rows = []
         for si, sentence in enumerate(tgt_sentences):
             pseudo = tgt_pseudo[si] if uns_on else []
-            fwd = forward(
-                sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa,
-                extra_rects=[p.rect() for p in pseudo],
-            )
-            if pseudo:
-                index = {p.rect(): i for i, p in enumerate(fwd.proposals)}
-                rows = np.array([index[p.rect()] for p in pseudo])
-                student_rows.append(fwd.probs[rows])
+            fwd, rows = _student_forward(sentence, student_t, cfg, pseudo)
+            tgt_fwds.append(fwd)
+            if rows is not None:
+                student_rows.append(rows)
                 teacher_rows.append(np.stack([p.probs for p in pseudo]))
-            if mmd_on:
-                _extend_groups(tgt_groups, fwd, cfg)
         if mmd_on:
-            src_groups: dict = {}
-            for fwd in src_fwds:
-                _extend_groups(src_groups, fwd, cfg)
-            l_mmd_t = loss_mmd(src_groups, tgt_groups)
+            l_mmd_t = loss_mmd(_mmd_groups(src_fwds, cfg), _mmd_groups(tgt_fwds, cfg))
         if student_rows:
             l_uns_t = loss_uns(ag.concat(student_rows, axis=0), np.concatenate(teacher_rows, axis=0))
 
     total = total_loss(l_sup_t, l_uns_t, l_mmd_t, cfg.alpha, cfg.beta)
-    breakdown = LossBreakdown(
-        l_rpn=float(l_rpn_t.data),
-        l_rpc=float(l_rpc_t.data),
-        l_sup=float(l_sup_t.data),
-        l_uns=float(l_uns_t.data),
-        l_mmd=float(l_mmd_t.data),
-        total=float(total.data),
-    )
-    return total, breakdown
-
-
-def _extend_groups(groups: dict, fwd, cfg: TrainConfig) -> None:
-    """Append each MMD feature group of ``fwd`` to its per-sentence list."""
-    for key, feats in _mmd_groups(fwd, cfg).items():
-        groups.setdefault(key, []).append(feats)
+    terms = (l_rpn_t, l_rpc_t, l_sup_t, l_uns_t, l_mmd_t, total)
+    return total, LossBreakdown(*(float(t.data) for t in terms))
 
 
 def _mean(terms: list[Tensor]) -> Tensor:

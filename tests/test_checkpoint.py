@@ -188,7 +188,7 @@ def test_saving_non_finite_params_raises(tmp_path, bad):
 
 
 @pytest.mark.parametrize("defect", [
-    "not_json", "not_an_object", "encoder_d_3", "bogus_mode",
+    "not_json", "not_an_object", "encoder_d_3", "encoder_d_float", "bogus_mode",
     "no_version", "no_tensors", "no_epoch", "no_history",
 ])
 def test_malformed_header_fails_to_load(tmp_path, capsys, defect):
@@ -201,6 +201,8 @@ def test_malformed_header_fails_to_load(tmp_path, capsys, defect):
         del header[defect.removeprefix("no_")]
     elif defect == "encoder_d_3":
         header["config"]["encoder"]["d"] = 3
+    elif defect == "encoder_d_float":
+        header["config"]["encoder"]["d"] = 8.0
     elif defect == "bogus_mode":
         header["config"]["mode"] = "bogus"
     payload = {"not_json": b"{not json", "not_an_object": b"[1]"}.get(

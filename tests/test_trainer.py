@@ -371,13 +371,13 @@ def test_mmd_gradient_scales_linearly_with_beta(tiny_data):
 
 
 def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
-    """ctfmt scores each pseudo-labelled cell as a 1x1 region of the
-    student's forward pass; its loss and gradients equal those built from
-    the cells' ``cell_probs`` rows."""
+    """ctfmt's consistency loss and gradients equal those built from the
+    retained cells' ``cell_probs`` rows, and those rows are the cells' class
+    probabilities as 1x1 regions of the region path."""
     import tablemt.autograd as ag
     from tablemt.encoder import encode_sentence
     from tablemt.losses import loss_uns
-    from tablemt.model import as_tensors, cell_probs
+    from tablemt.model import as_tensors, cell_probs, forward
 
     cfg = tiny_cfg(variant=Variant.CTFMT, eta=0.05, ablations=frozenset({"no_mmd"}))
     teacher = init_params(cfg.encoder, cfg.mode, _stream(20, 0))
@@ -403,12 +403,18 @@ def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
     assert abs(bd.l_uns - old.item()) <= 1e-12
     for name in ("emb", "cls_w"):
         np.testing.assert_allclose(new_t[name].grad, old_t[name].grad, rtol=1e-10)
+    for sent, labels, cell_rows in zip(tgt, pseudo, rows):
+        fwd = forward(sent, old_t, cfg.encoder, cfg.mode, cfg.kappa,
+                      extra_rects=[p.rect() for p in labels])
+        index = {p.rect(): i for i, p in enumerate(fwd.proposals)}
+        region_rows = fwd.probs.data[[index[p.rect()] for p in labels]]
+        np.testing.assert_allclose(region_rows, cell_rows.data, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", list(Mode))
 def test_ctfmt_gradient_of_assembled_step_matches_fd(tiny_data, mode):
-    """Micro-model gradient of the ctfmt loss: cell consistency through the
-    1x1 regions and MMD over the decoded cell groups, both active."""
+    """Micro-model gradient of the ctfmt loss: cell consistency on the
+    ``cell_probs`` rows and MMD over the decoded cell groups, both active."""
     from tablemt.model import as_tensors
 
     cfg = tiny_cfg(variant=Variant.CTFMT, mode=mode, eta=0.05, beta=0.5, alpha=1.0)
