@@ -337,9 +337,26 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out_data, tuple(tensors), backward)
 
 
-def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-D tensors of equal length into a 2-D (m, d) tensor."""
-    return concat([t.reshape(1, -1) for t in tensors], axis=0)
+def rect_max(x: Tensor, rects: Sequence[tuple[int, int, int, int]]) -> Tensor:
+    """Elementwise max over inclusive windows of an (n, n, d) map.
+
+    Output row r equals ``x.data[a:c+1, b:d+1].max(axis=(0, 1))`` for
+    ``rects[r] = (a, b, c, d)``.  Ties split the gradient evenly, as
+    ``Tensor.max`` does, and every window's gradient goes into one buffer.
+    """
+    windows = [(slice(a, c + 1), slice(b, d + 1)) for a, b, c, d in rects]
+    out_data = np.stack([x.data[w].max(axis=(0, 1)) for w in windows])
+    if not _GRAD_ENABLED:
+        return Tensor(out_data)
+
+    def backward(g):
+        buf = np.zeros_like(x.data)
+        for w, top, gw in zip(windows, out_data, g):
+            ties = x.data[w] == top
+            buf[w] += ties * (gw / ties.sum(axis=(0, 1)))
+        x._accumulate(buf)
+
+    return Tensor(out_data, (x,), backward)
 
 
 def range_rowmax(h: Tensor, starts: np.ndarray, stops: np.ndarray) -> Tensor:

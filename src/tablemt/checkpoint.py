@@ -46,7 +46,7 @@ def _from_json(cls, tree: dict):
         kind, value = hints[f.name], tree[f.name]
         if is_dataclass(kind):
             value = _from_json(kind, value)
-        elif kind is frozenset or issubclass(kind, enum.Enum):
+        elif issubclass(kind, enum.Enum):
             value = kind(value)
         values[f.name] = value
     return cls(**values)

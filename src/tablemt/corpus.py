@@ -89,8 +89,8 @@ class ParseError(ValueError):
 def _indices_to_span(indices, line: str) -> Span:
     if not isinstance(indices, list) or not indices:
         raise ParseError("index list must be a non-empty list", line)
-    if not all(isinstance(i, int) for i in indices):
-        raise ParseError("index list must contain integers", line)
+    if not all(type(i) is int and i >= 0 for i in indices):  # bool is an int subclass
+        raise ParseError("index list must contain non-negative integers", line)
     for a, b in zip(indices, indices[1:]):
         if b != a + 1:
             raise ParseError(f"non-contiguous index list {indices}", line)
@@ -108,7 +108,7 @@ def parse_aste_line(line: str) -> LabeledSentence:
         raise ParseError("empty sentence", line)
     try:
         raw = ast.literal_eval(label.strip())
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, TypeError, SyntaxError, RecursionError) as exc:
         raise ParseError(f"unparseable triplet list ({exc})", line) from None
     if not isinstance(raw, list):
         raise ParseError("triplet list must be a list", line)

@@ -96,13 +96,11 @@ def propose_regions(
     return [RegionProposal(*r) for r in sorted(rects)]
 
 
-def roi_represent(tl: Tensor, prop: RegionProposal) -> Tensor:
-    """Fixed-length region vector: B-corner cell + E-corner cell + elementwise
-    max over every cell inside the rectangle; length 3d."""
-    t_ab = tl[prop.a, prop.b]
-    t_cd = tl[prop.c, prop.d]
-    pooled = tl[prop.a : prop.c + 1, prop.b : prop.d + 1].max(axis=(0, 1))
-    return ag.concat([t_ab, t_cd, pooled], axis=0)
+def roi_represent(tl: Tensor, rects: list[tuple[int, int, int, int]]) -> Tensor:
+    """Fixed-length region vectors, one (3d,) row per (a, b, c, d) rectangle:
+    B-corner cell + E-corner cell + elementwise max over every cell inside."""
+    a, b, c, d = np.array(rects).T
+    return ag.concat([tl[(a, b)], tl[(c, d)], ag.rect_max(tl, rects)], axis=1)
 
 
 def classify_regions(rois: Tensor, params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor]:

@@ -50,7 +50,6 @@ def check_finite_scores(*scores: np.ndarray) -> None:
 
 @dataclass
 class SentenceForward:
-    sentence: Sentence
     tl: Tensor  # (n, n, d) final feature map
     pb: Tensor  # (n, n)
     pe: Tensor
@@ -82,13 +81,11 @@ def forward(
                 have.add(rect)
                 proposals.append(RegionProposal(*rect))
     if proposals:
-        rois = ag.stack_rows([roi_represent(tl, p) for p in proposals])
+        rois = roi_represent(tl, [p.rect() for p in proposals])
         probs, logp = classify_regions(rois, params, mode)
     else:
         rois = probs = logp = None
-    return SentenceForward(
-        sentence, tl, scores.pb, scores.pe, proposals, n_predicted, rois, probs, logp
-    )
+    return SentenceForward(tl, scores.pb, scores.pe, proposals, n_predicted, rois, probs, logp)
 
 
 def predict(
@@ -108,11 +105,3 @@ def predict(
     check_finite_scores(fwd.probs.data)
     return decode_triplets(fwd.proposals, fwd.probs.data, mode)
 
-
-def cell_probs(tl: Tensor, params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor]:
-    """Class probabilities for every cell treated as its own 1x1 region, as
-    the cell-level variant scores them; rows follow row-major cell order."""
-    n, _, d = tl.shape
-    flat = tl.reshape(n * n, d)
-    rois = ag.concat([flat, flat, flat], axis=1)
-    return classify_regions(rois, params, mode)

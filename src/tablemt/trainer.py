@@ -20,7 +20,8 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import LabeledSentence, Polarity, Sentence, Span, SynthCorpus, Triplet, vocabulary
-from .detector import Mode, decode_triplets, foreground_classes, invalid_class
+from .detector import (Mode, classify_regions, decode_triplets, foreground_classes,
+                       invalid_class, roi_represent)
 from .evaluate import gold_items, sentence_prf
 from .losses import (
     LossBreakdown,
@@ -32,8 +33,8 @@ from .losses import (
     total_loss,
 )
 from .encoder import EncoderConfig, encode_sentence
-from .model import (SentenceForward, as_tensors, cell_probs, check_finite_scores, clone_params,
-                    forward, init_params, predict)
+from .model import (SentenceForward, as_tensors, check_finite_scores, clone_params, forward,
+                    init_params, predict)
 from .tagging import (
     CELL_A,
     CELL_O,
@@ -90,7 +91,8 @@ class TrainConfig:
             raise ValueError("lr must be finite and > 0")
         if self.batch < 1 or self.epochs < 0:
             raise ValueError("batch must be >= 1 and epochs >= 0")
-        unknown = set(self.ablations) - set(ABLATIONS)
+        object.__setattr__(self, "ablations", frozenset(self.ablations))
+        unknown = self.ablations - set(ABLATIONS)
         if unknown:
             raise ValueError(f"unknown ablations {sorted(unknown)}; valid: {ABLATIONS}")
 
@@ -194,29 +196,26 @@ def _confident(rects: list, probs: np.ndarray, mode: Mode, eta: float) -> list[P
     ]
 
 
-def teacher_pseudo_label(
-    teacher: dict, sentence: Sentence, cfg: TrainConfig, eta: float | None = None
-) -> list[PseudoLabel]:
+def teacher_pseudo_label(teacher: dict, sentence: Sentence, cfg: TrainConfig) -> list[PseudoLabel]:
     """Teacher forward pass, keeping proposals whose maximum foreground-class
-    probability reaches ``eta``."""
+    probability reaches ``cfg.eta``."""
     with ag.no_grad():
         fwd = forward(sentence, as_tensors(teacher), cfg.encoder, cfg.mode, cfg.kappa)
     if not fwd.proposals:
         return []
     rects = [p.rect() for p in fwd.proposals]
-    return _confident(rects, fwd.probs.data, cfg.mode, cfg.eta if eta is None else eta)
+    return _confident(rects, fwd.probs.data, cfg.mode, cfg.eta)
 
 
 def teacher_pseudo_label_cells(
     teacher: dict, sentence: Sentence, cfg: TrainConfig
 ) -> list[PseudoLabel]:
-    """Cell-level variant: every cell is its own 1x1 region."""
-    n = sentence.n
+    """Cell-level variant: every cell is its own 1x1 region, in row-major order."""
+    rects = [(i, j, i, j) for i in range(sentence.n) for j in range(sentence.n)]
     with ag.no_grad():
         teacher_t = as_tensors(teacher)
         tl = encode_sentence(sentence, teacher_t, cfg.encoder)
-        probs, _ = cell_probs(tl, teacher_t, cfg.mode)
-    rects = [(i, j, i, j) for i in range(n) for j in range(n)]
+        probs, _ = classify_regions(roi_represent(tl, rects), teacher_t, cfg.mode)
     return _confident(rects, probs.data, cfg.mode, cfg.eta)
 
 
@@ -225,27 +224,6 @@ def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
     uns_on = teaches and "no_uns" not in cfg.ablations and cfg.alpha > 0
     mmd_on = teaches and "no_mmd" not in cfg.ablations and cfg.beta > 0
     return uns_on, mmd_on
-
-
-def _student_forward(
-    sentence: Sentence, student_t: dict, cfg: TrainConfig, pseudo: list[PseudoLabel]
-) -> tuple[SentenceForward, Tensor | None]:
-    """The student's forward pass over a target sentence and its class
-    probabilities for the ``pseudo`` regions, one row each in order (None
-    without pseudo labels).  The region variants inject the rectangles into
-    the proposals and read their rows; ``ctfmt`` reads its cells' rows from
-    one ``cell_probs`` batch over all n^2 cells, as its teacher scores them,
-    so its graph does not grow with the number of retained cells."""
-    cells = cfg.variant == Variant.CTFMT
-    fwd = forward(sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa,
-                  extra_rects=None if cells else [p.rect() for p in pseudo])
-    if not pseudo:
-        return fwd, None
-    if cells:
-        probs, _ = cell_probs(fwd.tl, student_t, cfg.mode)
-        return fwd, probs[np.array([p.a * sentence.n + p.b for p in pseudo])]
-    index = {p.rect(): i for i, p in enumerate(fwd.proposals)}
-    return fwd, fwd.probs[np.array([index[p.rect()] for p in pseudo])]
 
 
 def _mmd_groups(fwds: list[SentenceForward], cfg: TrainConfig) -> dict:
@@ -286,8 +264,9 @@ def compute_losses(
     """Assemble the step loss graph on the student.  Supervised terms come
     from ``src_batch``; the consistency and MMD terms come from the target
     sentences (already augmented) and the teacher's retained pseudo labels,
-    which ``_student_forward`` scores on the student.  Consistency is on
-    exactly when ``tgt_pseudo`` is given; MMD follows ``_target_flags(cfg)``."""
+    whose rectangles (1x1 cells for ``ctfmt``) join the student's proposals
+    through ``forward(extra_rects=)``.  Consistency is on exactly when
+    ``tgt_pseudo`` is given; MMD follows ``_target_flags(cfg)``."""
     uns_on = tgt_pseudo is not None
     mmd_on = _target_flags(cfg)[1]
     rpn_terms, rpc_terms = [], []
@@ -310,18 +289,19 @@ def compute_losses(
     if (uns_on or mmd_on) and tgt_sentences:
         tgt_fwds = []
         student_rows = []
-        teacher_rows = []
         for si, sentence in enumerate(tgt_sentences):
             pseudo = tgt_pseudo[si] if uns_on else []
-            fwd, rows = _student_forward(sentence, student_t, cfg, pseudo)
+            fwd = forward(sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa,
+                          extra_rects=[p.rect() for p in pseudo])
             tgt_fwds.append(fwd)
-            if rows is not None:
-                student_rows.append(rows)
-                teacher_rows.append(np.stack([p.probs for p in pseudo]))
+            if pseudo:
+                index = {p.rect(): i for i, p in enumerate(fwd.proposals)}
+                student_rows.append(fwd.probs[np.array([index[p.rect()] for p in pseudo])])
         if mmd_on:
             l_mmd_t = loss_mmd(_mmd_groups(src_fwds, cfg), _mmd_groups(tgt_fwds, cfg))
         if student_rows:
-            l_uns_t = loss_uns(ag.concat(student_rows, axis=0), np.concatenate(teacher_rows, axis=0))
+            teacher_rows = np.stack([p.probs for pseudo in tgt_pseudo for p in pseudo])
+            l_uns_t = loss_uns(ag.concat(student_rows, axis=0), teacher_rows)
 
     total = total_loss(l_sup_t, l_uns_t, l_mmd_t, cfg.alpha, cfg.beta)
     terms = (l_rpn_t, l_rpc_t, l_sup_t, l_uns_t, l_mmd_t, total)

@@ -257,7 +257,7 @@ def test_criterion_6_pseudo_label_filter():
             params["cls_w"] *= 8.0
         states += 1
         for sent in sentences[: 2 + states % 3]:
-            labels = teacher_pseudo_label(params, sent, cfg, eta=eta)
+            labels = teacher_pseudo_label(params, sent, cfg)
             for pl in labels:
                 assert pl.confidence >= eta
                 assert float(pl.probs[fg].max()) >= eta

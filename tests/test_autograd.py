@@ -94,7 +94,18 @@ def test_reshape_concat_stack():
     fd_check(lambda x: x.reshape(6).tanh().sum(), [a])
     v1 = rng.normal(size=(4,))
     v2 = rng.normal(size=(4,))
-    fd_check(lambda x, y: ag.stack_rows([x, y]).tanh().sum(), [v1, v2])
+    fd_check(lambda x, y: ag.concat([x.reshape(1, -1), y.reshape(1, -1)]).tanh().sum(), [v1, v2])
+
+
+def test_rect_max_matches_slices_and_grads():
+    x = np.random.default_rng(7).normal(size=(4, 4, 3))
+    # channel 0 ties at (0, 0) and (0, 1), the first cells fd_check probes
+    x[0, 0, 0] = x[0, 1, 0] = x[..., 0].max() + 1.0
+    rects = [(0, 0, 3, 3), (0, 0, 1, 1), (0, 1, 2, 3), (2, 0, 2, 3), (3, 3, 3, 3), (0, 0, 1, 1)]
+    out = ag.rect_max(Tensor(x), rects)
+    expected = np.stack([x[a : c + 1, b : d + 1].max(axis=(0, 1)) for a, b, c, d in rects])
+    assert np.array_equal(out.data, expected)
+    fd_check(lambda t: ag.rect_max(t, rects).tanh().sum(), [x])
 
 
 def test_range_rowmax_matches_loop_and_grads():

@@ -72,6 +72,19 @@ def test_config_enums_and_ablations_survive(tmp_path):
     assert loaded.config.encoder == ckpt.config.encoder
 
 
+@pytest.mark.parametrize("ablations", [{"no_uns", "no_aug"}, ["no_aug", "no_uns"], ("no_uns", "no_aug")],
+                         ids=["set", "list", "tuple"])
+def test_ablations_of_any_collection_are_a_frozenset(tmp_path, ablations):
+    cfg = TrainConfig(ablations=ablations)
+    assert cfg.ablations == frozenset({"no_uns", "no_aug"})
+    assert isinstance(cfg.ablations, frozenset)
+    assert hash(cfg) == hash(TrainConfig(ablations=frozenset({"no_aug", "no_uns"})))
+    params = init_params(cfg.encoder, cfg.mode, np.random.default_rng(0))
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, Checkpoint(cfg, params, params, 0, []))
+    assert load_checkpoint(path).config == cfg
+
+
 def _split(path):
     raw = path.read_bytes()
     (hlen,) = struct.unpack("<Q", raw[len(MAGIC) : len(MAGIC) + 8])

@@ -53,6 +53,12 @@ def test_serialize_known_form():
         "a b####[([0], [1], 'POS')",  # unbalanced
         "####[]",  # empty sentence
         "a b####[([], [1], 'POS')]",  # empty index list
+        "a b####[([-1], [1], 'POS')]",  # negative index
+        "a b####[([0], [-2, -1], 'POS')]",
+        "a b####[([True], [1], 'POS')]",  # bool is not an index
+        "a b####[([0], [False, True], 'NEG')]",
+        "a b####{[1]: 2}",  # literal_eval raises TypeError
+        pytest.param("a b####" + "-" * 5000 + "1", id="deep_negation"),  # RecursionError
     ],
 )
 def test_parse_errors(line):
@@ -106,10 +112,11 @@ def test_load_dataset_empty_file(tmp_path):
 
 def test_load_dataset_reports_line_number(tmp_path):
     path = tmp_path / "data.txt"
-    path.write_text("a b####[]\nbroken line\n", encoding="utf-8")
-    with pytest.raises(ParseError) as err:
-        load_dataset(path)
-    assert err.value.line_no == 2
+    for bad in ("broken line", "a b####[([-1], [1], 'POS')]"):
+        path.write_text(f"a b####[]\n{bad}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_dataset(path)
+        assert err.value.line_no == 2
 
 
 def test_sentence_rejects_whitespace_tokens():

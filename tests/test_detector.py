@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from tablemt.autograd import Tensor
+from tablemt.autograd import Tensor, concat
 from tablemt.corpus import Polarity, Span, Triplet
 from tablemt.detector import (
     AOPE_INVALID,
@@ -147,26 +147,49 @@ def test_propose_regions_matches_bruteforce_on_random_sets():
 
 def test_roi_single_cell_triples_the_cell():
     tl = Tensor(np.random.default_rng(0).normal(size=(3, 3, D)))
-    r = roi_represent(tl, RegionProposal(1, 2, 1, 2))
-    assert r.shape == (3 * D,)
+    r = roi_represent(tl, [(1, 2, 1, 2)])
+    assert r.shape == (1, 3 * D)
     cell = tl.data[1, 2]
-    assert np.allclose(r.data, np.concatenate([cell, cell, cell]))
+    assert np.array_equal(r.data[0], np.concatenate([cell, cell, cell]))
 
 
 def test_roi_pool_matches_loop_oracle():
+    """One batched call equals, row for row and bit for bit, the corner cells
+    and the per-rectangle slice max of each rectangle on its own."""
     rng = np.random.default_rng(9)
     for _ in range(50):
         n = int(rng.integers(2, 7))
         tl_data = rng.normal(size=(n, n, D))
-        a, c = sorted(rng.integers(0, n, size=2))
-        b, d = sorted(rng.integers(0, n, size=2))
-        r = roi_represent(Tensor(tl_data), RegionProposal(int(a), int(b), int(c), int(d)))
-        direct = np.array(
-            [tl_data[a : c + 1, b : d + 1, k].max() for k in range(D)]
-        )
-        assert np.allclose(r.data[2 * D :], direct)
-        assert np.allclose(r.data[:D], tl_data[a, b])
-        assert np.allclose(r.data[D : 2 * D], tl_data[c, d])
+        tl_data[rng.random((n, n, D)) < 0.3] = 0.5  # ties inside windows
+        rects = []
+        for _ in range(int(rng.integers(1, 8))):
+            a, c = sorted(int(v) for v in rng.integers(0, n, size=2))
+            b, d = sorted(int(v) for v in rng.integers(0, n, size=2))
+            rects.append((a, b, c, d))
+        r = roi_represent(Tensor(tl_data), rects)
+        oracle = np.stack([
+            np.concatenate([tl_data[a, b], tl_data[c, d],
+                            [tl_data[a : c + 1, b : d + 1, k].max() for k in range(D)]])
+            for a, b, c, d in rects
+        ])
+        assert np.array_equal(r.data, oracle)
+
+
+def test_roi_pool_gradient_matches_per_rect_graph():
+    rng = np.random.default_rng(4)
+    tl_data = rng.normal(size=(5, 5, D))
+    tl_data[1:3, 1:4, 0] = 2.0  # a tied window
+    rects = [(1, 1, 2, 3), (0, 0, 4, 4), (3, 2, 3, 2), (1, 1, 2, 3)]
+    batched, per_rect = Tensor(tl_data), Tensor(tl_data)
+    weights = rng.normal(size=(len(rects), 3 * D))
+    (roi_represent(batched, rects) * weights).sum().backward()
+    total = Tensor(0.0)
+    for (a, b, c, d), w in zip(rects, weights):
+        row = concat([per_rect[a, b], per_rect[c, d],
+                      per_rect[a : c + 1, b : d + 1].max(axis=(0, 1))], axis=0)
+        total = total + (row * w).sum()
+    total.backward()
+    np.testing.assert_allclose(batched.grad, per_rect.grad, rtol=1e-13, atol=1e-15)
 
 
 def test_classify_zero_weights_uniform():
