@@ -126,13 +126,21 @@ def _guard_overwrite(path: Path, force: bool) -> None:
         raise UsageError(f"refusing to overwrite {path}; pass --force")
 
 
+def _values(text: str | None, parse, flag: str) -> list:
+    """The comma-separated values of ``flag``, none of them repeated."""
+    try:
+        values = [parse(x) for x in (text or "").split(",") if x]
+    except ValueError as exc:
+        raise UsageError(f"bad {flag}: {exc}") from None
+    if len(set(values)) < len(values):
+        raise UsageError(f"{flag} repeats a value: {text}")
+    return values
+
+
 def _parse_seeds(args) -> list[int]:
     if args.seeds is None:
         return [args.seed if args.seed is not None else 0]
-    try:
-        seeds = [int(s) for s in args.seeds.split(",") if s]
-    except ValueError as exc:
-        raise UsageError(f"bad --seeds: {exc}") from None
+    seeds = _values(args.seeds, int, "--seeds")
     if not seeds:
         raise UsageError("--seeds lists no seed")
     return seeds
@@ -141,18 +149,41 @@ def _parse_seeds(args) -> list[int]:
 SUMMARY_STATS = ("mean_dev_f1", "std_dev_f1", "mean_test_f1", "std_test_f1")
 
 
+def _seed_files(out: Path, tag: str, seed: int) -> tuple[Path, Path]:
+    """The metrics CSV and the checkpoint of one seed's fit."""
+    return out / f"metrics_{tag}_seed{seed}.csv", out / f"checkpoint_{tag}_seed{seed}.bin"
+
+
+def _replace(cfg: TrainConfig, **changes) -> TrainConfig:
+    try:
+        return replace(cfg, **changes)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _check_runs(out: Path, table: str, runs: list[tuple[TrainConfig, str]], seeds: list[int],
+                force: bool, write_ckpt: bool) -> None:
+    """Build every seed's config of every ``(cfg, tag)`` run and refuse to
+    overwrite any file the command writes, all before the first fit."""
+    for cfg, tag in runs:
+        for seed in seeds:
+            _replace(cfg, seed=seed)
+            for path in _seed_files(out, tag, seed)[: 1 + write_ckpt]:
+                _guard_overwrite(path, force)
+    _guard_overwrite(out / table, force)
+
+
 def _run_seeds(data: SynthCorpus, cfg: TrainConfig, seeds: list[int], out: Path, tag: str,
-               force: bool = False, write_ckpt: bool = True) -> tuple[list[dict], list[float]]:
+               write_ckpt: bool = True) -> tuple[list[dict], list[float]]:
     """Train ``cfg`` once per seed and write per-seed metric CSVs; returns
     the per-seed finals and the ``SUMMARY_STATS`` values, in that order."""
     finals = []
     for seed in seeds:
-        mpath = out / f"metrics_{tag}_seed{seed}.csv"
-        _guard_overwrite(mpath, force)
+        mpath, cpath = _seed_files(out, tag, seed)
         ckpt, rows = fit(data, replace(cfg, seed=seed))
         _write_csv(mpath, HISTORY_COLUMNS, [[_fmt(r[k]) for k in HISTORY_COLUMNS] for r in rows])
         if write_ckpt:
-            save_checkpoint(out / f"checkpoint_{tag}_seed{seed}.bin", ckpt)
+            save_checkpoint(cpath, ckpt)
         finals.append({
             "seed": seed, "best_epoch": ckpt.epoch,
             "best_dev_f1": max((r["dev_f1"] for r in rows), default=0.0),
@@ -201,11 +232,10 @@ def cmd_train(args) -> int:
     cfg = _train_config(args, seeds[0])
     variant = cfg.variant.value
     out = Path(args.out)
+    _check_runs(out, "summary.csv", [(cfg, variant)], seeds, args.force, write_ckpt=True)
     out.mkdir(parents=True, exist_ok=True)
-    spath = out / "summary.csv"
-    _guard_overwrite(spath, args.force)
-    finals, stats = _run_seeds(data, cfg, seeds, out, variant, force=args.force)
-    _write_csv(spath, ["variant", "seeds", *SUMMARY_STATS],
+    finals, stats = _run_seeds(data, cfg, seeds, out, variant)
+    _write_csv(out / "summary.csv", ["variant", "seeds", *SUMMARY_STATS],
                [[variant, ";".join(str(s) for s in seeds), *map(_fmt, stats)]])
     for f in finals:
         print(f"seed {f['seed']}: best epoch {f['best_epoch']}, "
@@ -288,40 +318,30 @@ ABLATION_ROWS = [
 ]
 
 
-def _grid(text: str | None, flag: str) -> list[float]:
-    try:
-        return [float(x) for x in (text or "").split(",") if x]
-    except ValueError as exc:
-        raise UsageError(f"bad {flag}: {exc}") from None
-
-
 def cmd_ablate(args) -> int:
     data = _load_bundle(args.data)
     seeds = _parse_seeds(args)
     rows = [(label, {"ablations": abl}, f"ablate_{label.replace('+', '_')}")
             for label, abl in ABLATION_ROWS]
     rows += [(f"alpha={a}", {"alpha": a}, f"alpha{a}")
-             for a in _grid(args.alpha_grid, "--alpha-grid")]
+             for a in _values(args.alpha_grid, float, "--alpha-grid")]
     rows += [(f"beta={b}", {"beta": b}, f"beta{b}")
-             for b in _grid(args.beta_grid, "--beta-grid")]
+             for b in _values(args.beta_grid, float, "--beta-grid")]
     base = _train_config(args, seeds[0])
-    try:  # check every row's config before the first fit
-        configs = [replace(base, **overrides) for _, overrides, _ in rows]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    configs = [_replace(base, **overrides) for _, overrides, _ in rows]
     out = Path(args.out)
+    _check_runs(out, "ablation.csv", [(cfg, tag) for (_, _, tag), cfg in zip(rows, configs)],
+                seeds, args.force, write_ckpt=False)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "ablation.csv"
-    _guard_overwrite(path, args.force)
     rows_out = []
     for (label, _, tag), cfg in zip(rows, configs):
-        _, stats = _run_seeds(data, cfg, seeds, out, tag, force=args.force, write_ckpt=False)
+        _, stats = _run_seeds(data, cfg, seeds, out, tag, write_ckpt=False)
         rows_out.append([
             label, _fmt(cfg.alpha), _fmt(cfg.beta),
             "+".join(sorted(cfg.ablations)) or "none", str(len(seeds)), *map(_fmt, stats),
         ])
         print(f"{label:16s} {_mean_test_f1(stats)}")
-    _guard_overwrite(path, args.force)
+    path = out / "ablation.csv"
     _write_csv(path, ["row", "alpha", "beta", "ablations", "n_seeds", *SUMMARY_STATS], rows_out)
     print(f"wrote {path}")
     return EXIT_OK

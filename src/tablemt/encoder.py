@@ -108,7 +108,7 @@ def build_table(h: Tensor, params: dict[str, Tensor]) -> Tensor:
     hi = h[ii]
     hj = h[jj]
     pooled = ag.range_rowmax(h, np.minimum(ii, jj), np.maximum(ii, jj) + 1)
-    bilinear = ((h @ params["V"]) @ h.T)[(ii, jj)].reshape(n * n, 1)
+    bilinear = ((h @ params["V"]) @ h.T).reshape(n * n, 1)
     x = ag.concat([hi, hj, pooled, bilinear], axis=1)
     return ((x @ params["tab_w"]) + params["tab_b"]).tanh().reshape(n, n, d)
 

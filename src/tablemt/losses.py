@@ -81,41 +81,19 @@ def loss_uns(student_probs: Tensor | None, teacher_probs: np.ndarray) -> Tensor:
 
 
 def _as_matrix(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x if x.ndim == 2 else x.reshape(1, -1)
-    if isinstance(x, (list, tuple)):
-        if len(x) == 0:
-            return Tensor(np.zeros((0, 1)))
-        if isinstance(x[0], Tensor):
-            return ag.concat(
-                [t if t.ndim == 2 else t.reshape(1, -1) for t in x], axis=0
-            )
-        return Tensor(np.atleast_2d(np.asarray(x, dtype=float)))
-    arr = np.asarray(x, dtype=float)
-    return Tensor(np.atleast_2d(arr))
+    """An (m, k) Tensor or array, or a list of (m_i, k) Tensors stacked."""
+    if isinstance(x, list):
+        return ag.concat(x, axis=0) if x else Tensor(np.zeros((0, 1)))
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _pairwise_sq_dists(x: Tensor, y: Tensor) -> Tensor:
-    m, k = x.shape[0], y.shape[0]
-    xi = x[np.repeat(np.arange(m), k)]
-    yj = y[np.tile(np.arange(k), m)]
-    diff = xi - yj
-    return (diff * diff).sum(axis=1)
-
-
-def _median_bandwidth(z: Tensor) -> Tensor:
-    n = z.shape[0]
-    if n < 2:
-        return Tensor(_FALLBACK_BANDWIDTH)
-    iu, ju = np.triu_indices(n, k=1)
-    diff = z[iu] - z[ju]
-    dists = (diff * diff).sum(axis=1).sqrt()
+def _median_bandwidth(d2: Tensor) -> Tensor:
+    """Median distance over the pairs i < j of a (p, p) squared-distance
+    matrix, p >= 2: the mean of the two middle ones for an even count."""
+    dists = d2[np.triu_indices(d2.shape[0], k=1)].sqrt()
+    q = dists.shape[0]
     order = np.argsort(dists.data, kind="stable")
-    p = order.shape[0]
-    if p % 2 == 1:
-        med = dists[order[p // 2]]
-    else:
-        med = (dists[order[p // 2 - 1]] + dists[order[p // 2]]) * 0.5
+    med = dists[order[(q - 1) // 2 : q // 2 + 1]].mean()
     if float(med.data) <= 0.0:
         return Tensor(_FALLBACK_BANDWIDTH)
     return med
@@ -124,19 +102,20 @@ def _median_bandwidth(z: Tensor) -> Tensor:
 def mmd(x, y) -> Tensor:
     """Biased-estimator (V-statistic) squared MMD with a Gaussian kernel:
     mean k(x,x') + mean k(y,y') - 2 mean k(x,y), clamped at zero.  The
-    bandwidth is the median pairwise distance over the pooled samples."""
+    bandwidth is the median pairwise distance over the pooled samples; it
+    and the kernel read one pooled squared-distance matrix."""
     xm = _as_matrix(x)
     ym = _as_matrix(y)
-    if xm.shape[0] == 0 or ym.shape[0] == 0:
+    m, k = xm.shape[0], ym.shape[0]
+    if m == 0 or k == 0:
         return Tensor(0.0)
-    sigma = _median_bandwidth(ag.concat([xm, ym], axis=0))
-    inv_two_sigma_sq = (sigma**-2.0) * 0.5
-
-    def kernel_mean(a: Tensor, b: Tensor) -> Tensor:
-        d2 = _pairwise_sq_dists(a, b)
-        return (d2 * -1.0 * inv_two_sigma_sq).exp().mean()
-
-    raw = kernel_mean(xm, xm) + kernel_mean(ym, ym) - 2.0 * kernel_mean(xm, ym)
+    z = ag.concat([xm, ym], axis=0)
+    p, dim = z.shape
+    diff = z.reshape(p, 1, dim) - z.reshape(1, p, dim)
+    d2 = (diff * diff).sum(axis=2)
+    inv_two_sigma_sq = (_median_bandwidth(d2) ** -2.0) * 0.5
+    kern = (d2 * -1.0 * inv_two_sigma_sq).exp()
+    raw = kern[:m, :m].mean() + kern[m:, m:].mean() - 2.0 * kern[:m, m:].mean()
     return raw.clamp_min(0.0)
 
 

@@ -89,8 +89,8 @@ class TrainConfig:
             raise ValueError("alpha and beta must be finite and >= 0")
         if not (0.0 < self.lr < np.inf):
             raise ValueError("lr must be finite and > 0")
-        if self.batch < 1 or self.epochs < 0:
-            raise ValueError("batch must be >= 1 and epochs >= 0")
+        if self.batch < 1 or self.epochs < 0 or self.seed < 0:
+            raise ValueError("batch must be >= 1, epochs >= 0 and seed >= 0")
         object.__setattr__(self, "ablations", frozenset(self.ablations))
         unknown = self.ablations - set(ABLATIONS)
         if unknown:

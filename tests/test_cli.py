@@ -317,6 +317,54 @@ def test_ablate_checks_grids_before_training(tmp_path, corpus_dir, grid):
     assert not list(out.glob("metrics_*.csv"))
 
 
+@pytest.fixture
+def fits(monkeypatch) -> list:
+    """The seeds of the fits a run starts; each fit fails at once, so a run
+    that reaches one exits 2 and writes nothing."""
+    seeds = []
+
+    def fit(data, cfg):
+        seeds.append(cfg.seed)
+        raise RuntimeError("fit reached")
+
+    monkeypatch.setattr(cli, "fit", fit)
+    return seeds
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--seed", "-1"]), ("ablate", ["--seed", "-1"]),
+    ("train", ["--seeds", "1,2,1"]), ("ablate", ["--seeds", "1,2,1"]),
+    ("train", ["--seeds", "1,-1"]), ("ablate", ["--seeds", "1,-1"]),
+    ("ablate", ["--seeds", "1", "--beta-grid", "0.5,0.50"]),
+], ids=["train-negative", "ablate-negative", "train-repeated", "ablate-repeated",
+        "train-later-negative", "ablate-later-negative", "ablate-repeated-grid"])
+def test_bad_seed_or_grid_value_stops_before_any_fit(tmp_path, corpus_dir, fits, command,
+                                                     flags):
+    out = tmp_path / "o"
+    assert main([command, "--data", str(corpus_dir), "--out", str(out)] + flags
+                + TINY_TRAIN) == EXIT_USAGE
+    assert fits == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command,existing", [
+    ("train", "metrics_tfmt_seed2.csv"),
+    ("train", "checkpoint_tfmt_seed2.bin"),
+    ("train", "summary.csv"),
+    ("ablate", "metrics_ablate_no_mmd_seed2.csv"),
+    ("ablate", "ablation.csv"),
+])
+def test_every_output_is_checked_before_the_first_fit(tmp_path, corpus_dir, fits, command,
+                                                      existing):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / existing).write_bytes(b"kept")
+    argv = [command, "--data", str(corpus_dir), "--out", str(out), "--seeds", "1,2"] + TINY_TRAIN
+    assert main(argv) == EXIT_USAGE
+    assert fits == [] and dir_bytes(out) == {existing: b"kept"}
+    assert main(argv + ["--force"]) == EXIT_RUNTIME  # --force lets the first fit start
+    assert fits == [1]
+
+
 def test_audit_counts_invalid_argmax_under_best_foreground(tmp_path, trained_dir, monkeypatch):
     """A label retained by foreground confidence whose overall argmax is
     INVALID still counts, under its most probable foreground polarity."""

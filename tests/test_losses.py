@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tablemt import autograd as ag
 from tablemt.autograd import Tensor
 from tablemt.corpus import Polarity, Sentence
 from tablemt.detector import Mode, RegionProposal
@@ -231,6 +232,72 @@ def test_mmd_gradient_matches_fd_through_median():
         m = x0.copy(); m[idx] -= eps
         fd = (value(p) - value(m)) / (2 * eps)
         assert xt.grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
+
+
+def _three_pass_mmd(x, y):
+    """The formula ``mmd`` had before it read one pooled distance matrix:
+    the bandwidth from its own upper-triangle gather, then one repeat/tile
+    gather per kernel block (xx, yy, xy)."""
+    xm, ym = (ag.concat(v, axis=0) if isinstance(v, list) else v for v in (x, y))
+    z = ag.concat([xm, ym], axis=0)
+    iu, ju = np.triu_indices(z.shape[0], k=1)
+    diff = z[iu] - z[ju]
+    dists = (diff * diff).sum(axis=1).sqrt()
+    order = np.argsort(dists.data, kind="stable")
+    q = order.shape[0]
+    if q % 2 == 1:
+        sigma = dists[order[q // 2]]
+    else:
+        sigma = (dists[order[q // 2 - 1]] + dists[order[q // 2]]) * 0.5
+    if float(sigma.data) <= 0.0:
+        sigma = Tensor(1.0)
+    inv_two_sigma_sq = (sigma**-2.0) * 0.5
+
+    def kernel_mean(a, b):
+        m, k = a.shape[0], b.shape[0]
+        d = a[np.repeat(np.arange(m), k)] - b[np.tile(np.arange(k), m)]
+        return ((d * d).sum(axis=1) * -1.0 * inv_two_sigma_sq).exp().mean()
+
+    raw = kernel_mean(xm, xm) + kernel_mean(ym, ym) - 2.0 * kernel_mean(xm, ym)
+    return raw.clamp_min(0.0)
+
+
+def _mmd_cases():
+    """(name, x blocks, y blocks, as_list): more than one block, or
+    ``as_list``, passes a list of per-sentence tensors."""
+    rng = np.random.default_rng(12)
+    # pooled sizes 2..9 give pair counts 1, 3, 6, 10, 15, 21, 28, 36
+    for m, k in [(1, 1), (1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 4), (5, 4)]:
+        yield f"{m}x{k}", [rng.normal(size=(m, 3))], [rng.normal(size=(k, 3))], False
+    for i in range(40):
+        dim = int(rng.integers(1, 17))
+        x = [rng.normal(size=(int(rng.integers(1, 9)), dim))]
+        yield f"random{i}", x, [rng.normal(size=(int(rng.integers(1, 9)), dim))], False
+    base = rng.integers(-2, 3, size=(3, 4)).astype(float)
+    yield "duplicated rows", [base[[0, 0, 1, 2]]], [base[[1, 2, 2]]], False
+    yield "integer grid ties", [rng.integers(0, 2, size=(4, 2)).astype(float)], \
+        [rng.integers(0, 2, size=(5, 2)).astype(float)], False
+    yield "all rows equal", [np.full((3, 2), 0.5)], [np.full((2, 2), 0.5)], False
+    yield "one sentence each", [rng.normal(size=(2, 5))], [rng.normal(size=(3, 5))], True
+    yield "per-sentence lists", [rng.normal(size=(s, 5)) for s in (2, 1, 3)], \
+        [rng.normal(size=(s, 5)) for s in (1, 4)], True
+
+
+@pytest.mark.parametrize("name,xs,ys,as_list", list(_mmd_cases()),
+                         ids=[c[0] for c in _mmd_cases()])
+def test_mmd_equals_three_pass_reference(name, xs, ys, as_list):
+    def run(f):
+        leaves = [Tensor(a.copy()) for a in xs + ys]
+        x, y = leaves[: len(xs)], leaves[len(xs):]
+        out = f(x, y) if as_list else f(x[0], y[0])
+        out.backward()
+        return out.data, [t.grad for t in leaves]
+
+    got, got_grads = run(mmd)
+    want, want_grads = run(_three_pass_mmd)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_grads, want_grads):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
 
 
 def test_loss_mmd_region_level_identical_and_empty():

@@ -59,6 +59,8 @@ def test_config_validation():
             tiny_cfg(lr=bad)
     with pytest.raises(ValueError):
         tiny_cfg(ablations=frozenset({"bogus"}))
+    with pytest.raises(ValueError, match="seed"):
+        tiny_cfg(seed=-1)
 
 
 def test_ema_scalar_example():
