@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import trainer
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import SynthConfig, SynthCorpus, load_dataset, synth_corpus, write_corpus
 from .detector import Mode
@@ -140,6 +141,8 @@ def _values(text: str | None, parse, flag: str) -> list:
 def _parse_seeds(args) -> list[int]:
     if args.seeds is None:
         return [args.seed if args.seed is not None else 0]
+    if args.seed is not None:
+        raise UsageError("give --seed or --seeds, not both")
     seeds = _values(args.seeds, int, "--seeds")
     if not seeds:
         raise UsageError("--seeds lists no seed")
@@ -174,13 +177,16 @@ def _check_runs(out: Path, table: str, runs: list[tuple[TrainConfig, str]], seed
 
 
 def _run_seeds(data: SynthCorpus, cfg: TrainConfig, seeds: list[int], out: Path, tag: str,
-               write_ckpt: bool = True) -> tuple[list[dict], list[float]]:
-    """Train ``cfg`` once per seed and write per-seed metric CSVs; returns
-    the per-seed finals and the ``SUMMARY_STATS`` values, in that order."""
+               write_ckpt: bool = True, teachers: dict | None = None
+               ) -> tuple[list[dict], list[float]]:
+    """Train ``cfg`` once per seed, starting from ``teachers[seed]`` if
+    given, and write per-seed metric CSVs; returns the per-seed finals and
+    the ``SUMMARY_STATS`` values, in that order."""
     finals = []
     for seed in seeds:
         mpath, cpath = _seed_files(out, tag, seed)
-        ckpt, rows = fit(data, replace(cfg, seed=seed))
+        ckpt, rows = fit(data, replace(cfg, seed=seed),
+                         teacher=teachers[seed] if teachers else None)
         _write_csv(mpath, HISTORY_COLUMNS, [[_fmt(r[k]) for k in HISTORY_COLUMNS] for r in rows])
         if write_ckpt:
             save_checkpoint(cpath, ckpt)
@@ -333,9 +339,17 @@ def cmd_ablate(args) -> int:
     _check_runs(out, "ablation.csv", [(cfg, tag) for (_, _, tag), cfg in zip(rows, configs)],
                 seeds, args.force, write_ckpt=False)
     out.mkdir(parents=True, exist_ok=True)
+    # The rows override only alpha, beta and ablations, which the source-only
+    # teacher pretraining never reads, so each seed's rows share one teacher.
+    # trainer.pretrain_teacher is looked up at call time, where tracing and
+    # test patches of the trainer module see it.
+    teachers = {}
+    if base.variant.teaches:
+        teachers = {s: trainer.pretrain_teacher(data.source_train, replace(base, seed=s))
+                    for s in seeds}
     rows_out = []
     for (label, _, tag), cfg in zip(rows, configs):
-        _, stats = _run_seeds(data, cfg, seeds, out, tag, write_ckpt=False)
+        _, stats = _run_seeds(data, cfg, seeds, out, tag, write_ckpt=False, teachers=teachers)
         rows_out.append([
             label, _fmt(cfg.alpha), _fmt(cfg.beta),
             "+".join(sorted(cfg.ablations)) or "none", str(len(seeds)), *map(_fmt, stats),

@@ -54,6 +54,11 @@ class Variant(enum.Enum):
     SELF_TRAIN = "self_train"
     SOURCE_ONLY = "source_only"
 
+    @property
+    def teaches(self) -> bool:
+        """Whether the student learns from a pretrained mean teacher."""
+        return self in (Variant.TFMT, Variant.CTFMT)
+
 
 class TrainingDivergence(RuntimeError):
     pass
@@ -220,7 +225,7 @@ def teacher_pseudo_label_cells(
 
 
 def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
-    teaches = cfg.variant in (Variant.TFMT, Variant.CTFMT)
+    teaches = cfg.variant.teaches
     uns_on = teaches and "no_uns" not in cfg.ablations and cfg.alpha > 0
     mmd_on = teaches and "no_mmd" not in cfg.ablations and cfg.beta > 0
     return uns_on, mmd_on
@@ -446,11 +451,21 @@ def _snapshot(student: dict, teacher: dict | None) -> tuple[dict, dict]:
     return clone_params(student), clone_params(teacher if teacher is not None else student)
 
 
-def fit(data: SynthCorpus, cfg: TrainConfig) -> tuple[Checkpoint, list[dict]]:
+def fit(
+    data: SynthCorpus, cfg: TrainConfig, teacher: dict | None = None
+) -> tuple[Checkpoint, list[dict]]:
     """Train per the configured variant; returns the dev-selected checkpoint
     and one ``HISTORY_COLUMNS`` row per epoch.  The mean-teacher variants
     pretrain a teacher; ``self_train`` instead warms the student up on source
-    and adds its own confident target predictions to every epoch's pool."""
+    and adds its own confident target predictions to every epoch's pool.
+
+    A mean-teacher fit given ``teacher`` starts from a copy of it instead of
+    pretraining; the dict passed in is left untouched.  It must be
+    ``pretrain_teacher(data.source_train, cfg)`` for this fit's seed,
+    encoder, mode, kappa, lr, batch and epochs, the only fields pretraining
+    reads, so that configs differing in alpha, beta, eta, aug_rate,
+    ema_lambda or ablations can share one.  The teacherless variants raise
+    ``ValueError`` when given one."""
     if not data.source_train or not data.source_dev:
         raise ValueError("source train/dev sets must be non-empty")
     uns_on, mmd_on = _target_flags(cfg)
@@ -459,9 +474,13 @@ def fit(data: SynthCorpus, cfg: TrainConfig) -> tuple[Checkpoint, list[dict]]:
         raise ValueError("target unlabeled set must be non-empty for this variant")
     self_train = cfg.variant == Variant.SELF_TRAIN
 
-    teacher = None
-    if cfg.variant in (Variant.TFMT, Variant.CTFMT):
+    if not cfg.variant.teaches:
+        if teacher is not None:
+            raise ValueError(f"variant {cfg.variant.value} trains without a teacher")
+    elif teacher is None:
         teacher = pretrain_teacher(data.source_train, cfg)
+    else:  # ema_update moves the teacher in place
+        teacher = clone_params(teacher)
     student = init_params(cfg.encoder, cfg.mode, _stream(cfg.seed, _STREAM_STUDENT_INIT))
     opt = Adam(student, cfg.lr)
     if self_train:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tablemt.cli as cli
+import tablemt.trainer as trainer
 from tablemt.checkpoint import load_checkpoint
 from tablemt.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, FILE_ONLY_KEYS, TRAIN_KEYS, main
 from tablemt.detector import Mode
@@ -308,13 +309,52 @@ def test_ablate_row_set(tmp_path, corpus_dir):
         by_label["no_uns"][header.index("mean_test_f1")]
 
 
+@pytest.fixture
+def pretrains(monkeypatch) -> list:
+    """The seeds of the teachers a run pretrains through
+    ``trainer.pretrain_teacher``; each pretraining returns an empty dict."""
+    seeds = []
+
+    def pretrain_teacher(source_train, cfg):
+        seeds.append(cfg.seed)
+        return {}
+
+    monkeypatch.setattr(trainer, "pretrain_teacher", pretrain_teacher)
+    return seeds
+
+
 @pytest.mark.parametrize("grid", [["--alpha-grid", "abc"], ["--beta-grid", "-1"],
                                   ["--alpha-grid", "1,nan"]])
-def test_ablate_checks_grids_before_training(tmp_path, corpus_dir, grid):
+def test_ablate_checks_grids_before_training(tmp_path, corpus_dir, pretrains, grid):
     out = tmp_path / "ablate_bad"
     assert main(["ablate", "--data", str(corpus_dir), "--out", str(out), "--seeds", "1"]
                 + grid + TINY_TRAIN) == EXIT_USAGE
     assert not list(out.glob("metrics_*.csv"))
+    assert pretrains == []
+
+
+@pytest.mark.parametrize("variant,per_seed", [("tfmt", 1), ("ctfmt", 1), ("source_only", 0)])
+def test_ablate_pretrains_one_teacher_per_seed(tmp_path, corpus_dir, monkeypatch, variant,
+                                               per_seed):
+    seeds = []
+    real = trainer.pretrain_teacher
+
+    def counted(source_train, cfg):
+        seeds.append(cfg.seed)
+        return real(source_train, cfg)
+
+    monkeypatch.setattr(trainer, "pretrain_teacher", counted)
+    flags = ["--variant", variant, "--epochs", "1", "--d", "8", "--layers", "1", "--eta", "0.3"]
+    out = tmp_path / "ablate"
+    assert main(["ablate", "--data", str(corpus_dir), "--out", str(out), "--seeds", "1,2"]
+                + flags) == EXIT_OK
+    assert seeds == [1, 2] * per_seed
+    # a row trained alone, pretraining its own teacher, writes the same bytes
+    alone = tmp_path / "alone"
+    assert main(["train", "--data", str(corpus_dir), "--out", str(alone), "--seed", "2",
+                 "--ablate", "no_mmd"] + flags) == EXIT_OK
+    assert ((out / "metrics_ablate_no_mmd_seed2.csv").read_bytes()
+            == (alone / f"metrics_{variant}_seed2.csv").read_bytes())
 
 
 @pytest.fixture
@@ -323,7 +363,7 @@ def fits(monkeypatch) -> list:
     that reaches one exits 2 and writes nothing."""
     seeds = []
 
-    def fit(data, cfg):
+    def fit(data, cfg, teacher=None):
         seeds.append(cfg.seed)
         raise RuntimeError("fit reached")
 
@@ -336,14 +376,16 @@ def fits(monkeypatch) -> list:
     ("train", ["--seeds", "1,2,1"]), ("ablate", ["--seeds", "1,2,1"]),
     ("train", ["--seeds", "1,-1"]), ("ablate", ["--seeds", "1,-1"]),
     ("ablate", ["--seeds", "1", "--beta-grid", "0.5,0.50"]),
+    ("train", ["--seed", "5", "--seeds", "1,2"]), ("ablate", ["--seed", "5", "--seeds", "1,2"]),
 ], ids=["train-negative", "ablate-negative", "train-repeated", "ablate-repeated",
-        "train-later-negative", "ablate-later-negative", "ablate-repeated-grid"])
-def test_bad_seed_or_grid_value_stops_before_any_fit(tmp_path, corpus_dir, fits, command,
-                                                     flags):
+        "train-later-negative", "ablate-later-negative", "ablate-repeated-grid",
+        "train-seed-and-seeds", "ablate-seed-and-seeds"])
+def test_bad_seed_or_grid_value_stops_before_any_fit(tmp_path, corpus_dir, fits, pretrains,
+                                                     command, flags):
     out = tmp_path / "o"
     assert main([command, "--data", str(corpus_dir), "--out", str(out)] + flags
                 + TINY_TRAIN) == EXIT_USAGE
-    assert fits == [] and not out.exists()
+    assert fits == [] and pretrains == [] and not out.exists()
 
 
 @pytest.mark.parametrize("command,existing", [
@@ -353,16 +395,19 @@ def test_bad_seed_or_grid_value_stops_before_any_fit(tmp_path, corpus_dir, fits,
     ("ablate", "metrics_ablate_no_mmd_seed2.csv"),
     ("ablate", "ablation.csv"),
 ])
-def test_every_output_is_checked_before_the_first_fit(tmp_path, corpus_dir, fits, command,
-                                                      existing):
+def test_every_output_is_checked_before_the_first_fit(tmp_path, corpus_dir, fits, pretrains,
+                                                      command, existing):
     out = tmp_path / "o"
     out.mkdir()
     (out / existing).write_bytes(b"kept")
     argv = [command, "--data", str(corpus_dir), "--out", str(out), "--seeds", "1,2"] + TINY_TRAIN
     assert main(argv) == EXIT_USAGE
-    assert fits == [] and dir_bytes(out) == {existing: b"kept"}
+    assert fits == [] and pretrains == [] and dir_bytes(out) == {existing: b"kept"}
     assert main(argv + ["--force"]) == EXIT_RUNTIME  # --force lets the first fit start
     assert fits == [1]
+    # ablate pretrains every seed's teacher before its first fit; train's
+    # fits pretrain their own
+    assert pretrains == ([1, 2] if command == "ablate" else [])
 
 
 def test_audit_counts_invalid_argmax_under_best_foreground(tmp_path, trained_dir, monkeypatch):

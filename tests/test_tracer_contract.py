@@ -53,3 +53,24 @@ def test_tracer_wraps_a_fit_predict_and_checkpoint_round_trip(tmp_path):
                  "checkpoint.save", "checkpoint.load"):
         assert tracer.calls[span] > 0, span
     assert tracer.metrics()["detector.proposals_per_sentence"][0] > 0
+
+
+def test_tracer_counts_one_teacher_pretraining_per_ablate_seed(tmp_path):
+    """``tablemt ablate`` pretrains each seed's teacher once and hands it to
+    every row's fit; the tracer must see those pretrainings, so the CLI has
+    to reach ``pretrain_teacher`` through a name the tracer wraps."""
+    from tablemt import cli
+
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--seed", "3", "--num-source", "6",
+                     "--num-dev", "3", "--num-target", "4", "--num-test", "3"]) == cli.EXIT_OK
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["ablate", "--data", str(data), "--out", str(tmp_path / "out"),
+                         "--seeds", "1,2", "--epochs", "1", "--d", "8", "--layers", "1"])
+    finally:
+        tracer.uninstall()
+    assert code == cli.EXIT_OK
+    assert tracer.calls["trainer.pretrain_teacher"] == 2
+    assert tracer.calls["cli.fit"] == 10

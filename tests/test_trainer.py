@@ -301,6 +301,39 @@ def test_teacherless_checkpoint_stores_student_as_teacher(tiny_data, tmp_path, v
         assert ckpt.teacher[k].tobytes() == ckpt.student[k].tobytes()
 
 
+@pytest.mark.parametrize("changes", [
+    dict(eta=0.98), dict(eta=0.2),
+    dict(variant=Variant.CTFMT, eta=0.98), dict(variant=Variant.CTFMT, eta=0.2),
+    dict(eta=0.2, alpha=0.5, ablations=frozenset({"no_aug", "no_mmd"})),
+], ids=["tfmt-0.98", "tfmt-0.2", "ctfmt-0.98", "ctfmt-0.2", "tfmt-ablated"])
+def test_fit_with_pretrained_teacher_equals_fit(tiny_data, tmp_path, changes):
+    from tablemt.checkpoint import save_checkpoint
+
+    cfg = tiny_cfg(**changes)
+    given_ckpt, given_rows = fit(tiny_data, cfg, teacher=pretrain_teacher(tiny_data.source_train, cfg))
+    own_ckpt, own_rows = fit(tiny_data, cfg)
+    assert given_rows == own_rows
+    save_checkpoint(tmp_path / "given.bin", given_ckpt)
+    save_checkpoint(tmp_path / "own.bin", own_ckpt)
+    assert (tmp_path / "given.bin").read_bytes() == (tmp_path / "own.bin").read_bytes()
+
+
+def test_fit_leaves_the_given_teacher_untouched(tiny_data):
+    cfg = tiny_cfg(eta=0.2)
+    teacher = pretrain_teacher(tiny_data.source_train, cfg)
+    before = clone_params(teacher)
+    ckpt, _ = fit(tiny_data, cfg, teacher=teacher)
+    assert any(not np.array_equal(ckpt.teacher[k], before[k]) for k in before)  # EMA moved it
+    assert all(teacher[k].tobytes() == before[k].tobytes() for k in before)
+
+
+@pytest.mark.parametrize("variant", [Variant.SOURCE_ONLY, Variant.SELF_TRAIN])
+def test_teacherless_variant_refuses_a_teacher(tiny_data, variant):
+    cfg = tiny_cfg(variant=variant, epochs=1)
+    with pytest.raises(ValueError, match="without a teacher"):
+        fit(tiny_data, cfg, teacher=pretrain_teacher(tiny_data.source_train, cfg))
+
+
 def test_fit_rejects_empty_source():
     with pytest.raises(ValueError):
         fit(SynthCorpus([], [], [], []), tiny_cfg())
