@@ -40,11 +40,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_owns_grad", "_parents", "_backward")
 
     def __init__(self, data, parents: tuple["Tensor", ...] = (), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
+        self._owns_grad = False
         self._parents = parents
         self._backward: Callable[[np.ndarray], None] | None = backward
 
@@ -62,9 +63,17 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, grad: np.ndarray) -> None:
+        # A gradient may be shared: ``a + b`` hands one array to both parents
+        # and the shape ops hand a view of the child's.  So the first
+        # contribution is stored as it is, the second makes a new array, and
+        # only that array, which this node owns, is added into in place.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = grad
+        elif self._owns_grad:
+            self.grad += grad
+        else:
+            self.grad = self.grad + grad
+            self._owns_grad = True
 
     def backward(self) -> None:
         """Backpropagate from this (typically scalar) tensor to all leaves."""
@@ -87,6 +96,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node._owns_grad = False  # its parents may now hold its grad
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.data.shape})"
@@ -383,33 +393,37 @@ def range_rowmax(h: Tensor, starts: np.ndarray, stops: np.ndarray) -> Tensor:
     return Tensor(out_data, (h,), backward)
 
 
+def _im2col(a: np.ndarray) -> np.ndarray:
+    """The (n², 9·c) rows of an (n, n, c) map's zero-padded 3x3 windows, each
+    in (di, dj, c) order, matching ``w.reshape(9 * c, c_out)``."""
+    n, _, c = a.shape
+    padded = np.zeros((n + 2, n + 2, c))
+    padded[1:-1, 1:-1] = a
+    s0, s1, s2 = padded.strides
+    windows = np.lib.stride_tricks.as_strided(
+        padded, (n, n, 3, 3, c), (s0, s1, s0, s1, s2), writeable=False
+    )
+    return windows.reshape(n * n, 9 * c)
+
+
 def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """3x3 same-padding convolution on an (n, n, c_in) map; w is (3, 3, c_in, c_out)."""
+    """3x3 same-padding convolution on an (n, n, c_in) map; w is (3, 3, c_in, c_out).
+
+    One im2col matmul forward; backward is one matmul for ``w`` and, for
+    ``x``, the same-padded conv of the upstream gradient with the kernel
+    flipped in space and its channel axes swapped."""
     n = x.data.shape[0]
     ci = x.data.shape[2]
     co = w.data.shape[3]
-    xp = np.zeros((n + 2, n + 2, ci))
-    xp[1:-1, 1:-1] = x.data
-    acc = np.broadcast_to(b.data, (n, n, co)).copy()
-    for di in range(3):
-        for dj in range(3):
-            acc += (xp[di : di + n, dj : dj + n].reshape(n * n, ci) @ w.data[di, dj]).reshape(
-                n, n, co
-            )
+    cols = _im2col(x.data)
+    out_data = (cols @ w.data.reshape(9 * ci, co) + b.data).reshape(n, n, co)
     if not _GRAD_ENABLED:
-        return Tensor(acc)
+        return Tensor(out_data)
 
     def backward(g):
-        g2 = g.reshape(n * n, co)
         b._accumulate(g.sum(axis=(0, 1)))
-        dw = np.zeros_like(w.data)
-        gxp = np.zeros_like(xp)
-        for di in range(3):
-            for dj in range(3):
-                patch = xp[di : di + n, dj : dj + n].reshape(n * n, ci)
-                dw[di, dj] = patch.T @ g2
-                gxp[di : di + n, dj : dj + n] += (g2 @ w.data[di, dj].T).reshape(n, n, ci)
-        w._accumulate(dw)
-        x._accumulate(gxp[1:-1, 1:-1])
+        w._accumulate((cols.T @ g.reshape(n * n, co)).reshape(w.data.shape))
+        w_flip = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * co, ci)
+        x._accumulate((_im2col(g) @ w_flip).reshape(n, n, ci))
 
-    return Tensor(acc, (x, w, b), backward)
+    return Tensor(out_data, (x, w, b), backward)

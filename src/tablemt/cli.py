@@ -19,7 +19,7 @@ from .corpus import SynthConfig, SynthCorpus, load_dataset, synth_corpus, write_
 from .detector import Mode
 from .encoder import EncoderConfig
 from .evaluate import ErrorCategory, audit_pseudo_labels, build_report, gold_items
-from .gradcheck import run_gradcheck
+from .gradcheck import VacuousPointError, run_gradcheck
 from .trainer import (
     HISTORY_COLUMNS,
     TrainConfig,
@@ -239,6 +239,7 @@ def cmd_train(args) -> int:
     variant = cfg.variant.value
     out = Path(args.out)
     _check_runs(out, "summary.csv", [(cfg, variant)], seeds, args.force, write_ckpt=True)
+    trainer.check_corpus(data, cfg)
     out.mkdir(parents=True, exist_ok=True)
     finals, stats = _run_seeds(data, cfg, seeds, out, variant)
     _write_csv(out / "summary.csv", ["variant", "seeds", *SUMMARY_STATS],
@@ -304,7 +305,10 @@ def cmd_audit(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     given = {k: getattr(args, k) for k in ("d", "seed", "eps", "tol")}
-    result = run_gradcheck(**{k: v for k, v in given.items() if v is not None})
+    try:
+        result = run_gradcheck(**{k: v for k, v in given.items() if v is not None})
+    except VacuousPointError as exc:
+        raise UsageError(str(exc)) from None
     for name in sorted(result.per_group):
         print(f"  {name:12s} rel err {result.per_group[name]:.3e}")
     print(f"max relative error: {result.max_rel_err:.3e} (tolerance {result.tol:.0e})")
@@ -338,6 +342,8 @@ def cmd_ablate(args) -> int:
     out = Path(args.out)
     _check_runs(out, "ablation.csv", [(cfg, tag) for (_, _, tag), cfg in zip(rows, configs)],
                 seeds, args.force, write_ckpt=False)
+    for cfg in configs:
+        trainer.check_corpus(data, cfg)
     out.mkdir(parents=True, exist_ok=True)
     # The rows override only alpha, beta and ablations, which the source-only
     # teacher pretraining never reads, so each seed's rows share one teacher.

@@ -20,6 +20,15 @@ from .model import as_tensors, init_params
 from .trainer import TrainConfig, _stream, compute_losses, teacher_pseudo_label
 
 
+class VacuousPointError(ValueError):
+    """The micro problem at this ``(d, seed)`` leaves the consistency or MMD
+    term without anything to check."""
+
+    def __init__(self, d: int, seed: int, why: str):
+        super().__init__(f"gradcheck point d={d}, seed={seed} is vacuous: {why}; "
+                         "try another seed")
+
+
 @dataclass
 class GradCheckResult:
     max_rel_err: float
@@ -92,7 +101,7 @@ def run_gradcheck(
     teacher = _dense_random_params(cfg, _stream(seed, 0))
     tgt_pseudo = [teacher_pseudo_label(teacher, s, cfg) for s in tgt_sentences]
     if not any(tgt_pseudo):
-        raise RuntimeError("micro teacher produced no pseudo labels; check seed")
+        raise VacuousPointError(d, seed, "the micro teacher produced no pseudo labels")
 
     def loss_value(params: dict) -> float:
         total, _ = compute_losses(as_tensors(params), src_batch, cfg, tgt_sentences, tgt_pseudo)
@@ -101,7 +110,8 @@ def run_gradcheck(
     student_t = as_tensors(student)
     total, bd = compute_losses(student_t, src_batch, cfg, tgt_sentences, tgt_pseudo)
     if bd.l_uns == 0.0 or bd.l_mmd == 0.0:
-        raise RuntimeError("a loss term is inactive; the check would be vacuous")
+        raise VacuousPointError(d, seed, f"a loss term is inactive (l_uns {bd.l_uns}, "
+                                f"l_mmd {bd.l_mmd})")
     total.backward()
 
     per_group = {}

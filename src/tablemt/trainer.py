@@ -160,12 +160,12 @@ class Adam:
         b1c = 1.0 - self.BETA1**self.t
         b2c = 1.0 - self.BETA2**self.t
         for k in sorted(self.params):
-            g = grads[k]
-            self.m[k] = self.BETA1 * self.m[k] + (1.0 - self.BETA1) * g
-            self.v[k] = self.BETA2 * self.v[k] + (1.0 - self.BETA2) * g * g
-            mhat = self.m[k] / b1c
-            vhat = self.v[k] / b2c
-            self.params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.EPS)
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            self.params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
 
 def ema_update(teacher: dict, student: dict, lam: float) -> None:
@@ -451,6 +451,16 @@ def _snapshot(student: dict, teacher: dict | None) -> tuple[dict, dict]:
     return clone_params(student), clone_params(teacher if teacher is not None else student)
 
 
+def check_corpus(data: SynthCorpus, cfg: TrainConfig) -> None:
+    """Raise ``ValueError`` unless ``data`` holds every split a ``cfg`` fit
+    trains on: source train and dev always, target unlabeled when the
+    consistency or MMD term is on."""
+    if not data.source_train or not data.source_dev:
+        raise ValueError("source train/dev sets must be non-empty")
+    if any(_target_flags(cfg)) and not data.target_unlabeled:
+        raise ValueError("target unlabeled set must be non-empty for this variant")
+
+
 def fit(
     data: SynthCorpus, cfg: TrainConfig, teacher: dict | None = None
 ) -> tuple[Checkpoint, list[dict]]:
@@ -466,12 +476,8 @@ def fit(
     reads, so that configs differing in alpha, beta, eta, aug_rate,
     ema_lambda or ablations can share one.  The teacherless variants raise
     ``ValueError`` when given one."""
-    if not data.source_train or not data.source_dev:
-        raise ValueError("source train/dev sets must be non-empty")
-    uns_on, mmd_on = _target_flags(cfg)
-    uses_target = uns_on or mmd_on
-    if uses_target and not data.target_unlabeled:
-        raise ValueError("target unlabeled set must be non-empty for this variant")
+    check_corpus(data, cfg)
+    uses_target = any(_target_flags(cfg))
     self_train = cfg.variant == Variant.SELF_TRAIN
 
     if not cfg.variant.teaches:

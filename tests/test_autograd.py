@@ -136,6 +136,47 @@ def test_conv3x3_single_cell_is_center_tap():
     assert np.allclose(out.data[0, 0], dense)
 
 
+def _nine_matmul_conv(x, w, b, g):
+    """The 9-matmul forward and 18-matmul backward conv3x3 ran before im2col:
+    the output and the x, w and b gradients for upstream gradient g."""
+    n, ci, co = x.shape[0], x.shape[2], w.shape[3]
+    xp = np.zeros((n + 2, n + 2, ci))
+    xp[1:-1, 1:-1] = x
+    out = np.broadcast_to(b, (n, n, co)).copy()
+    g2 = g.reshape(n * n, co)
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for di in range(3):
+        for dj in range(3):
+            patch = xp[di : di + n, dj : dj + n].reshape(n * n, ci)
+            out += (patch @ w[di, dj]).reshape(n, n, co)
+            gw[di, dj] = patch.T @ g2
+            gxp[di : di + n, dj : dj + n] += (g2 @ w[di, dj].T).reshape(n, n, ci)
+    return out, gxp[1:-1, 1:-1], gw, g.sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_conv3x3_equals_nine_matmul_reference(n):
+    r = np.random.default_rng(n)
+    x, w, b = r.normal(size=(n, n, 5)), r.normal(size=(3, 3, 5, 7)), r.normal(size=(7,))
+    g = r.normal(size=(n, n, 7))
+    leaves = [Tensor(a) for a in (x, w, b)]
+    out = ag.conv3x3(*leaves)
+    (out * Tensor(g)).sum().backward()
+    want = _nine_matmul_conv(x, w, b, g)
+    # im2col sums the 9 * c_in products in another order: rounding only
+    for got, ref in zip([out.data] + [t.grad for t in leaves], want):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+def test_conv3x3_alone_matches_finite_differences():
+    x = rng.normal(size=(5, 5, 2))
+    w = rng.normal(size=(3, 3, 2, 3))
+    b = rng.normal(size=(3,))
+    g = rng.normal(size=(5, 5, 3))
+    fd_check(lambda xx, ww, bb: (ag.conv3x3(xx, ww, bb) * Tensor(g)).sum(), [x, w, b])
+
+
 def test_no_grad_suppresses_graph():
     a = Tensor(np.ones((2, 2)))
     with ag.no_grad():
@@ -156,3 +197,44 @@ def test_zero_upstream_gives_zero_param_grad():
     a = Tensor(rng.normal(size=(3, 3)))
     (a.tanh() * 0.0).sum().backward()
     assert np.allclose(a.grad, 0.0)
+
+
+def test_x_plus_x_leaves_the_upstream_gradient_alone():
+    x = Tensor(rng.normal(size=(2, 3)))
+    y = x + x  # hands one gradient array to both of its parents, both x
+    y.backward()
+    assert np.array_equal(y.grad, np.ones((2, 3)))
+    assert np.array_equal(x.grad, np.full((2, 3), 2.0))
+
+
+def test_parents_sharing_one_gradient_keep_their_own():
+    a = Tensor(rng.normal(size=(3,)))
+    b = Tensor(rng.normal(size=(3,)))
+    s = a + b  # a and b first receive the same gradient array
+    (s + a).sum().backward()  # a then receives a second contribution
+    assert np.array_equal(a.grad, np.full(3, 2.0))
+    assert np.array_equal(b.grad, np.ones(3))
+    assert np.array_equal(s.grad, np.ones(3))
+
+
+def test_reshape_parent_does_not_write_into_the_childs_gradient():
+    x = Tensor(rng.normal(size=(2, 3)))
+    r = x.reshape(6)  # its backward hands x a view of r's gradient
+    t = r.tanh()
+    (t.sum() + (x * 3.0).sum()).backward()
+    want_r = 1.0 - t.data * t.data
+    assert np.array_equal(r.grad, want_r)
+    assert np.array_equal(x.grad, want_r.reshape(2, 3) + 3.0)
+
+
+def test_second_backward_adds_to_the_first_without_aliasing():
+    # as the zero-filling engine did: each backward() adds into the grads the
+    # last one left, intermediate nodes' included
+    x = Tensor(np.ones(3))
+    p = x.reshape(3)
+    out = (p + p).sum()
+    out.backward()
+    assert np.array_equal(x.grad, np.full(3, 2.0))
+    out.backward()  # p's gradient, lent to x as a view, must not change
+    assert np.array_equal(p.grad, np.full(3, 8.0))
+    assert np.array_equal(x.grad, np.full(3, 10.0))

@@ -223,8 +223,12 @@ def test_gradcheck_defaults_are_run_gradchecks(monkeypatch, capsys):
     printed = capsys.readouterr().out
     default = run_gradcheck()
     assert f"max relative error: {default.max_rel_err:.3e} (tolerance {default.tol:.0e})" in printed
-    assert main(["gradcheck", "--d", "6", "--seed", "3"]) in (EXIT_OK, EXIT_RUNTIME)
+    # the micro teacher keeps no pseudo label at d 6, seed 3: a usage error
+    assert main(["gradcheck", "--d", "6", "--seed", "3"]) == EXIT_USAGE
     assert calls == [{}, {"d": 6, "seed": 3}]
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: gradcheck point d=6, seed=3 is vacuous")
+    assert "try another seed" in err
 
 
 def test_eval_reports_and_mode_mismatch(tmp_path, corpus_dir, trained_dir, capsys):
@@ -355,6 +359,39 @@ def test_ablate_pretrains_one_teacher_per_seed(tmp_path, corpus_dir, monkeypatch
                  "--ablate", "no_mmd"] + flags) == EXIT_OK
     assert ((out / "metrics_ablate_no_mmd_seed2.csv").read_bytes()
             == (alone / f"metrics_{variant}_seed2.csv").read_bytes())
+
+
+def _corpus_with_empty(tmp_path: Path, corpus_dir: Path, split: str) -> Path:
+    """A copy of the test corpus whose ``<split>.txt`` is empty."""
+    data = tmp_path / f"no_{split}"
+    data.mkdir()
+    for p in corpus_dir.iterdir():
+        (data / p.name).write_bytes(b"" if p.stem == split else p.read_bytes())
+    return data
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("split,message", [
+    ("source_dev", "source train/dev sets must be non-empty"),
+    ("source_train", "source train/dev sets must be non-empty"),
+    ("target_unlabeled", "target unlabeled set must be non-empty for this variant"),
+], ids=["source_dev", "source_train", "target_unlabeled"])
+def test_empty_split_stops_before_out_and_pretraining(tmp_path, corpus_dir, pretrains, capsys,
+                                                      command, split, message):
+    data = _corpus_with_empty(tmp_path, corpus_dir, split)
+    out = tmp_path / "o"
+    assert main([command, "--data", str(data), "--out", str(out), "--seeds", "1,2"]
+                + TINY_TRAIN) == EXIT_RUNTIME
+    assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert pretrains == [] and not out.exists()
+
+
+def test_source_only_ablate_runs_without_target_unlabeled(tmp_path, corpus_dir):
+    data = _corpus_with_empty(tmp_path, corpus_dir, "target_unlabeled")
+    out = tmp_path / "o"
+    assert main(["ablate", "--data", str(data), "--out", str(out), "--seeds", "1",
+                 "--variant", "source_only"] + TINY_TRAIN) == EXIT_OK
+    assert len(read_csv(out / "ablation.csv")) == 1 + len(cli.ABLATION_ROWS)
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tablemt.autograd import Tensor
-from tablemt.gradcheck import run_gradcheck
+from tablemt.gradcheck import VacuousPointError, run_gradcheck
 
 
 def test_gradcheck_passes_at_default_point():
@@ -19,6 +19,13 @@ def test_gradcheck_deterministic():
     b = run_gradcheck(samples_per_group=1)
     assert a.max_rel_err == b.max_rel_err
     assert a.per_group == b.per_group
+
+
+@pytest.mark.parametrize("d,seed,why", [(6, 3, "no pseudo labels"), (6, 4, "inactive")])
+def test_vacuous_point_is_a_named_error(d, seed, why):
+    with pytest.raises(VacuousPointError, match=f"d={d}, seed={seed} is vacuous") as err:
+        run_gradcheck(d=d, seed=seed, samples_per_group=0)
+    assert why in str(err.value) and "try another seed" in str(err.value)
 
 
 def test_gradcheck_negative_control_detects_corrupted_backward(monkeypatch):

@@ -52,7 +52,11 @@ def test_tracer_wraps_a_fit_predict_and_checkpoint_round_trip(tmp_path):
     for span in ("losses.match_gold", "trainer.teacher_pseudo_label", "model.predict",
                  "checkpoint.save", "checkpoint.load"):
         assert tracer.calls[span] > 0, span
-    assert tracer.metrics()["detector.proposals_per_sentence"][0] > 0
+    metrics = tracer.metrics()
+    assert metrics["detector.proposals_per_sentence"][0] > 0
+    # the tracer files backward closures by the qualname of the op that
+    # defines them; the conv stack's must keep its own line in the split
+    assert metrics["autograd.op.conv3x3.calls"][0] > 0
 
 
 def test_tracer_counts_one_teacher_pretraining_per_ablate_seed(tmp_path):
