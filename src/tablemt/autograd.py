@@ -10,6 +10,7 @@ reverse topological order.  Graph recording can be suspended with
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Sequence
 
 import numpy as np
@@ -347,21 +348,58 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out_data, tuple(tensors), backward)
 
 
-def rect_max(x: Tensor, rects: Sequence[tuple[int, int, int, int]]) -> Tensor:
+@functools.lru_cache(maxsize=None)
+def _floor_log2(n: int) -> np.ndarray:
+    """Read-only lookup: entry h is floor(log2(h)), for 1 <= h <= n."""
+    table = np.array([0] + [h.bit_length() - 1 for h in range(1, n + 1)])
+    table.flags.writeable = False
+    return table
+
+
+def _window_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                d: np.ndarray) -> np.ndarray:
+    """Row r is ``x[a[r]:c[r]+1, b[r]:d[r]+1].max(axis=(0, 1))`` for an
+    (n, w, k) array, with no loop over the windows.
+
+    Rows come from a sparse table over axis 0: level i holds the max of every
+    run of 2**i rows, made from level i - 1 by one ``np.maximum``, so the h
+    rows a..c are the max of two overlapping runs of 2**floor(log2 h) rows.
+    Columns outside b..d are left out of a max over axis 1.  Every step is a
+    max, so the result equals the slice max bit for bit.
+    """
+    n, w, k = x.shape
+    h = c - a + 1
+    level = _floor_log2(n)[h]
+    table = np.empty((int(level.max()) + 1, n, w * k))
+    table[0] = x.reshape(n, w * k)
+    for i in range(1, len(table)):
+        half, rows = 1 << (i - 1), n - (1 << i) + 1
+        np.maximum(table[i - 1, :rows], table[i - 1, half : half + rows], out=table[i, :rows])
+    runs = table[level, a]
+    np.maximum(runs, table[level, c + 1 - (1 << level)], out=runs)
+    cols = np.arange(w)
+    inside = (b[:, None] <= cols) & (cols <= d[:, None])
+    return np.maximum.reduce(runs.reshape(-1, w, k), axis=1, where=inside[:, :, None],
+                             initial=-np.inf)
+
+
+def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]]) -> Tensor:
     """Elementwise max over inclusive windows of an (n, n, d) map.
 
     Output row r equals ``x.data[a:c+1, b:d+1].max(axis=(0, 1))`` for
-    ``rects[r] = (a, b, c, d)``.  Ties split the gradient evenly, as
-    ``Tensor.max`` does, and every window's gradient goes into one buffer.
+    ``rects[r] = (a, b, c, d)``; ``rects`` is an (m, 4) int array or a
+    sequence of 4-tuples.  Ties split the gradient evenly, as ``Tensor.max``
+    does, and every window's gradient goes into one buffer.
     """
-    windows = [(slice(a, c + 1), slice(b, d + 1)) for a, b, c, d in rects]
-    out_data = np.stack([x.data[w].max(axis=(0, 1)) for w in windows])
+    rects = np.asarray(rects)
+    out_data = _window_max(x.data, *rects.T)
     if not _GRAD_ENABLED:
         return Tensor(out_data)
 
     def backward(g):
         buf = np.zeros_like(x.data)
-        for w, top, gw in zip(windows, out_data, g):
+        for (a, b, c, d), top, gw in zip(rects.tolist(), out_data, g):
+            w = (slice(a, c + 1), slice(b, d + 1))
             ties = x.data[w] == top
             buf[w] += ties * (gw / ties.sum(axis=(0, 1)))
         x._accumulate(buf)
@@ -376,16 +414,16 @@ def range_rowmax(h: Tensor, starts: np.ndarray, stops: np.ndarray) -> Tensor:
     starts[r] < stops[r].  Ties split the gradient evenly, consistent with
     the central-difference subgradient.
     """
-    n = h.data.shape[0]
-    rows = np.arange(n)
-    valid = (rows[None, :] >= starts[:, None]) & (rows[None, :] < stops[:, None])
-    expanded = np.where(valid[:, :, None], h.data[None, :, :], -np.inf)
-    out_data = expanded.max(axis=1)
+    n, k = h.data.shape
+    zero = np.zeros_like(starts)
+    out_data = _window_max(h.data.reshape(n, 1, k), starts, zero, stops - 1, zero)
     if not _GRAD_ENABLED:
         return Tensor(out_data)
 
     def backward(g):
-        ties = (expanded == out_data[:, None, :]) & valid[:, :, None]
+        rows = np.arange(n)
+        valid = (rows[None, :] >= starts[:, None]) & (rows[None, :] < stops[:, None])
+        ties = (h.data[None, :, :] == out_data[:, None, :]) & valid[:, :, None]
         counts = ties.sum(axis=1, keepdims=True)
         self_grad = (ties * (g[:, None, :] / counts)).sum(axis=0)
         h._accumulate(self_grad)

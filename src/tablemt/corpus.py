@@ -50,9 +50,17 @@ class Sentence:
     def __post_init__(self):
         if len(self.tokens) < 1:
             raise ValueError("sentence must have at least one token")
-        for t in self.tokens:
-            if not t or any(ch.isspace() for ch in t):
-                raise ValueError(f"token contains whitespace or is empty: {t!r}")
+        # Splitting the joined tokens gives them back exactly when every one
+        # is a non-empty string without whitespace; only otherwise look for
+        # the token to name.
+        try:
+            plain = " ".join(self.tokens).split() == list(self.tokens)
+        except TypeError:
+            plain = False
+        if not plain:
+            for t in self.tokens:
+                if not t or any(ch.isspace() for ch in t):
+                    raise ValueError(f"token contains whitespace or is empty: {t!r}")
 
     @property
     def n(self) -> int:
@@ -66,7 +74,13 @@ class LabeledSentence:
 
     def __post_init__(self):
         n = self.sentence.n
-        seen = set()
+        for t in self.triplets:
+            if t.aspect.end >= n or t.opinion.end >= n:
+                break
+        else:
+            if len(set(self.triplets)) == len(self.triplets):
+                return
+        seen = set()  # name the first bad triplet
         for t in self.triplets:
             if t.aspect.end >= n or t.opinion.end >= n:
                 raise ValueError(f"triplet span out of bounds for n={n}: {t}")

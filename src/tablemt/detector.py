@@ -99,7 +99,8 @@ def propose_regions(
 def roi_represent(tl: Tensor, rects: list[tuple[int, int, int, int]]) -> Tensor:
     """Fixed-length region vectors, one (3d,) row per (a, b, c, d) rectangle:
     B-corner cell + E-corner cell + elementwise max over every cell inside."""
-    a, b, c, d = np.array(rects).T
+    rects = np.array(rects)
+    a, b, c, d = rects.T
     return ag.concat([tl[(a, b)], tl[(c, d)], ag.rect_max(tl, rects)], axis=1)
 
 
@@ -119,17 +120,12 @@ def decode_triplets(
     """Argmax class per proposal; rectangles classified INVALID are dropped.
     ASTE returns triplets, AOPE returns (aspect, opinion) span pairs."""
     assert len(proposals) == probs.shape[0]
-    picks = probs.argmax(axis=1)
+    picks = probs.argmax(axis=1).tolist()
     if mode == Mode.ASTE:
-        kept = [
-            (p.a, p.b, p.c, p.d, RegionClass(int(k)))
-            for p, k in zip(proposals, picks)
-            if int(k) != int(RegionClass.INVALID)
-        ]
-        return decode_regions(kept)
+        return decode_regions([(p.a, p.b, p.c, p.d, k) for p, k in zip(proposals, picks)])
     pairs = {
         (p.a, p.b, p.c, p.d): (Span(p.a, p.c), Span(p.b, p.d))
         for p, k in zip(proposals, picks)
-        if int(k) == AOPE_VALID
+        if k == AOPE_VALID
     }
     return [pairs[r] for r in sorted(pairs)]

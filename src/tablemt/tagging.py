@@ -38,10 +38,6 @@ _POLARITY_TO_CLASS = {
 _CLASS_TO_POLARITY = {v: k for k, v in _POLARITY_TO_CLASS.items()}
 
 
-def polarity_to_class(p: Polarity) -> RegionClass:
-    return _POLARITY_TO_CLASS[p]
-
-
 def class_to_polarity(c: RegionClass) -> Polarity:
     return _CLASS_TO_POLARITY[RegionClass(c)]
 
@@ -74,23 +70,32 @@ def encode_region_labels(ls: LabeledSentence) -> tuple[BoundaryLabels, list[Gold
         e[t.aspect.end, t.opinion.end] = 1
         regions.append(
             GoldRegion(t.aspect.start, t.opinion.start, t.aspect.end, t.opinion.end,
-                       polarity_to_class(t.polarity))
+                       _POLARITY_TO_CLASS[t.polarity])
         )
     return BoundaryLabels(b, e), regions
 
 
-def decode_regions(regions: Iterable[tuple[int, int, int, int, RegionClass]]) -> list[Triplet]:
+# Polarity by region class; INVALID maps to None.  Keyed by plain ints, so a
+# lookup accepts the same values ``RegionClass(cls)`` does.
+_POLARITY_OF_CLASS = {int(c): _CLASS_TO_POLARITY.get(c) for c in RegionClass}
+
+
+def decode_regions(regions: Iterable[tuple[int, int, int, int, int]]) -> list[Triplet]:
     """Map classified rectangles back to triplets; INVALID dropped, output
-    deduplicated and sorted by (a, b, c, d)."""
+    deduplicated and sorted by (a, b, c, d, class)."""
     out = {}
     for a, b, c, d, cls in regions:
-        cls = RegionClass(cls)
-        if cls == RegionClass.INVALID:
+        try:
+            pol = _POLARITY_OF_CLASS[cls]
+        except (KeyError, TypeError):
+            pol = _POLARITY_OF_CLASS[RegionClass(cls)]  # raises for a bad class
+        if pol is None:
             continue
         if not (a <= c and b <= d):
             raise ValueError(f"degenerate rectangle ({a},{b},{c},{d})")
-        t = Triplet(Span(a, c), Span(b, d), class_to_polarity(cls))
-        out[(a, b, c, d, int(cls))] = t
+        key = (a, b, c, d, cls)
+        if key not in out:
+            out[key] = Triplet(Span(a, c), Span(b, d), pol)
     return [out[k] for k in sorted(out)]
 
 

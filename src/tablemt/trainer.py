@@ -454,11 +454,22 @@ def _snapshot(student: dict, teacher: dict | None) -> tuple[dict, dict]:
 def check_corpus(data: SynthCorpus, cfg: TrainConfig) -> None:
     """Raise ``ValueError`` unless ``data`` holds every split a ``cfg`` fit
     trains on: source train and dev always, target unlabeled when the
-    consistency or MMD term is on."""
+    consistency or MMD term is on.  Every sentence of a split the fit reads
+    must fit ``cfg.encoder.max_n``; the error names the split, the record's
+    index in it and its length."""
     if not data.source_train or not data.source_dev:
         raise ValueError("source train/dev sets must be non-empty")
-    if any(_target_flags(cfg)) and not data.target_unlabeled:
+    uses_target = any(_target_flags(cfg))
+    if uses_target and not data.target_unlabeled:
         raise ValueError("target unlabeled set must be non-empty for this variant")
+    splits = ["source_train", "source_dev", "target_test"]
+    if uses_target or cfg.variant == Variant.SELF_TRAIN:
+        splits.append("target_unlabeled")
+    for split in splits:
+        for i, ls in enumerate(getattr(data, split)):
+            if ls.sentence.n > cfg.encoder.max_n:
+                raise ValueError(f"{split} record {i}: sentence length {ls.sentence.n} "
+                                 f"exceeds max_n={cfg.encoder.max_n}")
 
 
 def fit(

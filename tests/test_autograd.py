@@ -118,6 +118,91 @@ def test_range_rowmax_matches_loop_and_grads():
     fd_check(lambda x: ag.range_rowmax(x, starts, stops).tanh().sum(), [h])
 
 
+def _rect_max_loop(x, rects, g):
+    """``rect_max`` as a loop over its windows, the way it was computed
+    before the windows were vectorised: the output, and the gradient that
+    flows back from upstream gradient ``g``."""
+    windows = [(slice(a, c + 1), slice(b, d + 1)) for a, b, c, d in rects]
+    out = np.stack([x[w].max(axis=(0, 1)) for w in windows])
+    grad = np.zeros_like(x)
+    for w, top, gw in zip(windows, out, g):
+        ties = x[w] == top
+        grad[w] += ties * (gw / ties.sum(axis=(0, 1)))
+    return out, grad
+
+
+def _range_rowmax_dense(h, starts, stops, g):
+    """``range_rowmax`` through a dense (m, n, d) mask, the way it was
+    computed before its forward shared ``rect_max``'s kernel."""
+    rows = np.arange(h.shape[0])
+    valid = (rows[None, :] >= starts[:, None]) & (rows[None, :] < stops[:, None])
+    expanded = np.where(valid[:, :, None], h[None, :, :], -np.inf)
+    out = expanded.max(axis=1)
+    ties = (expanded == out[:, None, :]) & valid[:, :, None]
+    grad = (ties * (g[:, None, :] / ties.sum(axis=1, keepdims=True))).sum(axis=0)
+    return out, grad
+
+
+def _tied_map(rng, shape, nan):
+    """Values from {0, 1, 2}, so most windows hold ties; optionally one NaN."""
+    x = rng.integers(0, 3, size=shape).astype(float)
+    if nan:
+        x[tuple(int(rng.integers(s)) for s in shape)] = np.nan
+    return x
+
+
+def _all_windows(n, rng, cap=150):
+    """Every window shape: each 1x1 cell; in each row and each column, the
+    full span and a random one; the full table; and inclusive windows at
+    random (all of them while there are few)."""
+    spans = [(lo, hi) for lo in range(n) for hi in range(lo, n)]
+    some = [spans[i] for i in rng.integers(len(spans), size=n)]
+    rects = [(i, j, i, j) for i in range(n) for j in range(n)]
+    rects += [(i, 0, i, n - 1) for i in range(n)]
+    rects += [(i, lo, i, hi) for i, (lo, hi) in enumerate(some)]
+    rects += [(0, j, n - 1, j) for j in range(n)]
+    rects += [(lo, j, hi, j) for j, (lo, hi) in enumerate(some)]
+    rects.append((0, 0, n - 1, n - 1))
+    pairs = [(a, b, c, d) for a, c in spans for b, d in spans]
+    if len(pairs) > cap:
+        pairs = [pairs[i] for i in rng.choice(len(pairs), cap, replace=False)]
+    return rects + pairs
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["ties", "ties-and-nan"])
+def test_rect_max_equals_the_window_loop_bit_for_bit(nan):
+    rng = np.random.default_rng(31 + nan)
+    for n in range(1, 25):
+        x = _tied_map(rng, (n, n, 3), nan)
+        rects = _all_windows(n, rng)
+        g = rng.normal(size=(len(rects), 3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected, expected_grad = _rect_max_loop(x, rects, g)
+            t = Tensor(x)
+            out = ag.rect_max(t, rects)
+            (out * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(t.grad, expected_grad)
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["ties", "ties-and-nan"])
+def test_range_rowmax_equals_the_dense_mask_bit_for_bit(nan):
+    rng = np.random.default_rng(41 + nan)
+    for n in range(1, 25):
+        h = _tied_map(rng, (n, 3), nan)
+        # every token range build_table pools, singletons and the whole sentence included
+        ii, jj = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        starts, stops = np.minimum(ii, jj), np.maximum(ii, jj) + 1
+        g = rng.normal(size=(n * n, 3))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected, expected_grad = _range_rowmax_dense(h, starts, stops, g)
+            t = Tensor(h)
+            out = ag.range_rowmax(t, starts, stops)
+            (out * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(t.grad, expected_grad)
+
+
 def test_conv3x3_shapes_and_grads():
     x = rng.normal(size=(4, 4, 3))
     w = rng.normal(size=(3, 3, 3, 2))

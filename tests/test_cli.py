@@ -1,6 +1,7 @@
 """CLI subcommands: determinism, file outputs, exit codes."""
 
 import csv
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,27 @@ def test_empty_split_stops_before_out_and_pretraining(tmp_path, corpus_dir, pret
     assert main([command, "--data", str(data), "--out", str(out), "--seeds", "1,2"]
                 + TINY_TRAIN) == EXIT_RUNTIME
     assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+    assert pretrains == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_over_length_sentence_stops_before_out_and_pretraining(tmp_path, corpus_dir, pretrains,
+                                                               capsys, command):
+    """A sentence longer than ``max_n`` in a split the fit reads is refused
+    before ``--out`` exists or a teacher is pretrained, not by eval after
+    a full epoch."""
+    data = tmp_path / "long"
+    shutil.copytree(corpus_dir, data)
+    test_file = data / "target_test.txt"
+    records = test_file.read_text(encoding="utf-8").splitlines()
+    tokens = " ".join(f"w{i}" for i in range(25))
+    test_file.write_text("\n".join(records + [tokens + "####[]"]) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--data", str(data), "--out", str(out), "--seeds", "1,2"]
+                + TINY_TRAIN) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: ValueError: target_test record {len(records)}: "
+        "sentence length 25 exceeds max_n=24\n")
     assert pretrains == [] and not out.exists()
 
 

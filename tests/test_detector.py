@@ -23,7 +23,7 @@ from tablemt.detector import (
     rpn_scores,
     topk_prune,
 )
-from tablemt.tagging import RegionClass
+from tablemt.tagging import RegionClass, decode_regions
 
 D = 6
 
@@ -240,6 +240,91 @@ def test_decode_aope_pairs():
     probs = np.array([[0.8, 0.2], [0.1, 0.9]])
     out = decode_triplets(props, probs, Mode.AOPE)
     assert out == [(Span(0, 0), Span(1, 1))]
+
+
+_ENUM_POLARITY = {RegionClass.POS: Polarity.POS, RegionClass.NEU: Polarity.NEU,
+                  RegionClass.NEG: Polarity.NEG}
+
+
+def _decode_regions_enum(regions):
+    """``decode_regions`` as it was, through a ``RegionClass`` per rectangle."""
+    out = {}
+    for a, b, c, d, cls in regions:
+        cls = RegionClass(cls)
+        if cls == RegionClass.INVALID:
+            continue
+        if not (a <= c and b <= d):
+            raise ValueError(f"degenerate rectangle ({a},{b},{c},{d})")
+        out[(a, b, c, d, int(cls))] = Triplet(Span(a, c), Span(b, d), _ENUM_POLARITY[cls])
+    return [out[k] for k in sorted(out)]
+
+
+def _decode_triplets_enum(proposals, probs, mode):
+    """``decode_triplets`` as it was, with numpy picks turned into enums."""
+    picks = probs.argmax(axis=1)
+    if mode == Mode.ASTE:
+        return _decode_regions_enum([
+            (p.a, p.b, p.c, p.d, RegionClass(int(k)))
+            for p, k in zip(proposals, picks)
+            if int(k) != int(RegionClass.INVALID)
+        ])
+    pairs = {
+        (p.a, p.b, p.c, p.d): (Span(p.a, p.c), Span(p.b, p.d))
+        for p, k in zip(proposals, picks)
+        if int(k) == AOPE_VALID
+    }
+    return [pairs[r] for r in sorted(pairs)]
+
+
+@pytest.mark.parametrize("mode", [Mode.ASTE, Mode.AOPE], ids=["aste", "aope"])
+def test_decode_triplets_equals_the_enum_decoding(mode):
+    rng = np.random.default_rng(17)
+    picked = set()
+    for _ in range(300):
+        n = int(rng.integers(1, 25))
+        pool = []
+        for _ in range(int(rng.integers(1, 12))):
+            a, c = sorted(int(v) for v in rng.integers(0, n, size=2))
+            b, d = sorted(int(v) for v in rng.integers(0, n, size=2))
+            pool.append(RegionProposal(a, b, c, d))
+        # drawn with replacement from a small pool, so rectangles repeat
+        proposals = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(1, 30)))]
+        probs = rng.dirichlet(np.ones(num_classes(mode)), size=len(proposals))
+        picked.update(probs.argmax(axis=1).tolist())
+        expected = _decode_triplets_enum(proposals, probs, mode)
+        assert decode_triplets(proposals, probs, mode) == expected
+    assert picked == set(range(num_classes(mode)))
+
+
+def test_decode_regions_equals_the_enum_decoding_and_errors():
+    rng = np.random.default_rng(23)
+    kinds = (int, RegionClass, np.int64)
+    for _ in range(300):
+        n = int(rng.integers(1, 10))
+        regions = []
+        for _ in range(int(rng.integers(0, 12))):
+            a, c = sorted(int(v) for v in rng.integers(0, n, size=2))
+            b, d = sorted(int(v) for v in rng.integers(0, n, size=2))
+            cls = kinds[int(rng.integers(3))](int(rng.integers(4)))
+            regions += [(a, b, c, d, cls)] * int(rng.integers(1, 3))
+        assert decode_regions(regions) == _decode_regions_enum(regions)
+    # an INVALID rectangle is dropped before its corners are checked
+    assert decode_regions([(2, 0, 1, 0, RegionClass.INVALID)]) == []
+    bad = [
+        [(2, 0, 1, 0, RegionClass.POS)],
+        [(0, 3, 0, 1, 2)],
+        [(0, 0, 0, 0, 4)],
+        [(0, 0, 0, 0, 1), (1, 1, 1, 1, -1)],
+        [(0, 0, 0, 0, 7), (2, 0, 1, 0, 0)],
+        [(0, 0, 0, 0, "POS")],
+        [(-1, 0, 0, 0, 0)],
+    ]
+    for regions in bad:
+        with pytest.raises(ValueError) as old:
+            _decode_regions_enum(regions)
+        with pytest.raises(ValueError) as new:
+            decode_regions(regions)
+        assert str(new.value) == str(old.value)
 
 
 def test_foreground_class_sets():

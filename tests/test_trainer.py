@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tablemt.corpus import Sentence, SynthConfig, SynthCorpus, synth_corpus, vocabulary
+from tablemt.corpus import (
+    LabeledSentence,
+    Sentence,
+    SynthConfig,
+    SynthCorpus,
+    synth_corpus,
+    vocabulary,
+)
 from tablemt.detector import Mode, foreground_classes
 from tablemt.encoder import EncoderConfig
 from tablemt.model import NonFiniteScoreError, clone_params, init_params, predict
@@ -15,6 +22,7 @@ from tablemt.trainer import (
     TrainConfig,
     Variant,
     augment,
+    check_corpus,
     compute_losses,
     ema_update,
     fit,
@@ -337,6 +345,23 @@ def test_teacherless_variant_refuses_a_teacher(tiny_data, variant):
 def test_fit_rejects_empty_source():
     with pytest.raises(ValueError):
         fit(SynthCorpus([], [], [], []), tiny_cfg())
+
+
+@pytest.mark.parametrize("split", ["source_train", "source_dev", "target_unlabeled",
+                                   "target_test"])
+def test_check_corpus_rejects_an_over_length_sentence_in_a_split_the_fit_reads(tiny_data,
+                                                                               split):
+    records = list(getattr(tiny_data, split))
+    records.insert(1, LabeledSentence(Sentence(tuple(f"w{i}" for i in range(17))), ()))
+    data = replace(tiny_data, **{split: records})
+    message = f"^{split} record 1: sentence length 17 exceeds max_n=16$"
+    for variant in (Variant.TFMT, Variant.SELF_TRAIN, Variant.SOURCE_ONLY):
+        cfg = tiny_cfg(variant=variant)
+        if split == "target_unlabeled" and variant == Variant.SOURCE_ONLY:
+            check_corpus(data, cfg)  # a source-only fit never reads it
+        else:
+            with pytest.raises(ValueError, match=message):
+                check_corpus(data, cfg)
 
 
 def test_fit_aope_mode_runs(tiny_data):
