@@ -3,8 +3,9 @@
 A small tape-based engine: every operation returns a new ``Tensor`` holding
 float64 data, the parent nodes, and a closure that routes the upstream
 gradient back to the parents.  ``Tensor.backward()`` runs the closures in
-reverse topological order.  Graph recording can be suspended with
-``no_grad()`` for teacher passes and evaluation.
+reverse topological order.  Every op has one code path: the ``Tensor``
+constructor alone decides whether to record, and inside ``no_grad()`` (teacher
+passes and evaluation) it drops the parents and closure, making a leaf.
 """
 
 from __future__ import annotations
@@ -47,18 +48,15 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self._owns_grad = False
-        self._parents = parents
-        self._backward: Callable[[np.ndarray], None] | None = backward
+        # The one recording rule: inside no_grad every result is a leaf.
+        self._parents = parents if _GRAD_ENABLED else ()
+        self._backward: Callable[[np.ndarray], None] | None = backward if _GRAD_ENABLED else None
 
     # -- plumbing ---------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def item(self) -> float:
         return float(self.data)
@@ -107,8 +105,6 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = _ensure(other)
         out_data = self.data + other.data
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(_unbroadcast(g, self.data.shape))
@@ -121,8 +117,6 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = _ensure(other)
         out_data = self.data * other.data
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(_unbroadcast(g * other.data, self.data.shape))
@@ -141,15 +135,8 @@ class Tensor:
     def __rsub__(self, other) -> "Tensor":
         return _ensure(other) + (self * -1.0)
 
-    def __truediv__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        return self * (_ensure(other) ** -1.0)
-
     def __pow__(self, p: float) -> "Tensor":
         out_data = self.data**p
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g * p * self.data ** (p - 1))
@@ -160,8 +147,6 @@ class Tensor:
         other = _ensure(other)
         assert self.data.ndim == 2 and other.data.ndim == 2
         out_data = self.data @ other.data
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g @ other.data.T)
@@ -172,8 +157,6 @@ class Tensor:
     @property
     def T(self) -> "Tensor":
         out_data = self.data.T
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g.T)
@@ -184,8 +167,6 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g * (1.0 - out_data * out_data))
@@ -194,8 +175,6 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         out_data = np.maximum(self.data, 0.0)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g * (self.data > 0.0))
@@ -209,8 +188,6 @@ class Tensor:
         out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ez = np.exp(x[~pos])
         out_data[~pos] = ez / (1.0 + ez)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g * out_data * (1.0 - out_data))
@@ -219,8 +196,6 @@ class Tensor:
 
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g * out_data)
@@ -229,8 +204,6 @@ class Tensor:
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g / self.data)
@@ -239,8 +212,6 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             # Guarded at exact zeros so a zero upstream gradient stays zero
@@ -252,8 +223,6 @@ class Tensor:
 
     def clamp_min(self, floor: float) -> "Tensor":
         out_data = np.maximum(self.data, floor)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             self._accumulate(g * (self.data > floor))
@@ -264,15 +233,11 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
-        in_shape = self.data.shape
 
         def backward(g):
-            gx = g
             if axis is not None and not keepdims:
-                gx = np.expand_dims(gx, axis)
-            self._accumulate(np.broadcast_to(gx, in_shape).copy())
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, self.data.shape).copy())
 
         return Tensor(out_data, (self,), backward)
 
@@ -283,9 +248,10 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
+        """Max over ``axis``; ties split the gradient evenly.  The library
+        pools with ``rect_max``; this op stays as the per-window reference
+        that the tests check ``rect_max``'s tie-split gradient against."""
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             out_k = out_data
@@ -305,19 +271,14 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
-        in_shape = self.data.shape
 
         def backward(g):
-            self._accumulate(g.reshape(in_shape))
+            self._accumulate(g.reshape(self.data.shape))
 
         return Tensor(out_data, (self,), backward)
 
     def __getitem__(self, idx) -> "Tensor":
         out_data = self.data[idx]
-        if not _GRAD_ENABLED:
-            return Tensor(out_data)
 
         def backward(g):
             buf = np.zeros_like(self.data)
@@ -334,14 +295,12 @@ def _ensure(x) -> Tensor:
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not _GRAD_ENABLED:
-        return Tensor(out_data)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
+        sl = [slice(None)] * g.ndim
+        hi = 0
+        for t in tensors:
+            lo, hi = hi, hi + t.data.shape[axis]
             sl[axis] = slice(lo, hi)
             t._accumulate(g[tuple(sl)])
 
@@ -393,8 +352,6 @@ def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]])
     """
     rects = np.asarray(rects)
     out_data = _window_max(x.data, *rects.T)
-    if not _GRAD_ENABLED:
-        return Tensor(out_data)
 
     def backward(g):
         buf = np.zeros_like(x.data)
@@ -417,8 +374,6 @@ def range_rowmax(h: Tensor, starts: np.ndarray, stops: np.ndarray) -> Tensor:
     n, k = h.data.shape
     zero = np.zeros_like(starts)
     out_data = _window_max(h.data.reshape(n, 1, k), starts, zero, stops - 1, zero)
-    if not _GRAD_ENABLED:
-        return Tensor(out_data)
 
     def backward(g):
         rows = np.arange(n)
@@ -455,8 +410,6 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     co = w.data.shape[3]
     cols = _im2col(x.data)
     out_data = (cols @ w.data.reshape(9 * ci, co) + b.data).reshape(n, n, co)
-    if not _GRAD_ENABLED:
-        return Tensor(out_data)
 
     def backward(g):
         b._accumulate(g.sum(axis=(0, 1)))

@@ -52,8 +52,10 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UsageError(f"bad config line (expected key = value): {raw!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in values:
+            raise UsageError(f"config key {key!r} is repeated")
+        values[key] = val
     return values
 
 

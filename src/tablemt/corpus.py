@@ -148,11 +148,17 @@ def parse_aste_line(line: str) -> LabeledSentence:
 
 
 def serialize_aste_line(ls: LabeledSentence) -> str:
+    """The ``<tokens>####<triplet list>`` line ``parse_aste_line`` reads back;
+    ValueError if the text would not split back at its own separator."""
+    text = " ".join(ls.sentence.tokens)
+    if "####" in text or text.endswith("#"):
+        bad = next((t for t in ls.sentence.tokens if "####" in t), ls.sentence.tokens[-1])
+        raise ValueError(f"token {bad!r} would not split back at the '####' separator")
     entries = [
         (list(t.aspect.tokens()), list(t.opinion.tokens()), t.polarity.value)
         for t in ls.triplets
     ]
-    return " ".join(ls.sentence.tokens) + "####" + repr(entries)
+    return text + "####" + repr(entries)
 
 
 def load_dataset(path) -> list[LabeledSentence]:
@@ -170,9 +176,10 @@ def load_dataset(path) -> list[LabeledSentence]:
 
 
 def save_dataset(path, records: Iterable[LabeledSentence]) -> None:
+    """Serialize every record first, so a bad one leaves nothing written."""
+    lines = [serialize_aste_line(ls) + "\n" for ls in records]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for ls in records:
-            fh.write(serialize_aste_line(ls) + "\n")
+        fh.writelines(lines)
 
 
 def vocabulary(records: Iterable[LabeledSentence]) -> list[str]:

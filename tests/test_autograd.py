@@ -38,7 +38,7 @@ def test_add_mul_broadcast():
 def test_sub_div_pow():
     a = rng.normal(size=(3, 3)) + 3.0
     b = rng.normal(size=(3, 3)) + 3.0
-    fd_check(lambda x, y: ((x - y) / (y**2.0)).sum(), [a, b])
+    fd_check(lambda x, y: ((x - y) * (y ** -2.0)).sum(), [a, b])
 
 
 def test_matmul_transpose():
@@ -262,13 +262,45 @@ def test_conv3x3_alone_matches_finite_differences():
     fd_check(lambda xx, ww, bb: (ag.conv3x3(xx, ww, bb) * Tensor(g)).sum(), [x, w, b])
 
 
-def test_no_grad_suppresses_graph():
-    a = Tensor(np.ones((2, 2)))
+_POS = np.random.default_rng(3).uniform(0.5, 2.0, size=(3, 3))  # log, sqrt and pow
+_ANY = np.random.default_rng(4).normal(size=(3, 3))
+_MAP = np.random.default_rng(5).normal(size=(3, 3, 2))
+
+# op -> (function of leaf tensors, the arrays to make them from)
+_OPS = {
+    "add": (lambda x, y: x + y, [_ANY, _POS]),
+    "mul": (lambda x, y: x * y, [_ANY, _POS]),
+    "pow": (lambda x: x ** -2.0, [_POS]),
+    "matmul": (lambda x, y: x @ y, [_ANY, _POS]),
+    "T": (lambda x: x.T, [_ANY]),
+    "tanh": (Tensor.tanh, [_ANY]),
+    "relu": (Tensor.relu, [_ANY]),
+    "sigmoid": (Tensor.sigmoid, [_ANY]),
+    "exp": (Tensor.exp, [_ANY]),
+    "log": (Tensor.log, [_POS]),
+    "sqrt": (Tensor.sqrt, [_POS]),
+    "clamp_min": (lambda x: x.clamp_min(0.1), [_ANY]),
+    "sum": (lambda x: x.sum(axis=0), [_ANY]),
+    "max": (lambda x: x.max(axis=1), [_ANY]),
+    "reshape": (lambda x: x.reshape(9), [_ANY]),
+    "getitem": (lambda x: x[np.array([0, 2, 2])], [_ANY]),
+    "concat": (lambda x, y: ag.concat([x, y], axis=1), [_ANY, _POS]),
+    "rect_max": (lambda x: ag.rect_max(x, [(0, 0, 1, 2), (2, 1, 2, 1)]), [_MAP]),
+    "range_rowmax": (lambda x: ag.range_rowmax(x, np.array([0, 1]), np.array([2, 3])), [_ANY]),
+    "conv3x3": (ag.conv3x3, [_MAP, _MAP.reshape(3, 3, 2, 1) * np.ones(2), _POS[0, :2]]),
+}
+
+
+@pytest.mark.parametrize("op", _OPS)
+def test_no_grad_suppresses_graph(op):
+    fn, arrays = _OPS[op]
+    recorded = fn(*[Tensor(a) for a in arrays])
+    assert recorded._parents != () and recorded._backward is not None
     with ag.no_grad():
-        out = (a * 3.0).sum()
-    assert out._parents == ()
-    out_g = (a * 3.0).sum()
-    assert out_g._parents != ()
+        out = fn(*[Tensor(a) for a in arrays])
+    assert out._parents == () and out._backward is None
+    assert out.data.shape == recorded.data.shape
+    assert out.data.tobytes() == recorded.data.tobytes()
 
 
 def test_backward_accumulates_through_shared_nodes():

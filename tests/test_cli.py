@@ -142,6 +142,16 @@ def test_train_rejects_unknown_config_key(tmp_path, corpus_dir, capsys, line):
     assert not list(out.glob("metrics_*.csv"))
 
 
+def test_train_rejects_repeated_config_key(tmp_path, corpus_dir, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("alpha = 1\nd = 8\nalpha = 0.25\n")
+    out = tmp_path / "cfgrun"
+    assert main(["train", "--data", str(corpus_dir), "--out", str(out),
+                 "--config", str(cfgfile)] + TINY_TRAIN) == EXIT_USAGE
+    assert "config key 'alpha' is repeated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Flag key -> (value on the command line, config field, parsed value); every
 # value differs from the field's default.
 FLAG_VALUES = {

@@ -1,5 +1,7 @@
 """Line-format codec, loader, and synthetic corpus generator."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,31 @@ def test_load_dataset_roundtrip(tmp_path):
     path = tmp_path / "data.txt"
     save_dataset(path, records)
     assert load_dataset(path) == records
+
+
+@pytest.mark.parametrize("tokens,bad", [
+    (("x", "a#"), "a#"),  # the last token's '#' joins the separator
+    (("x", "b###"), "b###"),
+    (("x####y", "z"), "x####y"),
+    (("x", "y####"), "y####"),
+])
+def test_text_that_would_not_split_back_is_refused(tmp_path, tokens, bad):
+    ls = LabeledSentence(Sentence(tokens), (Triplet(Span(0, 0), Span(1, 1), Polarity.POS),))
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        serialize_aste_line(ls)
+    path = tmp_path / "data.txt"
+    with pytest.raises(ValueError):
+        save_dataset(path, [LabeledSentence(Sentence(("ok",)), ()), ls])
+    assert not path.exists()  # a bad record leaves nothing written
+
+
+def test_loaded_line_that_would_not_split_back_is_refused():
+    ls = parse_aste_line("x a# ####[([0], [1], 'POS')]")
+    assert ls.sentence.tokens == ("x", "a#")
+    with pytest.raises(ValueError, match="'a#'"):
+        serialize_aste_line(ls)
+    inner = LabeledSentence(Sentence(("a#", "x")), ls.triplets)  # '#' away from the end
+    assert parse_aste_line(serialize_aste_line(inner)) == inner
 
 
 def test_load_dataset_skips_blank_lines(tmp_path):
