@@ -100,6 +100,15 @@ class Tensor:
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.data.shape})"
 
+    def _unary(self, out_data, grad: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "Tensor":
+        """A single-input op's result; its backward hands this tensor
+        ``grad(g, out_data)``.  Ops the tracer times by kind keep their own closure."""
+
+        def backward(g):
+            self._accumulate(grad(g, out_data))
+
+        return Tensor(out_data, (self,), backward)
+
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other) -> "Tensor":
@@ -136,12 +145,7 @@ class Tensor:
         return _ensure(other) + (self * -1.0)
 
     def __pow__(self, p: float) -> "Tensor":
-        out_data = self.data**p
-
-        def backward(g):
-            self._accumulate(g * p * self.data ** (p - 1))
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(self.data**p, lambda g, y: g * p * self.data ** (p - 1))
 
     def __matmul__(self, other) -> "Tensor":
         other = _ensure(other)
@@ -156,30 +160,15 @@ class Tensor:
 
     @property
     def T(self) -> "Tensor":
-        out_data = self.data.T
-
-        def backward(g):
-            self._accumulate(g.T)
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(self.data.T, lambda g, y: g.T)
 
     # -- elementwise nonlinearities ----------------------------------------
 
     def tanh(self) -> "Tensor":
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            self._accumulate(g * (1.0 - out_data * out_data))
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(np.tanh(self.data), lambda g, y: g * (1.0 - y * y))
 
     def relu(self) -> "Tensor":
-        out_data = np.maximum(self.data, 0.0)
-
-        def backward(g):
-            self._accumulate(g * (self.data > 0.0))
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(np.maximum(self.data, 0.0), lambda g, y: g * (self.data > 0.0))
 
     def sigmoid(self) -> "Tensor":
         x = self.data
@@ -188,46 +177,21 @@ class Tensor:
         out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ez = np.exp(x[~pos])
         out_data[~pos] = ez / (1.0 + ez)
-
-        def backward(g):
-            self._accumulate(g * out_data * (1.0 - out_data))
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(out_data, lambda g, y: g * y * (1.0 - y))
 
     def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(g):
-            self._accumulate(g * out_data)
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(np.exp(self.data), lambda g, y: g * y)
 
     def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(g):
-            self._accumulate(g / self.data)
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(np.log(self.data), lambda g, y: g / self.data)
 
     def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(g):
-            # Guarded at exact zeros so a zero upstream gradient stays zero
-            # instead of producing 0 * inf = nan.
-            safe = np.where(out_data > 0.0, out_data, 1.0)
-            self._accumulate(g * 0.5 / safe)
-
-        return Tensor(out_data, (self,), backward)
+        # Guarded at exact zeros so a zero upstream gradient stays zero
+        # instead of producing 0 * inf = nan.
+        return self._unary(np.sqrt(self.data), lambda g, y: g * 0.5 / np.where(y > 0.0, y, 1.0))
 
     def clamp_min(self, floor: float) -> "Tensor":
-        out_data = np.maximum(self.data, floor)
-
-        def backward(g):
-            self._accumulate(g * (self.data > floor))
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(np.maximum(self.data, floor), lambda g, y: g * (self.data > floor))
 
     # -- reductions ---------------------------------------------------------
 
@@ -241,11 +205,8 @@ class Tensor:
 
         return Tensor(out_data, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in (axis if isinstance(axis, tuple) else (axis,))]
-        )
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Max over ``axis``; ties split the gradient evenly.  The library
@@ -268,14 +229,7 @@ class Tensor:
     # -- shape ops ----------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out_data = self.data.reshape(shape)
-
-        def backward(g):
-            self._accumulate(g.reshape(self.data.shape))
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(self.data.reshape(*shape), lambda g, y: g.reshape(self.data.shape))
 
     def __getitem__(self, idx) -> "Tensor":
         out_data = self.data[idx]

@@ -94,7 +94,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Inverse of ``save_checkpoint``; raises ``CheckpointError`` naming
     ``path`` for a file that is not exactly one complete checkpoint, whose
     header is malformed (not JSON, a missing field, a config value
-    ``TrainConfig`` rejects or the model cannot be built from), whose tensor
+    ``TrainConfig`` rejects or the model cannot be built from), whose
+    ``encoder_kind`` is not this encoder's, whose tensor
     names or shapes differ from those its config builds, or whose tensors
     hold a non-finite value."""
     raw = Path(path).read_bytes()
@@ -108,6 +109,9 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[off : off + hlen].decode("utf-8"))
         if header["version"] != 1:
             raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
+        kind = header["config"]["encoder_kind"]
+        if kind != ENCODER_KIND:
+            raise CheckpointError(f"{path}: encoder_kind {kind!r}, expected {ENCODER_KIND!r}")
         config = _from_json(TrainConfig, header["config"])
         found = [(spec["name"], spec["shape"]) for spec in header["tensors"]]
         epoch, history = header["epoch"], header["history"]

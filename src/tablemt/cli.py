@@ -19,7 +19,7 @@ from .corpus import SynthConfig, SynthCorpus, load_dataset, synth_corpus, write_
 from .detector import Mode
 from .encoder import EncoderConfig
 from .evaluate import ErrorCategory, audit_pseudo_labels, build_report, gold_items
-from .gradcheck import VacuousPointError, run_gradcheck
+from .gradcheck import run_gradcheck
 from .trainer import (
     HISTORY_COLUMNS,
     TrainConfig,
@@ -309,7 +309,7 @@ def cmd_gradcheck(args) -> int:
     given = {k: getattr(args, k) for k in ("d", "seed", "eps", "tol")}
     try:
         result = run_gradcheck(**{k: v for k, v in given.items() if v is not None})
-    except VacuousPointError as exc:
+    except ValueError as exc:  # a vacuous point, or eps or tol not finite and > 0
         raise UsageError(str(exc)) from None
     for name in sorted(result.per_group):
         print(f"  {name:12s} rel err {result.per_group[name]:.3e}")

@@ -120,12 +120,10 @@ def decode_triplets(
     """Argmax class per proposal; rectangles classified INVALID are dropped.
     ASTE returns triplets, AOPE returns (aspect, opinion) span pairs."""
     assert len(proposals) == probs.shape[0]
-    picks = probs.argmax(axis=1).tolist()
+    picks = probs.argmax(axis=1)
+    if mode == Mode.AOPE:  # VALID decodes as one polarity, so the ASTE order holds
+        picks = np.where(picks == AOPE_VALID, RegionClass.POS, RegionClass.INVALID)
+    triplets = decode_regions([(p.a, p.b, p.c, p.d, k) for p, k in zip(proposals, picks.tolist())])
     if mode == Mode.ASTE:
-        return decode_regions([(p.a, p.b, p.c, p.d, k) for p, k in zip(proposals, picks)])
-    pairs = {
-        (p.a, p.b, p.c, p.d): (Span(p.a, p.c), Span(p.b, p.d))
-        for p, k in zip(proposals, picks)
-        if k == AOPE_VALID
-    }
-    return [pairs[r] for r in sorted(pairs)]
+        return triplets
+    return [(t.aspect, t.opinion) for t in triplets]

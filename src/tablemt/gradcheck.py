@@ -95,6 +95,8 @@ def run_gradcheck(
     # farther than eps from every probed parameter, so the central difference
     # measures the true derivative.  At arbitrary seeds a probe can straddle
     # a kink and report a spurious mismatch.
+    if not (np.isfinite(eps) and eps > 0 and np.isfinite(tol) and tol > 0):
+        raise ValueError(f"eps and tol must be finite and > 0, got eps={eps}, tol={tol}")
     cfg = micro_config(d=d, seed=seed)
     src_batch, tgt_sentences = _micro_batches()
     student = _dense_random_params(cfg, _stream(seed, 1))
@@ -121,7 +123,7 @@ def run_gradcheck(
             grad = np.zeros_like(student[name])
         flat = np.abs(grad).ravel()
         order = np.argsort(-flat, kind="stable")[:samples_per_group]
-        worst = 0.0
+        worst = 0.0 if np.isfinite(grad).all() else np.inf  # a NaN sorts last, unprobed
         for pos in order:
             idx = np.unravel_index(int(pos), grad.shape)
             saved = student[name][idx]
@@ -132,7 +134,7 @@ def run_gradcheck(
             student[name][idx] = saved
             fd = (f_plus - f_minus) / (2 * eps)
             an = grad[idx]
-            rel = abs(fd - an) / max(abs(fd), abs(an), 1.0)
+            rel = abs(fd - an) / max(abs(fd), abs(an), 1.0) if np.isfinite(fd) else np.inf
             worst = max(worst, rel)
         per_group[name] = worst
     max_rel = max(per_group.values())

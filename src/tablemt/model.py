@@ -55,6 +55,7 @@ class SentenceForward:
     pe: Tensor
     proposals: list[RegionProposal]
     n_predicted: int  # proposals[:n_predicted] came from the pruner, the rest were injected
+    extra_rows: list[int]  # the proposal row of each of ``extra_rects``, in the order given
     rois: Tensor | None  # (m, 3d)
     probs: Tensor | None  # (m, C)
     logp: Tensor | None
@@ -74,18 +75,21 @@ def forward(
     scores = rpn_scores(tl, params)
     proposals = propose_regions(topk_prune(scores.pb.data, kappa), topk_prune(scores.pe.data, kappa))
     n_predicted = len(proposals)
+    extra_rows = []
     if extra_rects:
-        have = {p.rect() for p in proposals}
+        row_of = {p.rect(): i for i, p in enumerate(proposals)}
         for rect in extra_rects:
-            if rect not in have:
-                have.add(rect)
+            if rect not in row_of:
+                row_of[rect] = len(proposals)
                 proposals.append(RegionProposal(*rect))
+            extra_rows.append(row_of[rect])
     if proposals:
         rois = roi_represent(tl, [p.rect() for p in proposals])
         probs, logp = classify_regions(rois, params, mode)
     else:
         rois = probs = logp = None
-    return SentenceForward(tl, scores.pb, scores.pe, proposals, n_predicted, rois, probs, logp)
+    return SentenceForward(tl, scores.pb, scores.pe, proposals, n_predicted, extra_rows, rois,
+                           probs, logp)
 
 
 def predict(

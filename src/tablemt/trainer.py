@@ -300,8 +300,7 @@ def compute_losses(
                           extra_rects=[p.rect() for p in pseudo])
             tgt_fwds.append(fwd)
             if pseudo:
-                index = {p.rect(): i for i, p in enumerate(fwd.proposals)}
-                student_rows.append(fwd.probs[np.array([index[p.rect()] for p in pseudo])])
+                student_rows.append(fwd.probs[fwd.extra_rows])
         if mmd_on:
             l_mmd_t = loss_mmd(_mmd_groups(src_fwds, cfg), _mmd_groups(tgt_fwds, cfg))
         if student_rows:

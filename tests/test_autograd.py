@@ -67,7 +67,7 @@ def test_relu_and_clamp_away_from_kinks():
 def test_reductions():
     a = rng.normal(size=(3, 4, 2))
     fd_check(lambda x: x.sum(axis=1).tanh().sum(), [a])
-    fd_check(lambda x: x.mean(axis=(0, 2)).tanh().sum(), [a])
+    fd_check(lambda x: x.mean().tanh(), [a])
     fd_check(lambda x: x.max(axis=(0, 1)).sum(), [a])
     fd_check(lambda x: x.max().reshape(1).sum(), [a])
 

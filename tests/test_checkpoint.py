@@ -120,7 +120,8 @@ def test_config_on_disk_format(tmp_path):
     assert load_checkpoint(path).config == cfg
 
 
-@pytest.mark.parametrize("drop", [("eta",), ("ablations",), ("encoder", "window")])
+@pytest.mark.parametrize("drop", [("eta",), ("ablations",), ("encoder", "window"),
+                                  ("encoder_kind",)])
 def test_missing_config_field_fails_to_load(tmp_path, drop):
     path = tmp_path / "model.bin"
     save_checkpoint(path, _checkpoint())
@@ -131,6 +132,17 @@ def test_missing_config_field_fails_to_load(tmp_path, drop):
     del node[drop[-1]]
     _rewrite_header(path, header)
     with pytest.raises(CheckpointError, match=f"{drop[-1]}.*missing") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+
+
+def test_other_encoder_kind_fails_to_load(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())
+    header, _ = _split(path)
+    header["config"]["encoder_kind"] = "bilstm"
+    _rewrite_header(path, header)
+    with pytest.raises(CheckpointError, match="encoder_kind 'bilstm'") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
 

@@ -242,6 +242,12 @@ def test_gradcheck_defaults_are_run_gradchecks(monkeypatch, capsys):
     assert "try another seed" in err
 
 
+@pytest.mark.parametrize("flag,value", [("--eps", "0"), ("--eps", "nan"), ("--tol", "0")])
+def test_gradcheck_rejects_eps_or_tol_not_finite_and_positive(capsys, flag, value):
+    assert main(["gradcheck", flag, value]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: eps and tol must be finite and > 0")
+
+
 def test_eval_reports_and_mode_mismatch(tmp_path, corpus_dir, trained_dir, capsys):
     ckpt_path = trained_dir / "checkpoint_tfmt_seed1.bin"
     out_csv = tmp_path / "report.csv"

@@ -28,17 +28,13 @@ def test_vacuous_point_is_a_named_error(d, seed, why):
     assert why in str(err.value) and "try another seed" in str(err.value)
 
 
-def test_gradcheck_negative_control_detects_corrupted_backward(monkeypatch):
+@pytest.mark.parametrize("factor", [1.05, np.nan])  # 5% off, or NaN everywhere
+def test_gradcheck_negative_control_detects_corrupted_backward(monkeypatch, factor):
     """Break tanh's backward pass; the checker must fail loudly."""
     original = Tensor.tanh
 
     def broken_tanh(self):
-        out_data = np.tanh(self.data)
-
-        def backward(g):
-            self._accumulate(g * (1.0 - out_data * out_data) * 1.05)  # 5% off
-
-        return Tensor(out_data, (self,), backward)
+        return self._unary(np.tanh(self.data), lambda g, y: g * (1.0 - y * y) * factor)
 
     monkeypatch.setattr(Tensor, "tanh", broken_tanh)
     result = run_gradcheck(samples_per_group=2)

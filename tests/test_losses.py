@@ -113,6 +113,7 @@ def test_forward_appends_missing_extra_rect_once():
                   extra_rects=[missing, predicted[0], missing])
     assert [p.rect() for p in fwd.proposals] == predicted + [missing]
     assert fwd.n_predicted == len(predicted)
+    assert fwd.extra_rows == [len(predicted), 0, len(predicted)]
     assert fwd.probs.shape[0] == len(predicted) + 1
     assert np.array_equal(fwd.probs.data[:-1], base.probs.data)
 
