@@ -323,52 +323,90 @@ def range_rowmax(h: Tensor, starts: np.ndarray, stops: np.ndarray) -> Tensor:
 
     Output row r equals ``h.data[starts[r]:stops[r]].max(axis=0)``; requires
     starts[r] < stops[r].  Ties split the gradient evenly, consistent with
-    the central-difference subgradient.
+    the central-difference subgradient.  Backward reads only the rows inside
+    each window, so its work is the total window length times the width,
+    whatever the height of ``h``: a packed map of many sentences costs what
+    its sentences cost one by one.
     """
     n, k = h.data.shape
     zero = np.zeros_like(starts)
     out_data = _window_max(h.data.reshape(n, 1, k), starts, zero, stops - 1, zero)
 
     def backward(g):
-        rows = np.arange(n)
-        valid = (rows[None, :] >= starts[:, None]) & (rows[None, :] < stops[:, None])
-        ties = (h.data[None, :, :] == out_data[:, None, :]) & valid[:, :, None]
-        counts = ties.sum(axis=1, keepdims=True)
-        self_grad = (ties * (g[:, None, :] / counts)).sum(axis=0)
-        h._accumulate(self_grad)
+        # One slot per (window, row inside it), windows in order: each row
+        # of h sums its shares in window order, as a dense mask would.
+        lens = stops - starts
+        first = np.cumsum(lens) - lens
+        owner = np.repeat(np.arange(len(lens)), lens)
+        pos = np.arange(lens.sum()) - first[owner] + starts[owner]
+        ties = h.data[pos] == out_data[owner]
+        counts = np.add.reduceat(ties, first, axis=0)
+        shares = ties * (g / counts)[owner]
+        cells = (pos * k)[:, None] + np.arange(k)
+        h._accumulate(np.bincount(cells.ravel(), shares.ravel(), n * k).reshape(n, k))
 
     return Tensor(out_data, (h,), backward)
 
 
-def _im2col(a: np.ndarray) -> np.ndarray:
-    """The (n², 9·c) rows of an (n, n, c) map's zero-padded 3x3 windows, each
-    in (di, dj, c) order, matching ``w.reshape(9 * c, c_out)``."""
-    n, _, c = a.shape
-    padded = np.zeros((n + 2, n + 2, c))
-    padded[1:-1, 1:-1] = a
-    s0, s1, s2 = padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        padded, (n, n, 3, 3, c), (s0, s1, s0, s1, s2), writeable=False
-    )
-    return windows.reshape(n * n, 9 * c)
+@functools.lru_cache(maxsize=None)
+def _neighbours(n: int) -> np.ndarray:
+    """Read-only (n², 9) index into an n x n map's row-major cells: entry
+    [i·n + j, 3·di + dj] is the cell (i + di - 1, j + dj - 1), or -1 where
+    that cell lies outside the map."""
+    i, j = np.divmod(np.arange(n * n), n)
+    di, dj = np.divmod(np.arange(9), 3)
+    ni, nj = i[:, None] + di - 1, j[:, None] + dj - 1
+    inside = (ni >= 0) & (ni < n) & (nj >= 0) & (nj < n)
+    table = np.where(inside, ni * n + nj, -1)
+    table.flags.writeable = False
+    return table
 
 
-def conv3x3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """3x3 same-padding convolution on an (n, n, c_in) map; w is (3, 3, c_in, c_out).
+@functools.lru_cache(maxsize=32)
+def _packed_neighbours(sizes: tuple[int, ...]) -> np.ndarray:
+    """Read-only (Σn², 9) 3x3 neighbour rows of maps packed back to back, one
+    n x n map per entry of ``sizes``; a tap outside its own map reads row
+    Σn², the zero row ``_windows`` appends.  Kept for the last few packings,
+    as every conv layer of one encoder pass reads the same one."""
+    zero_row = sum(n * n for n in sizes)
+    parts, offset = [], 0
+    for n in sizes:
+        local = _neighbours(n)
+        parts.append(np.where(local >= 0, local + offset, zero_row))
+        offset += n * n
+    table = np.concatenate(parts)
+    table.flags.writeable = False
+    return table
 
-    One im2col matmul forward; backward is one matmul for ``w`` and, for
-    ``x``, the same-padded conv of the upstream gradient with the kernel
-    flipped in space and its channel axes swapped."""
-    n = x.data.shape[0]
-    ci = x.data.shape[2]
+
+def _windows(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """The (Σn², 9·c) rows of a packed (Σn², c) map's zero-padded 3x3
+    windows, each in (di, dj, c) order, matching ``w.reshape(9 * c, c_out)``."""
+    padded = np.concatenate([a, np.zeros((1, a.shape[1]))])
+    return np.take(padded, taps.ravel(), axis=0).reshape(len(taps), -1)
+
+
+def conv3x3(x: Tensor, w: Tensor, b: Tensor, sizes: Sequence[int]) -> Tensor:
+    """3x3 same-padding convolution of maps packed back to back; w is
+    (3, 3, c_in, c_out).
+
+    The leading axes of ``x`` hold the row-major cells of one n x n map per
+    entry of ``sizes`` (an (n, n, c_in) map with ``sizes=[n]`` included), and
+    its last axis the channels.  Every map sees zeros outside itself, so each
+    equals its own convolution.  One im2col matmul forward; backward is one
+    matmul for ``w`` and, for ``x``, the same-padded conv of the upstream
+    gradient with the kernel flipped in space and its channel axes swapped."""
+    ci = x.data.shape[-1]
     co = w.data.shape[3]
-    cols = _im2col(x.data)
-    out_data = (cols @ w.data.reshape(9 * ci, co) + b.data).reshape(n, n, co)
+    taps = _packed_neighbours(tuple(sizes))
+    cols = _windows(x.data.reshape(-1, ci), taps)
+    out_data = (cols @ w.data.reshape(9 * ci, co) + b.data).reshape(*x.data.shape[:-1], co)
 
     def backward(g):
-        b._accumulate(g.sum(axis=(0, 1)))
-        w._accumulate((cols.T @ g.reshape(n * n, co)).reshape(w.data.shape))
+        g = g.reshape(-1, co)
+        b._accumulate(g.sum(axis=0))
+        w._accumulate((cols.T @ g).reshape(w.data.shape))
         w_flip = w.data[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * co, ci)
-        x._accumulate((_im2col(g) @ w_flip).reshape(n, n, ci))
+        x._accumulate((_windows(g, taps) @ w_flip).reshape(x.data.shape))
 
     return Tensor(out_data, (x, w, b), backward)

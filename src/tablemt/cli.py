@@ -26,6 +26,7 @@ from .trainer import (
     Variant,
     _predict_items,
     fit,
+    pseudo_labels,
     pseudo_triplet,
     teacher_pseudo_label,
 )
@@ -290,7 +291,7 @@ def cmd_audit(args) -> int:
         # polarity, even where the overall argmax says INVALID
         pseudo = [
             pseudo_triplet(pl, cfg.mode)
-            for pl in teacher_pseudo_label(ckpt.teacher, ls.sentence, cfg)
+            for pl in pseudo_labels(ckpt.teacher, [ls.sentence], cfg, teacher_pseudo_label)[0]
         ]
         total_retained += len(pseudo)
         for cat, k in audit_pseudo_labels(pseudo, list(ls.triplets)).items():

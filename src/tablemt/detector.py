@@ -117,13 +117,16 @@ def classify_regions(rois: Tensor, params: dict[str, Tensor], mode: Mode) -> tup
 def decode_triplets(
     proposals: list[RegionProposal], probs: np.ndarray, mode: Mode
 ) -> list[Triplet] | list[tuple[Span, Span]]:
-    """Argmax class per proposal; rectangles classified INVALID are dropped.
-    ASTE returns triplets, AOPE returns (aspect, opinion) span pairs."""
+    """Argmax class per proposal; rectangles classified INVALID are dropped
+    on the argmax array, before any tuple is built.  ASTE returns triplets,
+    AOPE returns (aspect, opinion) span pairs."""
     assert len(proposals) == probs.shape[0]
     picks = probs.argmax(axis=1)
     if mode == Mode.AOPE:  # VALID decodes as one polarity, so the ASTE order holds
         picks = np.where(picks == AOPE_VALID, RegionClass.POS, RegionClass.INVALID)
-    triplets = decode_regions([(p.a, p.b, p.c, p.d, k) for p, k in zip(proposals, picks.tolist())])
+    kept = np.flatnonzero(picks != RegionClass.INVALID)
+    rows = [proposals[i] for i in kept.tolist()]
+    triplets = decode_regions([(p.a, p.b, p.c, p.d, k) for p, k in zip(rows, picks[kept].tolist())])
     if mode == Mode.ASTE:
         return triplets
     return [(t.aspect, t.opinion) for t in triplets]

@@ -1,5 +1,5 @@
 """Trainable toy sentence encoder, word-pair table construction, and the
-residual convolutional stack.
+residual convolutional stack, run over several sentences as one packed map.
 
 Token vectors come from a hash-embedding table (FNV-1a 64-bit over the UTF-8
 bytes) plus a learned position table, mixed with the mean of the neighbor
@@ -8,11 +8,27 @@ of the table concatenates h_i, h_j, an elementwise max over the inclusive
 token range between them, and the scalar bilinear form h_i^T V h_j, then
 projects to d dims with tanh.  Each conv layer adds a 3x3/3x3 bottleneck
 back onto its input so zero kernels give the identity map.
+
+``encode`` takes a list of sentences through every layer at once.  Their
+tokens are stacked as one (Σn, d) matrix, and their tables as one ragged
+(Σn², d) map: each sentence's n² row-major cells, back to back, with no
+padding.  The window mean is one block-diagonal matrix, the table indexes
+tokens by their row in the stack, and the conv layers read a cached per-n
+neighbour index whose taps outside a sentence's own map read a zero row.
+So no cell sees another sentence, and each sentence's table equals its
+encoding alone, up to the order in which BLAS sums a row: bit for bit at
+the shipped widths, except for a one-token sentence, whose lone encoding is
+made of one-row products.  A training step encodes once per role: the student's
+source and target sentences together, and the teacher's target sentences
+under ``no_grad``; ``predict`` encodes one sentence.  The window mean and
+the bilinear form are (Σn)² matrices, so pack a step's sentences, not a
+corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -78,50 +94,83 @@ def token_buckets(sentence: Sentence, cfg: EncoderConfig) -> np.ndarray:
     return np.array([fnv1a64(t) % cfg.vocab_buckets for t in sentence.tokens], dtype=np.int64)
 
 
-def _window_mean_matrix(n: int, window: int) -> np.ndarray:
-    # A[i, j] = 1/|range| for j in [i-window, i+window] clipped to the sentence.
-    a = np.zeros((n, n))
-    for i in range(n):
-        lo, hi = max(0, i - window), min(n - 1, i + window)
-        a[i, lo : hi + 1] = 1.0 / (hi - lo + 1)
-    return a
+def _sizes(sentences: Sequence[Sentence], cfg: EncoderConfig) -> tuple[int, ...]:
+    """Each sentence's length; raises ``ValueError`` for one over ``cfg.max_n``."""
+    sizes = tuple(s.n for s in sentences)
+    for n in sizes:
+        if n > cfg.max_n:
+            raise ValueError(f"sentence length {n} exceeds max_n={cfg.max_n}")
+    return sizes
 
 
-def embed(sentence: Sentence, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
-    """Token representations H, shape (n, d)."""
-    n = sentence.n
-    if n > cfg.max_n:
-        raise ValueError(f"sentence length {n} exceeds max_n={cfg.max_n}")
-    idx = token_buckets(sentence, cfg)
-    emb = params["emb"][idx]  # (n, d)
-    u = emb + params["pos"][np.arange(n)]
-    m = Tensor(_window_mean_matrix(n, cfg.window)) @ emb
+def _window_mean_matrix(sizes: Sequence[int], window: int) -> np.ndarray:
+    """Block-diagonal (Σn, Σn): A[i, j] = 1/|range| for j in [i-window,
+    i+window] clipped to the sentence of token i."""
+    ends = np.repeat(np.cumsum(sizes), sizes)  # one past each token's sentence
+    rows = np.arange(len(ends))
+    lo = np.maximum(ends - np.repeat(sizes, sizes), rows - window)
+    hi = np.minimum(ends - 1, rows + window)
+    inside = (rows >= lo[:, None]) & (rows <= hi[:, None])
+    return inside / (hi - lo + 1)[:, None]
+
+
+def _cell_tokens(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the token stack that each cell of the packed table pairs."""
+    ii, jj, lo = [], [], 0
+    for n in sizes:
+        i, j = np.divmod(np.arange(n * n), n)
+        ii.append(i + lo)
+        jj.append(j + lo)
+        lo += n
+    return np.concatenate(ii), np.concatenate(jj)
+
+
+def embed(sentences: Sequence[Sentence], params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
+    """Token representations H of every sentence, stacked: shape (Σn, d)."""
+    sizes = _sizes(sentences, cfg)
+    idx = np.concatenate([token_buckets(s, cfg) for s in sentences])
+    emb = params["emb"][idx]  # (Σn, d)
+    u = emb + params["pos"][np.concatenate([np.arange(n) for n in sizes])]
+    m = Tensor(_window_mean_matrix(sizes, cfg.window)) @ emb
     x = ag.concat([u, m], axis=1)
     return (x @ params["mix_w"] + params["mix_b"]).tanh()
 
 
-def build_table(h: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Layer-0 relation table, shape (n, n, d)."""
-    n, d = h.shape
-    ii = np.repeat(np.arange(n), n)
-    jj = np.tile(np.arange(n), n)
+def build_table(h: Tensor, sizes: Sequence[int], params: dict[str, Tensor]) -> Tensor:
+    """Layer-0 relation tables of stacked tokens ``h`` from sentences of
+    ``sizes``, packed: shape (Σn², d)."""
+    ii, jj = _cell_tokens(sizes)
     hi = h[ii]
     hj = h[jj]
     pooled = ag.range_rowmax(h, np.minimum(ii, jj), np.maximum(ii, jj) + 1)
-    bilinear = ((h @ params["V"]) @ h.T).reshape(n * n, 1)
+    bilinear = ((h @ params["V"]) @ h.T)[(ii, jj)].reshape(len(ii), 1)
     x = ag.concat([hi, hj, pooled, bilinear], axis=1)
-    return ((x @ params["tab_w"]) + params["tab_b"]).tanh().reshape(n, n, d)
+    return ((x @ params["tab_w"]) + params["tab_b"]).tanh()
 
 
-def conv_stack(t0: Tensor, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
+def conv_stack(t0: Tensor, sizes: Sequence[int], params: dict[str, Tensor],
+               cfg: EncoderConfig) -> Tensor:
+    """The residual conv layers over packed tables of ``sizes``."""
     t = t0
     for layer in range(1, cfg.layers + 1):
-        y = ag.conv3x3(t, params[f"conv{layer}_w1"], params[f"conv{layer}_b1"]).relu()
-        y = ag.conv3x3(y, params[f"conv{layer}_w2"], params[f"conv{layer}_b2"])
+        y = ag.conv3x3(t, params[f"conv{layer}_w1"], params[f"conv{layer}_b1"], sizes).relu()
+        y = ag.conv3x3(y, params[f"conv{layer}_w2"], params[f"conv{layer}_b2"], sizes)
         t = t + y
     return t
 
 
-def encode_sentence(sentence: Sentence, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
-    """Full encoder pipeline: tokens -> H -> layer-0 table -> layer-L table."""
-    return conv_stack(build_table(embed(sentence, params, cfg), params), params, cfg)
+def encode(sentences: Sequence[Sentence], params: dict[str, Tensor],
+           cfg: EncoderConfig) -> list[Tensor]:
+    """Full encoder pipeline over one packed map: tokens -> H -> layer-0
+    tables -> layer-L tables.  Returns each sentence's (n, n, d) table, a
+    slice of that map; an over-length sentence raises ``ValueError`` before
+    any work."""
+    if not sentences:
+        return []
+    sizes = _sizes(sentences, cfg)
+    tl = conv_stack(build_table(embed(sentences, params, cfg), sizes, params), sizes, params, cfg)
+    tables, lo = [], 0
+    for n in sizes:
+        tables.append(tl[lo : lo + n * n].reshape(n, n, cfg.d))
+        lo += n * n
+    return tables

@@ -17,7 +17,8 @@ import numpy as np
 from .corpus import LabeledSentence, Polarity, Sentence, Span, Triplet
 from .encoder import EncoderConfig
 from .model import as_tensors, init_params
-from .trainer import TrainConfig, _stream, compute_losses, teacher_pseudo_label
+from .trainer import (TrainConfig, _stream, compute_losses, pseudo_labels,
+                      teacher_pseudo_label)
 
 
 class VacuousPointError(ValueError):
@@ -101,7 +102,7 @@ def run_gradcheck(
     src_batch, tgt_sentences = _micro_batches()
     student = _dense_random_params(cfg, _stream(seed, 1))
     teacher = _dense_random_params(cfg, _stream(seed, 0))
-    tgt_pseudo = [teacher_pseudo_label(teacher, s, cfg) for s in tgt_sentences]
+    tgt_pseudo = pseudo_labels(teacher, tgt_sentences, cfg, teacher_pseudo_label)
     if not any(tgt_pseudo):
         raise VacuousPointError(d, seed, "the micro teacher produced no pseudo labels")
 

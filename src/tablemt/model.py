@@ -1,5 +1,5 @@
-"""Full model assembly: encoder + detector parameters, forward pass over one
-sentence, and decoding predictions."""
+"""Full model assembly: encoder + detector parameters, the detector's forward
+pass over one sentence's encoded table, and decoding predictions."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .detector import (
     rpn_scores,
     topk_prune,
 )
-from .encoder import EncoderConfig, encode_sentence, init_encoder_params
+from .encoder import EncoderConfig, encode, init_encoder_params
 
 
 def init_params(cfg: EncoderConfig, mode: Mode, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -62,16 +62,15 @@ class SentenceForward:
 
 
 def forward(
-    sentence: Sentence,
+    tl: Tensor,
     params: dict[str, Tensor],
-    cfg: EncoderConfig,
     mode: Mode,
     kappa: float,
     extra_rects: list[tuple[int, int, int, int]] | None = None,
 ) -> SentenceForward:
-    """Run the full pipeline; ``extra_rects`` adds rectangles (deduplicated
-    against the proposals) so losses can score regions the pruner missed."""
-    tl = encode_sentence(sentence, params, cfg)
+    """Run the detector on one sentence's (n, n, d) table from ``encode``;
+    ``extra_rects`` adds rectangles (deduplicated against the proposals) so
+    losses can score regions the pruner missed."""
     scores = rpn_scores(tl, params)
     proposals = propose_regions(topk_prune(scores.pb.data, kappa), topk_prune(scores.pe.data, kappa))
     n_predicted = len(proposals)
@@ -102,7 +101,9 @@ def predict(
     """Decode the model's triplets (ASTE) or aspect-opinion pairs (AOPE);
     non-finite corner or class scores raise ``NonFiniteScoreError``."""
     with ag.no_grad():
-        fwd = forward(sentence, as_tensors(params), cfg, mode, kappa)
+        params_t = as_tensors(params)
+        (tl,) = encode([sentence], params_t, cfg)
+        fwd = forward(tl, params_t, mode, kappa)
     check_finite_scores(fwd.pb.data, fwd.pe.data)
     if not fwd.proposals:
         return []

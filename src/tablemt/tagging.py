@@ -82,20 +82,27 @@ _POLARITY_OF_CLASS = {int(c): _CLASS_TO_POLARITY.get(c) for c in RegionClass}
 
 def decode_regions(regions: Iterable[tuple[int, int, int, int, int]]) -> list[Triplet]:
     """Map classified rectangles back to triplets; INVALID dropped, output
-    deduplicated and sorted by (a, b, c, d, class)."""
+    deduplicated and sorted by (a, b, c, d, class).  Each distinct span is
+    built once and shared by the triplets that hold it."""
     out = {}
+    spans: dict[tuple[int, int], Span] = {}
     for a, b, c, d, cls in regions:
         try:
             pol = _POLARITY_OF_CLASS[cls]
         except (KeyError, TypeError):
             pol = _POLARITY_OF_CLASS[RegionClass(cls)]  # raises for a bad class
-        if pol is None:
+        key = (a, b, c, d, cls)
+        if pol is None or key in out:
             continue
         if not (a <= c and b <= d):
             raise ValueError(f"degenerate rectangle ({a},{b},{c},{d})")
-        key = (a, b, c, d, cls)
-        if key not in out:
-            out[key] = Triplet(Span(a, c), Span(b, d), pol)
+        aspect = spans.get((a, c))
+        if aspect is None:
+            aspect = spans[a, c] = Span(a, c)
+        opinion = spans.get((b, d))
+        if opinion is None:
+            opinion = spans[b, d] = Span(b, d)
+        out[key] = Triplet(aspect, opinion, pol)
     return [out[k] for k in sorted(out)]
 
 

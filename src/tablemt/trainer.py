@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import astuple, dataclass, field, fields
 from itertools import islice
+from typing import Callable
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .losses import (
     match_gold,
     total_loss,
 )
-from .encoder import EncoderConfig, encode_sentence
+from .encoder import EncoderConfig, encode
 from .model import (SentenceForward, as_tensors, check_finite_scores, clone_params, forward,
                     init_params, predict)
 from .tagging import (
@@ -201,11 +202,13 @@ def _confident(rects: list, probs: np.ndarray, mode: Mode, eta: float) -> list[P
     ]
 
 
-def teacher_pseudo_label(teacher: dict, sentence: Sentence, cfg: TrainConfig) -> list[PseudoLabel]:
-    """Teacher forward pass, keeping proposals whose maximum foreground-class
+def teacher_pseudo_label(teacher_t: dict[str, Tensor], tl: Tensor,
+                         cfg: TrainConfig) -> list[PseudoLabel]:
+    """Teacher forward pass over one sentence's table ``tl`` from the
+    teacher's ``encode``, keeping proposals whose maximum foreground-class
     probability reaches ``cfg.eta``."""
     with ag.no_grad():
-        fwd = forward(sentence, as_tensors(teacher), cfg.encoder, cfg.mode, cfg.kappa)
+        fwd = forward(tl, teacher_t, cfg.mode, cfg.kappa)
     if not fwd.proposals:
         return []
     rects = [p.rect() for p in fwd.proposals]
@@ -213,15 +216,25 @@ def teacher_pseudo_label(teacher: dict, sentence: Sentence, cfg: TrainConfig) ->
 
 
 def teacher_pseudo_label_cells(
-    teacher: dict, sentence: Sentence, cfg: TrainConfig
+    teacher_t: dict[str, Tensor], tl: Tensor, cfg: TrainConfig
 ) -> list[PseudoLabel]:
     """Cell-level variant: every cell is its own 1x1 region, in row-major order."""
-    rects = [(i, j, i, j) for i in range(sentence.n) for j in range(sentence.n)]
+    n = tl.shape[0]
+    rects = [(i, j, i, j) for i in range(n) for j in range(n)]
     with ag.no_grad():
-        teacher_t = as_tensors(teacher)
-        tl = encode_sentence(sentence, teacher_t, cfg.encoder)
         probs, _ = classify_regions(roi_represent(tl, rects), teacher_t, cfg.mode)
     return _confident(rects, probs.data, cfg.mode, cfg.eta)
+
+
+def pseudo_labels(teacher: dict, sentences: list[Sentence], cfg: TrainConfig,
+                  label: Callable[..., list[PseudoLabel]]) -> list[list[PseudoLabel]]:
+    """Each sentence's retained pseudo labels: ``teacher`` encodes all of
+    ``sentences`` in one no-grad pass, then ``label`` (``teacher_pseudo_label``
+    or ``teacher_pseudo_label_cells``) filters each sentence's table."""
+    with ag.no_grad():
+        teacher_t = as_tensors(teacher)
+        tables = encode(sentences, teacher_t, cfg.encoder)
+    return [label(teacher_t, tl, cfg) for tl in tables]
 
 
 def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
@@ -271,17 +284,18 @@ def compute_losses(
     sentences (already augmented) and the teacher's retained pseudo labels,
     whose rectangles (1x1 cells for ``ctfmt``) join the student's proposals
     through ``forward(extra_rects=)``.  Consistency is on exactly when
-    ``tgt_pseudo`` is given; MMD follows ``_target_flags(cfg)``."""
+    ``tgt_pseudo`` is given; MMD follows ``_target_flags(cfg)``.  The source
+    and target sentences go through the encoder in one packed pass; detection
+    and the loss terms run per sentence on each one's table."""
     uns_on = tgt_pseudo is not None
     mmd_on = _target_flags(cfg)[1]
+    tgt_sentences = list(tgt_sentences or []) if uns_on or mmd_on else []
+    tables = encode([ls.sentence for ls in src_batch] + tgt_sentences, student_t, cfg.encoder)
     rpn_terms, rpc_terms = [], []
     src_fwds = []
-    for ls in src_batch:
+    for ls, tl in zip(src_batch, tables):
         boundaries, gold = encode_region_labels(ls)
-        fwd = forward(
-            ls.sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa,
-            extra_rects=[g.rect() for g in gold],
-        )
+        fwd = forward(tl, student_t, cfg.mode, cfg.kappa, extra_rects=[g.rect() for g in gold])
         src_fwds.append(fwd)
         rpn_terms.append(loss_rpn(fwd.pb, fwd.pe, boundaries.b, boundaries.e))
         rpc_terms.append(loss_rpc(fwd.logp, match_gold(fwd.proposals, gold, cfg.mode)))
@@ -291,12 +305,12 @@ def compute_losses(
 
     l_uns_t = Tensor(0.0)
     l_mmd_t = Tensor(0.0)
-    if (uns_on or mmd_on) and tgt_sentences:
+    if tgt_sentences:
         tgt_fwds = []
         student_rows = []
-        for si, sentence in enumerate(tgt_sentences):
+        for si, tl in enumerate(tables[len(src_batch):]):
             pseudo = tgt_pseudo[si] if uns_on else []
-            fwd = forward(sentence, student_t, cfg.encoder, cfg.mode, cfg.kappa,
+            fwd = forward(tl, student_t, cfg.mode, cfg.kappa,
                           extra_rects=[p.rect() for p in pseudo])
             tgt_fwds.append(fwd)
             if pseudo:
@@ -344,7 +358,7 @@ def train_step(
             label = (
                 teacher_pseudo_label_cells if cfg.variant == Variant.CTFMT else teacher_pseudo_label
             )
-            tgt_pseudo = [label(teacher, s, cfg) for s in tgt_sentences]
+            tgt_pseudo = pseudo_labels(teacher, tgt_sentences, cfg, label)
     student_t = as_tensors(student)
     total, breakdown = compute_losses(student_t, src_batch, cfg, tgt_sentences, tgt_pseudo)
     if not np.isfinite(breakdown.total):
@@ -441,7 +455,7 @@ def _self_labels(params: dict, sentence: Sentence, cfg: TrainConfig) -> tuple[Tr
     foreground class, as triplets in rectangle order."""
     return tuple(
         pseudo_triplet(pl, cfg.mode)
-        for pl in teacher_pseudo_label(params, sentence, cfg)
+        for pl in pseudo_labels(params, [sentence], cfg, teacher_pseudo_label)[0]
         if int(np.argmax(pl.probs)) != invalid_class(cfg.mode)
     )
 

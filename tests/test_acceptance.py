@@ -36,6 +36,7 @@ from tablemt.trainer import (
     ema_update,
     fit,
     pretrain_teacher,
+    pseudo_labels,
     teacher_pseudo_label,
     _stream,
 )
@@ -258,7 +259,7 @@ def test_criterion_6_pseudo_label_filter():
             params["cls_w"] *= 8.0
         states += 1
         for sent in sentences[: 2 + states % 3]:
-            labels = teacher_pseudo_label(params, sent, cfg)
+            (labels,) = pseudo_labels(params, [sent], cfg, teacher_pseudo_label)
             for pl in labels:
                 assert pl.confidence >= eta
                 assert float(pl.probs[fg].max()) >= eta

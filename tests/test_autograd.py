@@ -207,16 +207,16 @@ def test_conv3x3_shapes_and_grads():
     x = rng.normal(size=(4, 4, 3))
     w = rng.normal(size=(3, 3, 3, 2))
     b = rng.normal(size=(2,))
-    out = ag.conv3x3(Tensor(x), Tensor(w), Tensor(b))
+    out = ag.conv3x3(Tensor(x), Tensor(w), Tensor(b), [4])
     assert out.shape == (4, 4, 2)
-    fd_check(lambda xx, ww, bb: ag.conv3x3(xx, ww, bb).tanh().sum(), [x, w, b])
+    fd_check(lambda xx, ww, bb: ag.conv3x3(xx, ww, bb, [4]).tanh().sum(), [x, w, b])
 
 
 def test_conv3x3_single_cell_is_center_tap():
     x = rng.normal(size=(1, 1, 3))
     w = rng.normal(size=(3, 3, 3, 2))
     b = rng.normal(size=(2,))
-    out = ag.conv3x3(Tensor(x), Tensor(w), Tensor(b))
+    out = ag.conv3x3(Tensor(x), Tensor(w), Tensor(b), [1])
     dense = x[0, 0] @ w[1, 1] + b
     assert np.allclose(out.data[0, 0], dense)
 
@@ -246,7 +246,7 @@ def test_conv3x3_equals_nine_matmul_reference(n):
     x, w, b = r.normal(size=(n, n, 5)), r.normal(size=(3, 3, 5, 7)), r.normal(size=(7,))
     g = r.normal(size=(n, n, 7))
     leaves = [Tensor(a) for a in (x, w, b)]
-    out = ag.conv3x3(*leaves)
+    out = ag.conv3x3(*leaves, [n])
     (out * Tensor(g)).sum().backward()
     want = _nine_matmul_conv(x, w, b, g)
     # im2col sums the 9 * c_in products in another order: rounding only
@@ -259,7 +259,54 @@ def test_conv3x3_alone_matches_finite_differences():
     w = rng.normal(size=(3, 3, 2, 3))
     b = rng.normal(size=(3,))
     g = rng.normal(size=(5, 5, 3))
-    fd_check(lambda xx, ww, bb: (ag.conv3x3(xx, ww, bb) * Tensor(g)).sum(), [x, w, b])
+    fd_check(lambda xx, ww, bb: (ag.conv3x3(xx, ww, bb, [5]) * Tensor(g)).sum(), [x, w, b])
+
+
+def _fd_every_entry(fn, array, grad, eps=1e-6):
+    """Central differences of scalar ``fn(Tensor)`` at every entry of ``array``."""
+    for idx in np.ndindex(array.shape):
+        hi, lo = array.copy(), array.copy()
+        hi[idx] += eps
+        lo[idx] -= eps
+        fd = (fn(Tensor(hi)).item() - fn(Tensor(lo)).item()) / (2 * eps)
+        assert grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-7), f"grad mismatch at {idx}"
+
+
+def test_conv3x3_on_two_packed_maps_matches_finite_differences():
+    sizes = [3, 2]
+    x = rng.normal(size=(9 + 4, 2))
+    w = rng.normal(size=(3, 3, 2, 3))
+    b = rng.normal(size=(3,))
+    g = rng.normal(size=(9 + 4, 3))
+    leaves = [Tensor(a) for a in (x, w, b)]
+    (ag.conv3x3(*leaves, sizes) * Tensor(g)).sum().backward()
+    _fd_every_entry(lambda t: (ag.conv3x3(t, leaves[1], leaves[2], sizes) * Tensor(g)).sum(),
+                    x, leaves[0].grad)
+    fd_check(lambda xx, ww, bb: (ag.conv3x3(xx, ww, bb, sizes) * Tensor(g)).sum(), [x, w, b])
+    # each map sees only itself: the packed output is the two maps' own convs
+    # (up to rounding: BLAS may sum a row in another order when the number
+    # of rows in the product changes)
+    first = ag.conv3x3(Tensor(x[:9].reshape(3, 3, 2)), leaves[1], leaves[2], [3])
+    second = ag.conv3x3(Tensor(x[9:].reshape(2, 2, 2)), leaves[1], leaves[2], [2])
+    packed = ag.conv3x3(Tensor(x), leaves[1], leaves[2], sizes)
+    np.testing.assert_allclose(packed.data, np.concatenate(
+        [first.data.reshape(9, 3), second.data.reshape(4, 3)]), rtol=1e-12, atol=1e-12)
+
+
+def test_range_rowmax_on_two_packed_sentences_matches_finite_differences():
+    # the token ranges build_table pools, for sentences of 3 and 4 tokens
+    # stacked as rows 0-2 and 3-6
+    starts, stops = [], []
+    for n, offset in ((3, 0), (4, 3)):
+        ii, jj = np.repeat(np.arange(n), n), np.tile(np.arange(n), n)
+        starts.append(offset + np.minimum(ii, jj))
+        stops.append(offset + np.maximum(ii, jj) + 1)
+    starts, stops = np.concatenate(starts), np.concatenate(stops)
+    h = rng.normal(size=(7, 3))
+    g = rng.normal(size=(len(starts), 3))
+    t = Tensor(h)
+    (ag.range_rowmax(t, starts, stops) * Tensor(g)).sum().backward()
+    _fd_every_entry(lambda x: (ag.range_rowmax(x, starts, stops) * Tensor(g)).sum(), h, t.grad)
 
 
 _POS = np.random.default_rng(3).uniform(0.5, 2.0, size=(3, 3))  # log, sqrt and pow
@@ -287,7 +334,8 @@ _OPS = {
     "concat": (lambda x, y: ag.concat([x, y], axis=1), [_ANY, _POS]),
     "rect_max": (lambda x: ag.rect_max(x, [(0, 0, 1, 2), (2, 1, 2, 1)]), [_MAP]),
     "range_rowmax": (lambda x: ag.range_rowmax(x, np.array([0, 1]), np.array([2, 3])), [_ANY]),
-    "conv3x3": (ag.conv3x3, [_MAP, _MAP.reshape(3, 3, 2, 1) * np.ones(2), _POS[0, :2]]),
+    "conv3x3": (lambda x, w, b: ag.conv3x3(x, w, b, [3]),
+                [_MAP, _MAP.reshape(3, 3, 2, 1) * np.ones(2), _POS[0, :2]]),
 }
 
 

@@ -11,7 +11,7 @@ from tablemt.encoder import (
     build_table,
     conv_stack,
     embed,
-    encode_sentence,
+    encode,
     fnv1a64,
     init_encoder_params,
     token_buckets,
@@ -47,8 +47,8 @@ def test_embed_shape_and_determinism():
     sent = Sentence(("a", "b", "c", "d", "e"))
     cfg16 = EncoderConfig(d=16, layers=1, vocab_buckets=64, max_n=8)
     p = _tensors(init_encoder_params(cfg16, np.random.default_rng(1)))
-    h1 = embed(sent, p, cfg16)
-    h2 = embed(sent, p, cfg16)
+    h1 = embed([sent], p, cfg16)
+    h2 = embed([sent], p, cfg16)
     assert h1.shape == (5, 16)
     assert np.array_equal(h1.data, h2.data)
 
@@ -56,7 +56,7 @@ def test_embed_shape_and_determinism():
 def test_embed_position_disambiguates_identical_tokens():
     sent = Sentence(("x", "x", "x"))
     p = _tensors(_params())
-    h = embed(sent, p, CFG)
+    h = embed([sent], p, CFG)
     assert not np.allclose(h.data[0], h.data[1])
     assert not np.allclose(h.data[1], h.data[2])
 
@@ -64,7 +64,7 @@ def test_embed_position_disambiguates_identical_tokens():
 def test_embed_rejects_long_sentence():
     sent = Sentence(tuple(f"w{i}" for i in range(CFG.max_n + 1)))
     with pytest.raises(ValueError):
-        embed(sent, _tensors(_params()), CFG)
+        embed([sent], _tensors(_params()), CFG)
 
 
 def test_token_buckets_in_range():
@@ -75,7 +75,7 @@ def test_token_buckets_in_range():
 
 def test_build_table_diagonal_pool_equals_row():
     p = _tensors(_params())
-    h = embed(Sentence(("a", "b", "c")), p, CFG)
+    h = embed([Sentence(("a", "b", "c"))], p, CFG)
     ii = np.array([0, 1, 2])
     pooled = ag.range_rowmax(h, ii, ii + 1)
     assert np.allclose(pooled.data, h.data)
@@ -88,8 +88,8 @@ def test_build_table_bilinear_slot_constant_when_v_and_w_zeroed():
     # only the bilinear input row of the projection is (potentially) nonzero
     params["tab_w"][3 * CFG.d, :] = 1.0
     p = _tensors(params)
-    h = embed(Sentence(("a", "b", "c")), p, CFG)
-    t0 = build_table(h, p)
+    h = embed([Sentence(("a", "b", "c"))], p, CFG)
+    t0 = build_table(h, [3], p)
     expected = np.tanh(params["tab_b"])
     assert np.allclose(t0.data, expected[None, None, :])
 
@@ -109,12 +109,12 @@ def test_build_table_maxpool_matches_loop_oracle():
 def test_table_asymmetric_in_general_symmetric_for_equal_rows():
     params = _params()
     p = _tensors(params)
-    h = embed(Sentence(("a", "b", "c")), p, CFG)
-    t0 = build_table(h, p)
+    h = embed([Sentence(("a", "b", "c"))], p, CFG)
+    t0 = build_table(h, [3], p).reshape(3, 3, CFG.d)
     assert not np.allclose(t0.data[0, 2], t0.data[2, 0])
     # force two equal rows: t_ij == t_ji when h_i == h_j
     h_eq = Tensor(np.vstack([h.data[0], h.data[0], h.data[2]]))
-    t_eq = build_table(h_eq, p)
+    t_eq = build_table(h_eq, [3], p).reshape(3, 3, CFG.d)
     assert np.allclose(t_eq.data[0, 1], t_eq.data[1, 0])
 
 
@@ -128,7 +128,7 @@ def test_conv_stack_zero_kernels_is_identity():
     p = _tensors(params)
     rng = np.random.default_rng(0)
     t0 = Tensor(rng.normal(size=(4, 4, CFG.d)))
-    out = conv_stack(t0, p, CFG)
+    out = conv_stack(t0, [4], p, CFG)
     assert np.array_equal(out.data, t0.data)
 
 
@@ -136,7 +136,7 @@ def test_conv_stack_shape_invariance_and_finiteness():
     p = _tensors(_params(seed=5))
     for n in (1, 3, 7):
         sent = Sentence(tuple(f"w{i}" for i in range(n)))
-        tl = encode_sentence(sent, p, CFG)
+        (tl,) = encode([sent], p, CFG)
         assert tl.shape == (n, n, CFG.d)
         assert np.isfinite(tl.data).all()
 
@@ -144,7 +144,7 @@ def test_conv_stack_shape_invariance_and_finiteness():
 def _encoder_grad(sentence, params, upstream):
     """Parameter gradients of sum(T_L * upstream) for every encoder parameter."""
     tensors = _tensors(params)
-    (encode_sentence(sentence, tensors, CFG) * Tensor(upstream)).sum().backward()
+    (encode([sentence], tensors, CFG)[0] * Tensor(upstream)).sum().backward()
     return {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for k, t in tensors.items()
@@ -159,7 +159,7 @@ def test_encoder_grad_matches_finite_differences():
     grads = _encoder_grad(sent, params, upstream)
 
     def loss(p):
-        tl = encode_sentence(sent, _tensors(p), CFG)
+        (tl,) = encode([sent], _tensors(p), CFG)
         return float((tl.data * upstream).sum())
 
     eps = 1e-3
@@ -190,6 +190,68 @@ def test_residual_path_passes_gradient_with_zero_kernels():
         params[f"conv{layer}_w2"][:] = 0.0
     p = _tensors(params)
     t0 = Tensor(np.random.default_rng(1).normal(size=(3, 3, CFG.d)))
-    out = conv_stack(t0, p, CFG)
+    out = conv_stack(t0, [3], p, CFG)
     out.sum().backward()
     assert np.allclose(t0.grad, 1.0)  # identity pass-through
+
+
+PACK_CFG = EncoderConfig(d=16, layers=2, vocab_buckets=128, max_n=24)
+# every length from 1 to max_n, in mixed-length batches
+PACK_BATCHES = [(1, 24, 7), (3, 1, 1, 12, 2), (24, 16, 5, 9), (2, 11, 4, 24, 1, 8, 17)]
+
+
+def _pack_params(seed):
+    params = init_encoder_params(PACK_CFG, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 100)
+    for layer in (1, 2):  # training starts these at zero; make the second convs act
+        params[f"conv{layer}_w2"] = rng.normal(0.0, 0.1, size=params[f"conv{layer}_w2"].shape)
+    return params
+
+
+def _sentences(lengths, rng):
+    return [Sentence(tuple(f"w{rng.integers(40)}" for _ in range(n))) for n in lengths]
+
+
+def _grads(tensors):
+    return {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
+            for k, t in tensors.items()}
+
+
+@pytest.mark.parametrize("lengths", PACK_BATCHES, ids=lambda b: "-".join(map(str, b)))
+def test_packed_tables_equal_one_sentence_encodings(lengths):
+    rng = np.random.default_rng(len(lengths))
+    params = _pack_params(len(lengths))
+    sentences = _sentences(lengths, rng)
+    upstream = [rng.normal(size=(n, n, PACK_CFG.d)) for n in lengths]
+
+    packed_t = _tensors(params)
+    tables = encode(sentences, packed_t, PACK_CFG)
+    loss = Tensor(0.0)
+    for tl, u in zip(tables, upstream):
+        loss = loss + (tl * Tensor(u)).sum()
+    loss.backward()
+
+    alone_grads = {k: np.zeros_like(v) for k, v in params.items()}
+    for sentence, tl, u in zip(sentences, tables, upstream):
+        alone_t = _tensors(params)
+        (alone,) = encode([sentence], alone_t, PACK_CFG)
+        if sentence.n > 1:
+            np.testing.assert_array_equal(tl.data, alone.data)
+        else:
+            # A one-token sentence alone makes one-row products, which numpy
+            # hands to BLAS gemv; in a pack its rows go through gemm, which
+            # sums in another order.
+            np.testing.assert_allclose(tl.data, alone.data, rtol=0, atol=1e-15)
+        (alone * Tensor(u)).sum().backward()
+        for k, g in _grads(alone_t).items():
+            alone_grads[k] += g
+    for k, g in _grads(packed_t).items():
+        np.testing.assert_allclose(g, alone_grads[k], rtol=1e-12, atol=1e-12, err_msg=k)
+
+
+def test_pack_with_an_over_length_sentence_fails_before_any_encoding():
+    rng = np.random.default_rng(0)
+    sentences = _sentences([3, CFG.max_n, 2, CFG.max_n + 1], rng)
+    # empty parameters: any encoding work would raise KeyError first
+    with pytest.raises(ValueError, match=f"sentence length {CFG.max_n + 1} exceeds max_n"):
+        encode(sentences, {}, CFG)

@@ -9,7 +9,6 @@ from tablemt import autograd as ag
 from tablemt.autograd import Tensor
 from tablemt.corpus import Polarity, Sentence
 from tablemt.detector import Mode, RegionProposal
-from tablemt.encoder import EncoderConfig
 from tablemt.losses import (
     LossBreakdown,
     loss_mmd,
@@ -20,6 +19,7 @@ from tablemt.losses import (
     mmd,
     total_loss,
 )
+from tablemt.encoder import EncoderConfig, encode
 from tablemt.model import as_tensors, forward, init_params
 from tablemt.tagging import GoldRegion, RegionClass
 
@@ -100,7 +100,8 @@ def test_forward_appends_missing_extra_rect_once():
     cfg = EncoderConfig(d=8, layers=1, vocab_buckets=64, max_n=8)
     params = as_tensors(init_params(cfg, Mode.ASTE, np.random.default_rng(0)))
     sentence = Sentence(("the", "snoun0", "was", "sadj0", "here"))
-    base = forward(sentence, params, cfg, Mode.ASTE, kappa=0.3)
+    (tl,) = encode([sentence], params, cfg)
+    base = forward(tl, params, Mode.ASTE, kappa=0.3)
     predicted = [p.rect() for p in base.proposals]
     assert base.n_predicted == len(predicted) > 0
     n = sentence.n
@@ -109,7 +110,7 @@ def test_forward_appends_missing_extra_rect_once():
         for a in range(n) for b in range(n) for c in range(a, n) for d in range(b, n)
         if (a, b, c, d) not in predicted
     )
-    fwd = forward(sentence, params, cfg, Mode.ASTE, kappa=0.3,
+    fwd = forward(tl, params, Mode.ASTE, kappa=0.3,
                   extra_rects=[missing, predicted[0], missing])
     assert [p.rect() for p in fwd.proposals] == predicted + [missing]
     assert fwd.n_predicted == len(predicted)

@@ -27,6 +27,7 @@ from tablemt.trainer import (
     ema_update,
     fit,
     pretrain_teacher,
+    pseudo_labels,
     teacher_pseudo_label,
     teacher_pseudo_label_cells,
     train_step,
@@ -140,7 +141,8 @@ def test_pseudo_label_filter_contract(tiny_data):
         params = init_params(cfg.encoder, cfg.mode, np.random.default_rng(ss))
         for sent in sentences[:3]:
             for eta in (0.3, 0.7):
-                labels = teacher_pseudo_label(params, sent, replace(cfg, eta=eta))
+                labels = pseudo_labels(params, [sent], replace(cfg, eta=eta),
+                                       teacher_pseudo_label)[0]
                 for pl in labels:
                     assert pl.confidence >= eta
                     assert pl.confidence == pytest.approx(float(pl.probs[fg].max()))
@@ -150,13 +152,15 @@ def test_pseudo_label_eta_one_yields_empty_and_eta_zero_keeps_all(tiny_data):
     cfg = tiny_cfg()
     params = init_params(cfg.encoder, cfg.mode, np.random.default_rng(3))
     sent = tiny_data.target_unlabeled[0].sentence
-    assert teacher_pseudo_label(params, sent, replace(cfg, eta=1.0)) == []
-    all_kept = teacher_pseudo_label(params, sent, replace(cfg, eta=1e-12))
+    assert pseudo_labels(params, [sent], replace(cfg, eta=1.0), teacher_pseudo_label) == [[]]
+    (all_kept,) = pseudo_labels(params, [sent], replace(cfg, eta=1e-12), teacher_pseudo_label)
+    from tablemt.encoder import encode
     from tablemt.model import as_tensors, forward
 
     import tablemt.autograd as ag
     with ag.no_grad():
-        fwd = forward(sent, as_tensors(params), cfg.encoder, cfg.mode, cfg.kappa)
+        params_t = as_tensors(params)
+        fwd = forward(encode([sent], params_t, cfg.encoder)[0], params_t, cfg.mode, cfg.kappa)
     assert len(all_kept) == len(fwd.proposals)
 
 
@@ -164,7 +168,7 @@ def test_pseudo_label_cells_rects_are_cells(tiny_data):
     cfg = tiny_cfg(variant=Variant.CTFMT, eta=0.2)
     params = init_params(cfg.encoder, cfg.mode, np.random.default_rng(3))
     sent = tiny_data.target_unlabeled[0].sentence
-    labels = teacher_pseudo_label_cells(params, sent, cfg)
+    (labels,) = pseudo_labels(params, [sent], cfg, teacher_pseudo_label_cells)
     for pl in labels:
         assert pl.a == pl.c and pl.b == pl.d
 
@@ -178,9 +182,9 @@ def test_non_finite_params_fail_loudly(tiny_data, name):
     with pytest.raises(NonFiniteScoreError):
         predict(sent, params, cfg.encoder, cfg.mode, 1.0)
     with pytest.raises(NonFiniteScoreError):
-        teacher_pseudo_label(params, sent, cfg)
+        pseudo_labels(params, [sent], cfg, teacher_pseudo_label)
     with pytest.raises(NonFiniteScoreError):
-        teacher_pseudo_label_cells(params, sent, cfg)
+        pseudo_labels(params, [sent], cfg, teacher_pseudo_label_cells)
 
 
 def test_teacher_params_only_change_via_ema(tiny_data):
@@ -199,6 +203,29 @@ def test_teacher_params_only_change_via_ema(tiny_data):
             assert np.array_equal(teacher[k], checksums[k]), "teacher moved inside a step"
         ema_update(teacher, student, cfg.ema_lambda)
         checksums = {k: v.copy() for k, v in teacher.items()}
+
+
+@pytest.mark.parametrize("variant", [Variant.TFMT, Variant.CTFMT])
+def test_a_step_encodes_once_per_role(tiny_data, monkeypatch, variant):
+    """The teacher's target sentences go through the encoder in one pass,
+    and the student's source and target sentences together in another."""
+    import tablemt.trainer as trainer
+
+    packs = []
+
+    def recording(sentences, params, cfg):
+        packs.append([s.n for s in sentences])
+        return real(sentences, params, cfg)
+
+    real = trainer.encode
+    monkeypatch.setattr(trainer, "encode", recording)
+    cfg = tiny_cfg(variant=variant, eta=0.05, ablations=frozenset({"no_aug"}))
+    teacher = init_params(cfg.encoder, cfg.mode, _stream(0, 0))
+    student = init_params(cfg.encoder, cfg.mode, _stream(0, 1))
+    src, tgt = tiny_data.source_train[:2], tiny_data.target_unlabeled[:2]
+    train_step(student, teacher, Adam(student, cfg.lr), src, tgt, cfg)
+    tgt_lengths = [ls.sentence.n for ls in tgt]
+    assert packs == [tgt_lengths, [ls.sentence.n for ls in src] + tgt_lengths]
 
 
 def test_train_step_supervised_only_when_all_ablated(tiny_data):
@@ -292,7 +319,7 @@ def test_self_training_drops_invalid_argmax_labels(tiny_data, monkeypatch):
     invalid = PseudoLabel(0, 1, 0, 1, np.array([0.1, 0.35, 0.05, 0.5]), 0.35)
     valid = PseudoLabel(0, 2, 1, 2, np.array([0.05, 0.1, 0.6, 0.25]), 0.6)
     assert pseudo_triplet(invalid, Mode.ASTE) == Triplet(Span(0, 0), Span(1, 1), Polarity.NEU)
-    monkeypatch.setattr(trainer, "teacher_pseudo_label", lambda *a, **k: [invalid, valid])
+    monkeypatch.setattr(trainer, "pseudo_labels", lambda *a, **k: [[invalid, valid]])
     kept = trainer._self_labels({}, tiny_data.target_unlabeled[0].sentence, tiny_cfg(eta=0.3))
     assert kept == (Triplet(Span(0, 1), Span(2, 2), Polarity.NEG),)
 
@@ -380,7 +407,7 @@ def test_gradient_of_assembled_step_matches_fd(tiny_data):
     student = init_params(cfg.encoder, cfg.mode, _stream(20, 1))
     src = tiny_data.source_train[:2]
     tgt = [ls.sentence for ls in tiny_data.target_unlabeled[:2]]
-    pseudo = [teacher_pseudo_label(teacher, s, cfg) for s in tgt]
+    pseudo = pseudo_labels(teacher, tgt, cfg, teacher_pseudo_label)
     assert any(pseudo)
 
     def value(params):
@@ -444,7 +471,7 @@ def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
     the cells as 1x1 regions of the student's forward, equal those built
     from the retained cells' ``_cell_probs`` rows."""
     import tablemt.autograd as ag
-    from tablemt.encoder import encode_sentence
+    from tablemt.encoder import encode
     from tablemt.losses import loss_uns
     from tablemt.model import as_tensors
 
@@ -452,12 +479,12 @@ def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
     teacher = init_params(cfg.encoder, cfg.mode, _stream(20, 0))
     student = init_params(cfg.encoder, cfg.mode, _stream(20, 1))
     tgt = [ls.sentence for ls in tiny_data.target_unlabeled[:2]]
-    pseudo = [teacher_pseudo_label_cells(teacher, s, cfg) for s in tgt]
+    pseudo = pseudo_labels(teacher, tgt, cfg, teacher_pseudo_label_cells)
     assert all(pseudo)
     teacher_t = as_tensors(teacher)
     for sent, labels in zip(tgt, pseudo):
         with ag.no_grad():
-            dense, _ = _cell_probs(encode_sentence(sent, teacher_t, cfg.encoder), teacher_t,
+            dense, _ = _cell_probs(encode([sent], teacher_t, cfg.encoder)[0], teacher_t,
                                    cfg.mode)
         for pl in labels:
             assert np.array_equal(pl.probs, dense.data[pl.a * sent.n + pl.b])
@@ -471,7 +498,7 @@ def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
     old_t = as_tensors(student)
     rows = []
     for sent, labels in zip(tgt, pseudo):
-        probs, _ = _cell_probs(encode_sentence(sent, old_t, cfg.encoder), old_t, cfg.mode)
+        probs, _ = _cell_probs(encode([sent], old_t, cfg.encoder)[0], old_t, cfg.mode)
         rows.append(probs[np.array([p.a * sent.n + p.b for p in labels])])
     teacher_rows = np.concatenate([np.stack([p.probs for p in labels]) for labels in pseudo])
     old = loss_uns(ag.concat(rows, axis=0), teacher_rows)
@@ -494,7 +521,7 @@ def test_ctfmt_gradient_of_assembled_step_matches_fd(tiny_data, mode):
     student = init_params(cfg.encoder, cfg.mode, _stream(20, 1))
     src = tiny_data.source_train[:2]
     tgt = [ls.sentence for ls in tiny_data.target_unlabeled[:2]]
-    pseudo = [teacher_pseudo_label_cells(teacher, s, cfg) for s in tgt]
+    pseudo = pseudo_labels(teacher, tgt, cfg, teacher_pseudo_label_cells)
 
     def value(params):
         total, _ = compute_losses(as_tensors(params), src, cfg, tgt, pseudo)

@@ -1,7 +1,8 @@
 """Digests of fit and predict outputs, for checking that a change keeps them byte-identical.
 
-    python3 tools/fit_digest.py                       # this checkout's src/
-    python3 tools/fit_digest.py --src ../other/src    # another checkout's
+    python3 tools/fit_digest.py                            # this checkout's src/
+    python3 tools/fit_digest.py --src ../other/src         # another checkout's
+    python3 tools/fit_digest.py --against ../parent/src    # gaps against another checkout
 
 Prints one ``<case> <sha256>`` line per case (a predict case also gives
 the number of items predicted), so the outputs of two checkouts compare
@@ -15,6 +16,14 @@ The grid:
   2 epochs;
 - predictions at kappa 1.0 of 2-epoch source-only ASTE and AOPE models (fit
   on the seed-7 corpus) on 100 sentences of 16 to 24 target-domain tokens.
+
+``--against OTHER_SRC`` runs the grid on both trees, the other one in a
+child process, and says how far apart they are: for each fit case, whether
+the dev-selected epoch matches and the largest absolute and relative gap of
+each history column over the epochs; for each predict case, whether the
+predictions are identical.  A change that moves results by rounding only
+states its tolerance from that one command.  ``--json`` prints each case's
+raw outputs as one JSON object a line, which is what ``--against`` reads.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -53,7 +63,8 @@ def fit_cases():
         yield f"fit_{variant.value}_synth7", bench, TrainConfig(variant=variant, epochs=2, seed=7)
 
 
-def fit_digest(corpus, cfg, scratch: Path) -> str:
+def fit_outputs(corpus, cfg, scratch: Path) -> dict:
+    """The digest, the dev-selected epoch and the history rows of one fit."""
     from tablemt.checkpoint import save_checkpoint
     from tablemt.trainer import fit
 
@@ -62,11 +73,11 @@ def fit_digest(corpus, cfg, scratch: Path) -> str:
     save_checkpoint(path, ckpt)
     h = hashlib.sha256(json.dumps(rows, sort_keys=True).encode("utf-8"))
     h.update(path.read_bytes())
-    return h.hexdigest()
+    return {"digest": h.hexdigest(), "epoch": ckpt.epoch, "history": rows}
 
 
-def predict_digests():
-    """(name, digest) of the predictions of a source-only model per mode."""
+def predict_outputs():
+    """(name, predictions) of a source-only model per mode."""
     from tablemt.corpus import Sentence, SynthConfig, synth_corpus, vocabulary
     from tablemt.detector import Mode
     from tablemt.model import predict
@@ -81,14 +92,60 @@ def predict_digests():
     for mode in Mode:
         cfg = TrainConfig(variant=Variant.SOURCE_ONLY, mode=mode, epochs=2, seed=7)
         ckpt, _ = fit(corpus, cfg)
-        preds = [predict(s, ckpt.student, cfg.encoder, mode, 1.0) for s in sentences]
-        digest = hashlib.sha256(repr(preds).encode("utf-8")).hexdigest()
-        yield f"predict_{mode.value}_kappa1", f"{digest} ({sum(map(len, preds))} items)"
+        yield f"predict_{mode.value}_kappa1", [predict(s, ckpt.student, cfg.encoder, mode, 1.0)
+                                               for s in sentences]
+
+
+def case_outputs():
+    """(name, outputs) of every case, fit cases first; a predict case's
+    outputs are the repr of its predictions, its digest and its item count."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, corpus, cfg in fit_cases():
+            yield name, fit_outputs(corpus, cfg, Path(tmp))
+    for name, preds in predict_outputs():
+        text = repr(preds)
+        yield name, {"digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+                     "items": sum(map(len, preds)), "predictions": text}
+
+
+def _gaps(mine: list[dict], other: list[dict]) -> str:
+    """The largest absolute / relative gap of each history column."""
+    from tablemt.trainer import HISTORY_COLUMNS
+
+    out = []
+    for col in HISTORY_COLUMNS:
+        a = np.array([r[col] for r in mine], dtype=float)
+        b = np.array([r[col] for r in other], dtype=float)
+        gap = np.abs(a - b)
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0)
+        out.append(f"{col} {gap.max(initial=0.0):.2g}/{rel.max(initial=0.0):.2g}")
+    return ", ".join(out)
+
+
+def compare(mine: dict, other: dict) -> str:
+    """One line saying how far one case's outputs are from the other tree's."""
+    if "predictions" in mine:
+        same = mine["predictions"] == other["predictions"]
+        return f"predictions {'identical' if same else 'DIFFER'} ({mine['items']} items)"
+    if mine["digest"] == other["digest"]:
+        return f"byte-identical, epoch {mine['epoch']}"
+    epoch = ("epoch same" if mine["epoch"] == other["epoch"]
+             else f"epoch DIFFERS ({mine['epoch']} vs {other['epoch']})")
+    if mine["history"] == other["history"]:
+        return f"{epoch}; history identical, checkpoint bytes differ"
+    if len(mine["history"]) != len(other["history"]):
+        return f"{epoch}; history lengths differ"
+    return f"{epoch}; abs/rel gaps: {_gaps(mine['history'], other['history'])}"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=str(SRC), help="the src/ directory to import tablemt from")
+    parser.add_argument("--against", metavar="OTHER_SRC",
+                        help="another src/ directory to compare every case with")
+    parser.add_argument("--json", action="store_true",
+                        help="print each case's raw outputs as one JSON object a line")
     args = parser.parse_args(argv)
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -97,11 +154,31 @@ def main(argv=None) -> int:
     if Path(tablemt.__file__).resolve().parent != src / "tablemt":
         print(f"imported tablemt from {tablemt.__file__}, not from {src}", file=sys.stderr)
         return 2
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, corpus, cfg in fit_cases():
-            print(name, fit_digest(corpus, cfg, Path(tmp)), flush=True)
-    for name, digest in predict_digests():
-        print(name, digest, flush=True)
+    child = None
+    if args.against:
+        child = subprocess.Popen([sys.executable, __file__, "--src", args.against, "--json"],
+                                 stdout=subprocess.PIPE, text=True)
+    mine = {}
+    for name, out in case_outputs():
+        if args.json:
+            print(json.dumps({"name": name, **out}), flush=True)
+        elif child is not None:
+            mine[name] = out
+        elif "items" in out:
+            print(name, f"{out['digest']} ({out['items']} items)", flush=True)
+        else:
+            print(name, out["digest"], flush=True)
+    if child is None:
+        return 0
+    others = {}
+    for line in child.stdout:
+        record = json.loads(line)
+        others[record.pop("name")] = record
+    if child.wait() != 0:
+        print(f"the run on {args.against} failed", file=sys.stderr)
+        return 2
+    for name, out in mine.items():
+        print(name, compare(out, others[name]) if name in others else "missing in the other tree")
     return 0
 
 
