@@ -296,26 +296,70 @@ def _window_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                              initial=-np.inf)
 
 
-def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]]) -> Tensor:
-    """Elementwise max over inclusive windows of an (n, n, d) map.
+@functools.lru_cache(maxsize=32)
+def _row_cells(sizes: tuple[int, ...]) -> np.ndarray | None:
+    """Read-only (Σn, max n) mask over the rows of n x n maps packed back to
+    back, one per entry of ``sizes``, stacked and padded to the widest: entry
+    [r, j] is set where row r has a column j.  Its set entries, in row-major
+    order, are the packed map's cells in order.  None when no row is padded."""
+    widths = np.repeat(sizes, sizes)
+    if (widths == max(sizes)).all():
+        return None
+    mask = np.arange(max(sizes)) < widths[:, None]
+    mask.flags.writeable = False
+    return mask
 
-    Output row r equals ``x.data[a:c+1, b:d+1].max(axis=(0, 1))`` for
-    ``rects[r] = (a, b, c, d)``; ``rects`` is an (m, 4) int array or a
-    sequence of 4-tuples.  Ties split the gradient evenly, as ``Tensor.max``
-    does, and every window's gradient goes into one buffer.
+
+def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]],
+             sizes: Sequence[int]) -> Tensor:
+    """Elementwise max over inclusive windows of n x n maps packed back to back.
+
+    The leading axes of ``x`` hold the row-major cells of one n x n map per
+    entry of ``sizes`` (an (n, n, k) map with ``sizes=[n]`` included), and
+    its last axis the channels.  The maps' rows are stacked, so map s's row i
+    is row ``sum(sizes[:s]) + i``.  Output row r is the max over rows a..c and
+    columns b..d for ``rects[r] = (a, b, c, d)``, an (m, 4) int array or a
+    sequence of 4-tuples whose window lies inside one map.  Ties split the
+    gradient evenly, as ``Tensor.max`` does, and every window's gradient goes
+    into one buffer.
     """
     rects = np.asarray(rects)
-    out_data = _window_max(x.data, *rects.T)
+    k = x.data.shape[-1]
+    inside = _row_cells(tuple(sizes))
+    if inside is None:  # maps of one size stack with no padding
+        rows = x.data.reshape(-1, max(sizes), k)
+    else:
+        rows = np.zeros(inside.shape + (k,))
+        rows[inside] = x.data.reshape(-1, k)
+    out_data = _window_max(rows, *rects.T)
 
     def backward(g):
-        buf = np.zeros_like(x.data)
+        buf = np.zeros_like(rows)
         for (a, b, c, d), top, gw in zip(rects.tolist(), out_data, g):
             w = (slice(a, c + 1), slice(b, d + 1))
-            ties = x.data[w] == top
+            ties = rows[w] == top
             buf[w] += ties * (gw / ties.sum(axis=(0, 1)))
-        x._accumulate(buf)
+        x._accumulate((buf if inside is None else buf[inside]).reshape(x.data.shape))
 
     return Tensor(out_data, (x,), backward)
+
+
+def weighted_bce(p: Tensor, y: np.ndarray, weights: np.ndarray, floor: float) -> Tensor:
+    """Weighted binary cross-entropy ``-sum(w * (y log p + (1 - y) log(1 - p)))``
+    of probabilities ``p`` against 0/1 labels ``y``, all three of one shape.
+    Each log reads its argument clamped at ``floor``, as ``clamp_min`` then
+    ``log`` would, so a clamped term passes no gradient.  One node, where the
+    composed ops record eleven."""
+    q = np.maximum(p.data, floor)
+    r = np.maximum(1.0 - p.data, floor)
+    value = -(weights * (y * np.log(q) + (1.0 - y) * np.log(r))).sum()
+
+    def grad(g, out):
+        dq = y * (p.data > floor) / q
+        dr = (1.0 - y) * ((1.0 - p.data) > floor) / r
+        return g * -weights * (dq - dr)
+
+    return p._unary(value, grad)
 
 
 def range_rowmax(h: Tensor, starts: np.ndarray, stops: np.ndarray) -> Tensor:

@@ -1,11 +1,18 @@
 """Corner scoring, top-k pruning, corner pairing, RoI pooling, and region
-classification over the encoded word-pair table."""
+classification over the encoded word-pair table.
+
+Scoring, pooling and classification run on the packed (Σn², d) map that
+``encoder.encode`` makes of a batch of sentences, once per batch; top-k
+pruning and pairing run on one sentence's (n, n) corner maps, in numpy."""
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -52,8 +59,17 @@ def init_detector_params(d: int, mode: Mode, rng: np.random.Generator) -> dict[s
 
 @dataclass(frozen=True)
 class RpnScores:
-    pb: Tensor  # (n, n) top-left corner probabilities
-    pe: Tensor  # (n, n) bottom-right corner probabilities
+    pb: Tensor  # (Σn²,) top-left corner probabilities of every packed cell
+    pe: Tensor  # (Σn²,) bottom-right corner probabilities
+
+    def maps(self, sizes: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each sentence's (n, n) B and E maps, as views of the packed data."""
+        out, lo = [], 0
+        for n in sizes:
+            out.append((self.pb.data[lo : lo + n * n].reshape(n, n),
+                        self.pe.data[lo : lo + n * n].reshape(n, n)))
+            lo += n * n
+        return out
 
 
 @dataclass(frozen=True)
@@ -68,11 +84,9 @@ class RegionProposal:
 
 
 def rpn_scores(tl: Tensor, params: dict[str, Tensor]) -> RpnScores:
-    n = tl.shape[0]
-    d = tl.shape[2]
-    flat = tl.reshape(n * n, d)
-    pb = (flat @ params["rpn_b_w"] + params["rpn_b_b"]).sigmoid().reshape(n, n)
-    pe = (flat @ params["rpn_e_w"] + params["rpn_e_b"]).sigmoid().reshape(n, n)
+    """Corner probabilities of every cell of a packed (Σn², d) map."""
+    pb = (tl @ params["rpn_b_w"] + params["rpn_b_b"]).sigmoid().reshape(-1)
+    pe = (tl @ params["rpn_e_w"] + params["rpn_e_b"]).sigmoid().reshape(-1)
     return RpnScores(pb, pe)
 
 
@@ -96,12 +110,35 @@ def propose_regions(
     return [RegionProposal(*r) for r in sorted(rects)]
 
 
-def roi_represent(tl: Tensor, rects: list[tuple[int, int, int, int]]) -> Tensor:
-    """Fixed-length region vectors, one (3d,) row per (a, b, c, d) rectangle:
-    B-corner cell + E-corner cell + elementwise max over every cell inside."""
-    rects = np.array(rects)
-    a, b, c, d = rects.T
-    return ag.concat([tl[(a, b)], tl[(c, d)], ag.rect_max(tl, rects)], axis=1)
+@functools.lru_cache(maxsize=32)
+def _packing(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index tables of maps packed back to back, one per entry of
+    ``sizes``: the (S, 4) shift that moves each map's (a, b, c, d)
+    rectangles onto the stacked rows, and the packed cell where each of the
+    Σn stacked rows starts."""
+    n = np.array(sizes)
+    row0 = np.cumsum(n) - n
+    shift = np.zeros((len(n), 4), dtype=np.int64)
+    shift[:, 0] = shift[:, 2] = row0
+    row_cell = (np.repeat(np.cumsum(n * n) - n * n - row0 * n, n)
+                + np.arange(n.sum()) * np.repeat(n, n))
+    shift.flags.writeable = row_cell.flags.writeable = False
+    return shift, row_cell
+
+
+def roi_represent(tl: Tensor, sizes: Sequence[int],
+                  rects: Sequence[Sequence[tuple[int, int, int, int]]]) -> Tensor:
+    """Fixed-length region vectors over a packed (Σn², d) map of sentences
+    of ``sizes``: one (3d,) row per (a, b, c, d) rectangle of ``rects[s]`` on
+    sentence s, sentences in order, each the B-corner cell + E-corner cell +
+    elementwise max over every cell inside."""
+    sizes = tuple(sizes)
+    shift, row_cell = _packing(sizes)
+    local = np.fromiter(chain.from_iterable(chain.from_iterable(rects)), np.int64).reshape(-1, 4)
+    windows = local + np.repeat(shift, [len(r) for r in rects], axis=0)
+    a, b, c, d = windows.T
+    return ag.concat([tl[row_cell[a] + b], tl[row_cell[c] + d],
+                      ag.rect_max(tl, windows, sizes)], axis=1)
 
 
 def classify_regions(rois: Tensor, params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor]:

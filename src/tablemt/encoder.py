@@ -15,7 +15,7 @@ tokens are stacked as one (Σn, d) matrix, and their tables as one ragged
 padding.  The window mean is one block-diagonal matrix, the table indexes
 tokens by their row in the stack, and the conv layers read a cached per-n
 neighbour index whose taps outside a sentence's own map read a zero row.
-So no cell sees another sentence, and each sentence's table equals its
+So no cell sees another sentence, and each sentence's cells equal its
 encoding alone, up to the order in which BLAS sums a row: bit for bit at
 the shipped widths, except for a one-token sentence, whose lone encoding is
 made of one-row products.  A training step encodes once per role: the student's
@@ -160,17 +160,10 @@ def conv_stack(t0: Tensor, sizes: Sequence[int], params: dict[str, Tensor],
 
 
 def encode(sentences: Sequence[Sentence], params: dict[str, Tensor],
-           cfg: EncoderConfig) -> list[Tensor]:
+           cfg: EncoderConfig) -> Tensor:
     """Full encoder pipeline over one packed map: tokens -> H -> layer-0
-    tables -> layer-L tables.  Returns each sentence's (n, n, d) table, a
-    slice of that map; an over-length sentence raises ``ValueError`` before
-    any work."""
-    if not sentences:
-        return []
+    tables -> layer-L tables.  Returns the (Σn², d) map, each sentence's n²
+    row-major cells back to back; an over-length sentence raises
+    ``ValueError`` before any work."""
     sizes = _sizes(sentences, cfg)
-    tl = conv_stack(build_table(embed(sentences, params, cfg), sizes, params), sizes, params, cfg)
-    tables, lo = [], 0
-    for n in sizes:
-        tables.append(tl[lo : lo + n * n].reshape(n, n, cfg.d))
-        lo += n * n
-    return tables
+    return conv_stack(build_table(embed(sentences, params, cfg), sizes, params), sizes, params, cfg)

@@ -31,28 +31,27 @@ class LossBreakdown:
     total: float = 0.0
 
 
-def loss_rpn(pb: Tensor, pe: Tensor, yb: np.ndarray, ye: np.ndarray) -> Tensor:
-    """Mean binary cross-entropy over all 2n^2 corner cells."""
-    if pb.shape != yb.shape or pe.shape != ye.shape:
-        raise ValueError("score/label shape mismatch")
-    n2 = yb.size
-
-    def bce_sum(p: Tensor, y: np.ndarray) -> Tensor:
-        logp = p.clamp_min(_LOG_FLOOR).log()
-        log1mp = (1.0 - p).clamp_min(_LOG_FLOOR).log()
-        return -(Tensor(y) * logp + Tensor(1.0 - y) * log1mp).sum()
-
-    return (bce_sum(pb, yb.astype(float)) + bce_sum(pe, ye.astype(float))) * (1.0 / (2 * n2))
+def loss_rpn(pb: Tensor, pe: Tensor, yb: np.ndarray, ye: np.ndarray,
+             weights: np.ndarray) -> Tensor:
+    """Cell-weighted binary cross-entropy of both corner maps: each cell's
+    B and E terms weigh ``weights`` at that cell.  Weights of 1 / (2 n²) give
+    the mean over one sentence's 2n² corner cells; a training batch also
+    divides by its source sentences and weighs every other cell 0."""
+    if not pb.shape == pe.shape == yb.shape == ye.shape == weights.shape:
+        raise ValueError("score/label/weight shape mismatch")
+    return (ag.weighted_bce(pb, yb.astype(float), weights, _LOG_FLOOR)
+            + ag.weighted_bce(pe, ye.astype(float), weights, _LOG_FLOOR))
 
 
-def loss_rpc(logp: Tensor | None, targets: np.ndarray) -> Tensor:
-    """Mean categorical cross-entropy -log p[target] over the proposals;
-    zero when there are none."""
+def loss_rpc(logp: Tensor, targets: np.ndarray, weights: np.ndarray) -> Tensor:
+    """Weighted categorical cross-entropy -sum(w * log p[target]) over the
+    first ``len(targets)`` rows of ``logp``; zero when there are none.
+    Weights of 1 / m give the mean over one sentence's m proposals."""
     m = len(targets)
-    if m == 0 or logp is None:
+    if m == 0:
         return Tensor(0.0)
     picked = logp[(np.arange(m), np.asarray(targets, dtype=np.int64))]
-    return -picked.mean()
+    return (picked * Tensor(-weights)).sum()
 
 
 def match_gold(

@@ -1,5 +1,12 @@
-"""Full model assembly: encoder + detector parameters, the detector's forward
-pass over one sentence's encoded table, and decoding predictions."""
+"""Full model assembly: encoder + detector parameters, the detector's
+proposal stage over one sentence's corner maps, the batched region head,
+and decoding predictions.
+
+A batch runs in three stages: ``rpn_scores`` over the packed map of every
+sentence, ``forward`` per sentence on its slice of the corner maps (numpy
+only, no tape), then ``classify`` once over every sentence's proposals.
+``predict`` and the teacher's pseudo labelling run the same stages on a
+batch of one sentence."""
 
 from __future__ import annotations
 
@@ -50,29 +57,22 @@ def check_finite_scores(*scores: np.ndarray) -> None:
 
 @dataclass
 class SentenceForward:
-    tl: Tensor  # (n, n, d) final feature map
-    pb: Tensor  # (n, n)
-    pe: Tensor
     proposals: list[RegionProposal]
     n_predicted: int  # proposals[:n_predicted] came from the pruner, the rest were injected
     extra_rows: list[int]  # the proposal row of each of ``extra_rects``, in the order given
-    rois: Tensor | None  # (m, 3d)
-    probs: Tensor | None  # (m, C)
-    logp: Tensor | None
 
 
 def forward(
-    tl: Tensor,
-    params: dict[str, Tensor],
-    mode: Mode,
+    pb: np.ndarray,
+    pe: np.ndarray,
     kappa: float,
     extra_rects: list[tuple[int, int, int, int]] | None = None,
 ) -> SentenceForward:
-    """Run the detector on one sentence's (n, n, d) table from ``encode``;
-    ``extra_rects`` adds rectangles (deduplicated against the proposals) so
-    losses can score regions the pruner missed."""
-    scores = rpn_scores(tl, params)
-    proposals = propose_regions(topk_prune(scores.pb.data, kappa), topk_prune(scores.pe.data, kappa))
+    """The proposal stage of one sentence: top-k pruning of its (n, n) corner
+    probabilities ``pb`` and ``pe`` and corner pairing; ``extra_rects`` adds
+    rectangles (deduplicated against the proposals) so losses can score
+    regions the pruner missed.  Records nothing on the tape."""
+    proposals = propose_regions(topk_prune(pb, kappa), topk_prune(pe, kappa))
     n_predicted = len(proposals)
     extra_rows = []
     if extra_rects:
@@ -82,13 +82,17 @@ def forward(
                 row_of[rect] = len(proposals)
                 proposals.append(RegionProposal(*rect))
             extra_rows.append(row_of[rect])
-    if proposals:
-        rois = roi_represent(tl, [p.rect() for p in proposals])
-        probs, logp = classify_regions(rois, params, mode)
-    else:
-        rois = probs = logp = None
-    return SentenceForward(tl, scores.pb, scores.pe, proposals, n_predicted, extra_rows, rois,
-                           probs, logp)
+    return SentenceForward(proposals, n_predicted, extra_rows)
+
+
+def classify(tl: Tensor, sizes: list[int], fwds: list[SentenceForward],
+             params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor, Tensor]:
+    """The region head over a packed map: the (M, 3d) RoI rows of every
+    sentence's proposals, sentences in order, and their class probabilities
+    and log-probabilities.  Needs at least one proposal."""
+    rois = roi_represent(tl, sizes, [[p.rect() for p in f.proposals] for f in fwds])
+    probs, logp = classify_regions(rois, params, mode)
+    return rois, probs, logp
 
 
 def predict(
@@ -102,11 +106,12 @@ def predict(
     non-finite corner or class scores raise ``NonFiniteScoreError``."""
     with ag.no_grad():
         params_t = as_tensors(params)
-        (tl,) = encode([sentence], params_t, cfg)
-        fwd = forward(tl, params_t, mode, kappa)
-    check_finite_scores(fwd.pb.data, fwd.pe.data)
-    if not fwd.proposals:
-        return []
-    check_finite_scores(fwd.probs.data)
-    return decode_triplets(fwd.proposals, fwd.probs.data, mode)
-
+        tl = encode([sentence], params_t, cfg)
+        scores = rpn_scores(tl, params_t)
+        check_finite_scores(scores.pb.data, scores.pe.data)
+        fwd = forward(*scores.maps([sentence.n])[0], kappa)
+        if not fwd.proposals:
+            return []
+        _, probs, _ = classify(tl, [sentence.n], [fwd], params_t, mode)
+    check_finite_scores(probs.data)
+    return decode_triplets(fwd.proposals, probs.data, mode)

@@ -22,7 +22,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .corpus import LabeledSentence, Polarity, Sentence, Span, SynthCorpus, Triplet, vocabulary
 from .detector import (Mode, classify_regions, decode_triplets, foreground_classes,
-                       invalid_class, roi_represent)
+                       invalid_class, roi_represent, rpn_scores)
 from .evaluate import gold_items, sentence_prf
 from .losses import (
     LossBreakdown,
@@ -34,8 +34,8 @@ from .losses import (
     total_loss,
 )
 from .encoder import EncoderConfig, encode
-from .model import (SentenceForward, as_tensors, check_finite_scores, clone_params, forward,
-                    init_params, predict)
+from .model import (SentenceForward, as_tensors, check_finite_scores, classify, clone_params,
+                    forward, init_params, predict)
 from .tagging import (
     CELL_A,
     CELL_O,
@@ -202,27 +202,26 @@ def _confident(rects: list, probs: np.ndarray, mode: Mode, eta: float) -> list[P
     ]
 
 
-def teacher_pseudo_label(teacher_t: dict[str, Tensor], tl: Tensor,
+def teacher_pseudo_label(teacher_t: dict[str, Tensor], tl: Tensor, n: int,
                          cfg: TrainConfig) -> list[PseudoLabel]:
-    """Teacher forward pass over one sentence's table ``tl`` from the
-    teacher's ``encode``, keeping proposals whose maximum foreground-class
-    probability reaches ``cfg.eta``."""
+    """Teacher detector over one sentence of length ``n``, whose (n², d) map
+    ``tl`` the teacher's ``encode`` made, keeping proposals whose maximum
+    foreground-class probability reaches ``cfg.eta``."""
     with ag.no_grad():
-        fwd = forward(tl, teacher_t, cfg.mode, cfg.kappa)
-    if not fwd.proposals:
-        return []
-    rects = [p.rect() for p in fwd.proposals]
-    return _confident(rects, fwd.probs.data, cfg.mode, cfg.eta)
+        fwd = forward(*rpn_scores(tl, teacher_t).maps([n])[0], cfg.kappa)
+        if not fwd.proposals:
+            return []
+        _, probs, _ = classify(tl, [n], [fwd], teacher_t, cfg.mode)
+    return _confident([p.rect() for p in fwd.proposals], probs.data, cfg.mode, cfg.eta)
 
 
 def teacher_pseudo_label_cells(
-    teacher_t: dict[str, Tensor], tl: Tensor, cfg: TrainConfig
+    teacher_t: dict[str, Tensor], tl: Tensor, n: int, cfg: TrainConfig
 ) -> list[PseudoLabel]:
     """Cell-level variant: every cell is its own 1x1 region, in row-major order."""
-    n = tl.shape[0]
     rects = [(i, j, i, j) for i in range(n) for j in range(n)]
     with ag.no_grad():
-        probs, _ = classify_regions(roi_represent(tl, rects), teacher_t, cfg.mode)
+        probs, _ = classify_regions(roi_represent(tl, [n], [rects]), teacher_t, cfg.mode)
     return _confident(rects, probs.data, cfg.mode, cfg.eta)
 
 
@@ -230,11 +229,15 @@ def pseudo_labels(teacher: dict, sentences: list[Sentence], cfg: TrainConfig,
                   label: Callable[..., list[PseudoLabel]]) -> list[list[PseudoLabel]]:
     """Each sentence's retained pseudo labels: ``teacher`` encodes all of
     ``sentences`` in one no-grad pass, then ``label`` (``teacher_pseudo_label``
-    or ``teacher_pseudo_label_cells``) filters each sentence's table."""
+    or ``teacher_pseudo_label_cells``) filters each sentence's cells."""
     with ag.no_grad():
         teacher_t = as_tensors(teacher)
-        tables = encode(sentences, teacher_t, cfg.encoder)
-    return [label(teacher_t, tl, cfg) for tl in tables]
+        tl = encode(sentences, teacher_t, cfg.encoder)
+    out, lo = [], 0
+    for s in sentences:
+        out.append(label(teacher_t, Tensor(tl.data[lo : lo + s.n * s.n]), s.n, cfg))
+        lo += s.n * s.n
+    return out
 
 
 def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
@@ -244,21 +247,29 @@ def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
     return uns_on, mmd_on
 
 
-def _mmd_groups(fwds: list[SentenceForward], cfg: TrainConfig) -> dict:
-    """The MMD feature groups of the regions the pruner proposed, one (m, k)
-    tensor per sentence that has any: the B-corner cells ``b``, the E-corner
-    cells ``e`` and the RoI vectors ``roi``; for ``ctfmt``, the table cells of
-    each populated ``CELL_*`` type of the decoded predictions instead."""
-    groups: dict = {}
-    for fwd in fwds:
+def _mmd_groups(tl: Tensor, rois: Tensor, probs: Tensor, sizes: list[int],
+                fwds: list[SentenceForward], side: range, cfg: TrainConfig) -> dict:
+    """The MMD feature groups of the regions the pruner proposed in the
+    batch's sentences ``side``, each one (m, k) gather from the batch
+    tensors: the B-corner cells ``b``, the E-corner cells ``e`` and the RoI
+    vectors ``roi``; for ``ctfmt``, the table cells of each populated
+    ``CELL_*`` type of the decoded predictions instead.  Rows run in
+    sentence order, then proposal (or cell) order."""
+    cell0 = np.cumsum([0] + [n * n for n in sizes])
+    row0 = np.cumsum([0] + [len(f.proposals) for f in fwds])
+    cells: dict = {}
+    rows = []
+    for s in side:
+        n, fwd, c0, r0 = sizes[s], fwds[s], cell0[s], row0[s]
         m = fwd.n_predicted
         if m == 0:
             continue
         if cfg.variant != Variant.CTFMT:
             a, b, c, d = np.array([p.rect() for p in fwd.proposals[:m]]).T
-            by_key = {"b": fwd.tl[(a, b)], "e": fwd.tl[(c, d)], "roi": fwd.rois[:m]}
+            by_key = {"b": c0 + a * n + b, "e": c0 + c * n + d}
+            rows.append(r0 + np.arange(m))
         else:
-            triplets = decode_triplets(fwd.proposals[:m], fwd.probs.data[:m], cfg.mode)
+            triplets = decode_triplets(fwd.proposals[:m], probs.data[r0 : r0 + m], cfg.mode)
             if cfg.mode == Mode.ASTE:
                 by_type = cells_by_type(triplets)
             else:  # diagonal aspect and opinion cells, in order of first appearance
@@ -266,9 +277,13 @@ def _mmd_groups(fwds: list[SentenceForward], cfg: TrainConfig) -> dict:
                     CELL_A: list(dict.fromkeys((i, i) for asp, _ in triplets for i in asp.tokens())),
                     CELL_O: list(dict.fromkeys((j, j) for _, op in triplets for j in op.tokens())),
                 }
-            by_key = {k: fwd.tl[tuple(np.array(cells).T)] for k, cells in by_type.items() if cells}
-        for key, feats in by_key.items():
-            groups.setdefault(key, []).append(feats)
+            by_key = {k: c0 + np.array([i * n + j for i, j in ij]) for k, ij in by_type.items()
+                      if ij}
+        for key, idx in by_key.items():
+            cells.setdefault(key, []).append(idx)
+    groups = {key: tl[np.concatenate(idx)] for key, idx in cells.items()}
+    if rows:
+        groups["roi"] = rois[np.concatenate(rows)]
     return groups
 
 
@@ -284,55 +299,72 @@ def compute_losses(
     sentences (already augmented) and the teacher's retained pseudo labels,
     whose rectangles (1x1 cells for ``ctfmt``) join the student's proposals
     through ``forward(extra_rects=)``.  Consistency is on exactly when
-    ``tgt_pseudo`` is given; MMD follows ``_target_flags(cfg)``.  The source
-    and target sentences go through the encoder in one packed pass; detection
-    and the loss terms run per sentence on each one's table."""
+    ``tgt_pseudo`` is given; MMD follows ``_target_flags(cfg)``.
+
+    The source and target sentences go through the encoder, the corner
+    scores and the region head once, as one packed batch; only the proposal
+    stage runs per sentence, each source sentence's ``forward`` right before
+    its ``match_gold``.  ``l_rpn`` and ``l_rpc`` are means over the source
+    sentences of each one's own mean, a sentence without proposals counting
+    as a zero ``l_rpc`` term."""
     uns_on = tgt_pseudo is not None
     mmd_on = _target_flags(cfg)[1]
     tgt_sentences = list(tgt_sentences or []) if uns_on or mmd_on else []
-    tables = encode([ls.sentence for ls in src_batch] + tgt_sentences, student_t, cfg.encoder)
-    rpn_terms, rpc_terms = [], []
-    src_fwds = []
-    for ls, tl in zip(src_batch, tables):
+    sentences = [ls.sentence for ls in src_batch] + tgt_sentences
+    sizes = [s.n for s in sentences]
+    zero = Tensor(0.0)
+    if not sentences:
+        return zero, LossBreakdown()
+    tl = encode(sentences, student_t, cfg.encoder)
+    scores = rpn_scores(tl, student_t)
+    maps = scores.maps(sizes)
+    n_src = len(src_batch)
+
+    fwds, targets, yb, ye = [], [], [], []
+    for ls, (pb, pe) in zip(src_batch, maps):
         boundaries, gold = encode_region_labels(ls)
-        fwd = forward(tl, student_t, cfg.mode, cfg.kappa, extra_rects=[g.rect() for g in gold])
-        src_fwds.append(fwd)
-        rpn_terms.append(loss_rpn(fwd.pb, fwd.pe, boundaries.b, boundaries.e))
-        rpc_terms.append(loss_rpc(fwd.logp, match_gold(fwd.proposals, gold, cfg.mode)))
-    l_rpn_t = _mean(rpn_terms)
-    l_rpc_t = _mean(rpc_terms)
+        fwd = forward(pb, pe, cfg.kappa, extra_rects=[g.rect() for g in gold])
+        targets.append(match_gold(fwd.proposals, gold, cfg.mode))
+        fwds.append(fwd)
+        yb.append(boundaries.b.ravel())
+        ye.append(boundaries.e.ravel())
+    for si, (pb, pe) in enumerate(maps[n_src:]):
+        pseudo = tgt_pseudo[si] if uns_on else []
+        fwds.append(forward(pb, pe, cfg.kappa, extra_rects=[p.rect() for p in pseudo]))
+    counts = np.array([len(f.proposals) for f in fwds])
+    rois = probs = logp = None
+    if counts.sum():
+        rois, probs, logp = classify(tl, sizes, fwds, student_t, cfg.mode)
+
+    l_rpn_t = l_rpc_t = zero
+    if src_batch:
+        src_cells = [n * n for n in sizes[:n_src]]
+        pad = np.zeros(len(scores.pb.data) - sum(src_cells))
+        w_rpn = np.concatenate([np.repeat(1.0 / (2 * np.array(src_cells) * n_src), src_cells),
+                                pad])
+        l_rpn_t = loss_rpn(scores.pb, scores.pe, np.concatenate(yb + [pad]),
+                           np.concatenate(ye + [pad]), w_rpn)
+        m = counts[:n_src]
+        w_rpc = np.repeat(1.0 / (np.maximum(m, 1) * n_src), m)
+        l_rpc_t = loss_rpc(logp, np.concatenate(targets), w_rpc)
     l_sup_t = l_rpn_t + l_rpc_t
 
-    l_uns_t = Tensor(0.0)
-    l_mmd_t = Tensor(0.0)
+    l_uns_t = l_mmd_t = zero
     if tgt_sentences:
-        tgt_fwds = []
-        student_rows = []
-        for si, tl in enumerate(tables[len(src_batch):]):
-            pseudo = tgt_pseudo[si] if uns_on else []
-            fwd = forward(tl, student_t, cfg.mode, cfg.kappa,
-                          extra_rects=[p.rect() for p in pseudo])
-            tgt_fwds.append(fwd)
-            if pseudo:
-                student_rows.append(fwd.probs[fwd.extra_rows])
         if mmd_on:
-            l_mmd_t = loss_mmd(_mmd_groups(src_fwds, cfg), _mmd_groups(tgt_fwds, cfg))
-        if student_rows:
+            head = (tl, rois, probs, sizes, fwds)
+            l_mmd_t = loss_mmd(_mmd_groups(*head, range(n_src), cfg),
+                               _mmd_groups(*head, range(n_src, len(fwds)), cfg))
+        row0 = np.cumsum(counts) - counts
+        rows = [r0 + np.array(f.extra_rows, dtype=np.int64)
+                for f, r0 in zip(fwds[n_src:], row0[n_src:]) if f.extra_rows]
+        if rows:
             teacher_rows = np.stack([p.probs for pseudo in tgt_pseudo for p in pseudo])
-            l_uns_t = loss_uns(ag.concat(student_rows, axis=0), teacher_rows)
+            l_uns_t = loss_uns(probs[np.concatenate(rows)], teacher_rows)
 
     total = total_loss(l_sup_t, l_uns_t, l_mmd_t, cfg.alpha, cfg.beta)
     terms = (l_rpn_t, l_rpc_t, l_sup_t, l_uns_t, l_mmd_t, total)
     return total, LossBreakdown(*(float(t.data) for t in terms))
-
-
-def _mean(terms: list[Tensor]) -> Tensor:
-    if not terms:
-        return Tensor(0.0)
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc * (1.0 / len(terms))
 
 
 def train_step(

@@ -102,10 +102,10 @@ def test_rect_max_matches_slices_and_grads():
     # channel 0 ties at (0, 0) and (0, 1), the first cells fd_check probes
     x[0, 0, 0] = x[0, 1, 0] = x[..., 0].max() + 1.0
     rects = [(0, 0, 3, 3), (0, 0, 1, 1), (0, 1, 2, 3), (2, 0, 2, 3), (3, 3, 3, 3), (0, 0, 1, 1)]
-    out = ag.rect_max(Tensor(x), rects)
+    out = ag.rect_max(Tensor(x), rects, [4])
     expected = np.stack([x[a : c + 1, b : d + 1].max(axis=(0, 1)) for a, b, c, d in rects])
     assert np.array_equal(out.data, expected)
-    fd_check(lambda t: ag.rect_max(t, rects).tanh().sum(), [x])
+    fd_check(lambda t: ag.rect_max(t, rects, [4]).tanh().sum(), [x])
 
 
 def test_range_rowmax_matches_loop_and_grads():
@@ -179,7 +179,7 @@ def test_rect_max_equals_the_window_loop_bit_for_bit(nan):
         with np.errstate(divide="ignore", invalid="ignore"):
             expected, expected_grad = _rect_max_loop(x, rects, g)
             t = Tensor(x)
-            out = ag.rect_max(t, rects)
+            out = ag.rect_max(t, rects, [n])
             (out * Tensor(g)).sum().backward()
         np.testing.assert_array_equal(out.data, expected)
         np.testing.assert_array_equal(t.grad, expected_grad)
@@ -309,6 +309,79 @@ def test_range_rowmax_on_two_packed_sentences_matches_finite_differences():
     _fd_every_entry(lambda x: (ag.range_rowmax(x, starts, stops) * Tensor(g)).sum(), h, t.grad)
 
 
+def test_rect_max_on_packed_maps_equals_each_map_alone_bit_for_bit():
+    """Windows of four maps packed back to back (one a single cell) give the
+    rows and the gradient each map's own ``rect_max`` gives, bit for bit."""
+    rng_ = np.random.default_rng(53)
+    sizes = [3, 1, 5, 2]
+    maps = [_tied_map(rng_, (n, n, 3), False) for n in sizes]
+    rects = [_all_windows(n, rng_, cap=20) for n in sizes]
+    grads = [rng_.normal(size=(len(r), 3)) for r in rects]
+    row0 = np.cumsum(sizes) - sizes
+    stacked = [(r0 + a, b, r0 + c, d) for r0, rs in zip(row0, rects) for a, b, c, d in rs]
+    packed = Tensor(np.concatenate([m.reshape(-1, 3) for m in maps]))
+    out = ag.rect_max(packed, stacked, sizes)
+    (out * Tensor(np.concatenate(grads))).sum().backward()
+    alone_rows, alone_grads = [], []
+    for n, m, rs, g in zip(sizes, maps, rects, grads):
+        t = Tensor(m)
+        alone = ag.rect_max(t, rs, [n])
+        (alone * Tensor(g)).sum().backward()
+        alone_rows.append(alone.data)
+        alone_grads.append(t.grad.reshape(-1, 3))
+    np.testing.assert_array_equal(out.data, np.concatenate(alone_rows))
+    np.testing.assert_array_equal(packed.grad, np.concatenate(alone_grads))
+
+
+def test_rect_max_on_two_packed_maps_matches_finite_differences():
+    sizes = [3, 2]
+    x = rng.normal(size=(9 + 4, 2))
+    rects = [(0, 0, 2, 2), (1, 1, 2, 1), (3, 0, 4, 1), (4, 1, 4, 1), (3, 1, 3, 1)]
+    g = rng.normal(size=(len(rects), 2))
+    t = Tensor(x)
+    (ag.rect_max(t, rects, sizes) * Tensor(g)).sum().backward()
+    _fd_every_entry(lambda u: (ag.rect_max(u, rects, sizes) * Tensor(g)).sum(), x, t.grad)
+
+
+def _bce_composed(p, y, w, floor):
+    """``weighted_bce`` written with the engine's elementwise ops."""
+    logp = p.clamp_min(floor).log()
+    log1mp = (1.0 - p).clamp_min(floor).log()
+    return -(Tensor(w) * (Tensor(y) * logp + Tensor(1.0 - y) * log1mp)).sum()
+
+
+def test_weighted_bce_matches_finite_differences_and_the_composed_ops():
+    p = rng.uniform(0.05, 0.95, size=(13,))
+    y = rng.integers(0, 2, size=13).astype(float)
+    w = rng.uniform(0.0, 1.0, size=13)
+    w[[2, 7]] = 0.0  # cells outside the loss weigh nothing
+    t = Tensor(p)
+    out = ag.weighted_bce(t, y, w, 1e-12)
+    out.backward()
+    _fd_every_entry(lambda u: ag.weighted_bce(u, y, w, 1e-12), p, t.grad)
+    ref_t = Tensor(p)
+    ref = _bce_composed(ref_t, y, w, 1e-12)
+    ref.backward()
+    assert out.item() == pytest.approx(ref.item(), rel=1e-14)
+    np.testing.assert_allclose(t.grad, ref_t.grad, rtol=1e-14, atol=0)
+    assert t.grad[2] == t.grad[7] == 0.0
+
+
+def test_weighted_bce_floors_its_logs_like_clamp_min():
+    # saturated probabilities: each log reads the floor and passes no gradient
+    p = np.array([0.0, 1.0, 1e-20, 1.0 - 1e-17, 0.5])
+    y = np.array([1.0, 0.0, 0.0, 1.0, 1.0])
+    w = np.full(5, 0.2)
+    t, ref_t = Tensor(p), Tensor(p)
+    out = ag.weighted_bce(t, y, w, 1e-12)
+    ref = _bce_composed(ref_t, y, w, 1e-12)
+    out.backward()
+    ref.backward()
+    assert np.isfinite(out.item())
+    assert out.item() == pytest.approx(ref.item(), rel=1e-14)
+    np.testing.assert_array_equal(t.grad, ref_t.grad)
+
+
 _POS = np.random.default_rng(3).uniform(0.5, 2.0, size=(3, 3))  # log, sqrt and pow
 _ANY = np.random.default_rng(4).normal(size=(3, 3))
 _MAP = np.random.default_rng(5).normal(size=(3, 3, 2))
@@ -332,8 +405,10 @@ _OPS = {
     "reshape": (lambda x: x.reshape(9), [_ANY]),
     "getitem": (lambda x: x[np.array([0, 2, 2])], [_ANY]),
     "concat": (lambda x, y: ag.concat([x, y], axis=1), [_ANY, _POS]),
-    "rect_max": (lambda x: ag.rect_max(x, [(0, 0, 1, 2), (2, 1, 2, 1)]), [_MAP]),
+    "rect_max": (lambda x: ag.rect_max(x, [(0, 0, 1, 2), (2, 1, 2, 1)], [3]), [_MAP]),
     "range_rowmax": (lambda x: ag.range_rowmax(x, np.array([0, 1]), np.array([2, 3])), [_ANY]),
+    "weighted_bce": (lambda x: ag.weighted_bce(x, np.eye(3), _POS, 1e-12),
+                     [_POS / _POS.max() * 0.9]),
     "conv3x3": (lambda x, w, b: ag.conv3x3(x, w, b, [3]),
                 [_MAP, _MAP.reshape(3, 3, 2, 1) * np.ones(2), _POS[0, :2]]),
 }

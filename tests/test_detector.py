@@ -36,14 +36,15 @@ def test_rpn_zero_weights_give_half():
     params = _params()
     params["rpn_b_w"] = Tensor(np.zeros((D, 1)))
     params["rpn_b_b"] = Tensor(np.zeros(1))
-    tl = Tensor(np.random.default_rng(0).normal(size=(3, 3, D)))
+    tl = Tensor(np.random.default_rng(0).normal(size=(9, D)))
     scores = rpn_scores(tl, params)
+    assert scores.pb.shape == (9,)
     assert np.allclose(scores.pb.data, 0.5)
 
 
 def test_rpn_bias_monotonicity():
     params = _params()
-    tl = Tensor(np.random.default_rng(1).normal(size=(4, 4, D)))
+    tl = Tensor(np.random.default_rng(1).normal(size=(16, D)))
     lo = rpn_scores(tl, params).pb.data
     params["rpn_b_b"] = Tensor(params["rpn_b_b"].data + 1.0)
     hi = rpn_scores(tl, params).pb.data
@@ -53,13 +54,13 @@ def test_rpn_bias_monotonicity():
 def test_rpn_matches_direct_sigmoid_2x2():
     params = _params(seed=3)
     tl_data = np.random.default_rng(2).normal(size=(2, 2, D))
-    scores = rpn_scores(Tensor(tl_data), params)
+    scores = rpn_scores(Tensor(tl_data.reshape(4, D)), params)
     w = params["rpn_e_w"].data[:, 0]
     b = params["rpn_e_b"].data[0]
     for i in range(2):
         for j in range(2):
             direct = 1.0 / (1.0 + math.exp(-(tl_data[i, j] @ w + b)))
-            assert scores.pe.data[i, j] == pytest.approx(direct, rel=1e-12)
+            assert scores.pe.data[2 * i + j] == pytest.approx(direct, rel=1e-12)
 
 
 def test_topk_count_rule():
@@ -146,10 +147,10 @@ def test_propose_regions_matches_bruteforce_on_random_sets():
 
 
 def test_roi_single_cell_triples_the_cell():
-    tl = Tensor(np.random.default_rng(0).normal(size=(3, 3, D)))
-    r = roi_represent(tl, [(1, 2, 1, 2)])
+    tl = Tensor(np.random.default_rng(0).normal(size=(9, D)))
+    r = roi_represent(tl, [3], [[(1, 2, 1, 2)]])
     assert r.shape == (1, 3 * D)
-    cell = tl.data[1, 2]
+    cell = tl.data[1 * 3 + 2]
     assert np.array_equal(r.data[0], np.concatenate([cell, cell, cell]))
 
 
@@ -166,7 +167,7 @@ def test_roi_pool_matches_loop_oracle():
             a, c = sorted(int(v) for v in rng.integers(0, n, size=2))
             b, d = sorted(int(v) for v in rng.integers(0, n, size=2))
             rects.append((a, b, c, d))
-        r = roi_represent(Tensor(tl_data), rects)
+        r = roi_represent(Tensor(tl_data.reshape(n * n, D)), [n], [rects])
         oracle = np.stack([
             np.concatenate([tl_data[a, b], tl_data[c, d],
                             [tl_data[a : c + 1, b : d + 1, k].max() for k in range(D)]])
@@ -180,16 +181,46 @@ def test_roi_pool_gradient_matches_per_rect_graph():
     tl_data = rng.normal(size=(5, 5, D))
     tl_data[1:3, 1:4, 0] = 2.0  # a tied window
     rects = [(1, 1, 2, 3), (0, 0, 4, 4), (3, 2, 3, 2), (1, 1, 2, 3)]
-    batched, per_rect = Tensor(tl_data), Tensor(tl_data)
+    batched, per_rect = Tensor(tl_data.reshape(25, D)), Tensor(tl_data)
     weights = rng.normal(size=(len(rects), 3 * D))
-    (roi_represent(batched, rects) * weights).sum().backward()
+    (roi_represent(batched, [5], [rects]) * weights).sum().backward()
     total = Tensor(0.0)
     for (a, b, c, d), w in zip(rects, weights):
         row = concat([per_rect[a, b], per_rect[c, d],
                       per_rect[a : c + 1, b : d + 1].max(axis=(0, 1))], axis=0)
         total = total + (row * w).sum()
     total.backward()
-    np.testing.assert_allclose(batched.grad, per_rect.grad, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(batched.grad.reshape(5, 5, D), per_rect.grad, rtol=1e-13,
+                               atol=1e-15)
+
+
+def test_roi_represent_on_packed_sentences_equals_each_alone():
+    """RoI rows of sentences packed back to back (one of them with no
+    rectangle) equal each sentence's own rows, and so does the gradient, bit
+    for bit; the rpn maps split back to each sentence's own scores."""
+    rng = np.random.default_rng(8)
+    sizes = [4, 1, 3, 2]
+    maps = [rng.normal(size=(n * n, D)) for n in sizes]
+    rects = [[(0, 1, 2, 3), (1, 1, 1, 1), (0, 0, 3, 3)], [(0, 0, 0, 0)], [], [(0, 0, 1, 1)]]
+    weights = rng.normal(size=(5, 3 * D))
+    packed = Tensor(np.concatenate(maps))
+    (roi_represent(packed, sizes, rects) * weights).sum().backward()
+    rows, grads, lo = [], [], 0
+    for n, m, rs in zip(sizes, maps, rects):
+        alone = Tensor(m)
+        if rs:
+            r = roi_represent(alone, [n], [rs])
+            (r * weights[lo : lo + len(rs)]).sum().backward()
+            rows.append(r.data)
+            lo += len(rs)
+        grads.append(alone.grad if alone.grad is not None else np.zeros_like(m))
+    np.testing.assert_array_equal(roi_represent(packed, sizes, rects).data, np.concatenate(rows))
+    np.testing.assert_array_equal(packed.grad, np.concatenate(grads))
+    scores = rpn_scores(packed, _params())
+    for (pb, pe), n, m in zip(scores.maps(sizes), sizes, maps):
+        alone = rpn_scores(Tensor(m), _params())
+        np.testing.assert_allclose(pb, alone.pb.data.reshape(n, n), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(pe, alone.pe.data.reshape(n, n), rtol=1e-15, atol=0)
 
 
 def test_classify_zero_weights_uniform():

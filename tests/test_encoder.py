@@ -136,15 +136,15 @@ def test_conv_stack_shape_invariance_and_finiteness():
     p = _tensors(_params(seed=5))
     for n in (1, 3, 7):
         sent = Sentence(tuple(f"w{i}" for i in range(n)))
-        (tl,) = encode([sent], p, CFG)
-        assert tl.shape == (n, n, CFG.d)
+        tl = encode([sent], p, CFG)
+        assert tl.shape == (n * n, CFG.d)
         assert np.isfinite(tl.data).all()
 
 
 def _encoder_grad(sentence, params, upstream):
     """Parameter gradients of sum(T_L * upstream) for every encoder parameter."""
     tensors = _tensors(params)
-    (encode([sentence], tensors, CFG)[0] * Tensor(upstream)).sum().backward()
+    (encode([sentence], tensors, CFG) * Tensor(upstream.reshape(-1, CFG.d))).sum().backward()
     return {
         k: (t.grad if t.grad is not None else np.zeros_like(t.data))
         for k, t in tensors.items()
@@ -159,8 +159,8 @@ def test_encoder_grad_matches_finite_differences():
     grads = _encoder_grad(sent, params, upstream)
 
     def loss(p):
-        (tl,) = encode([sent], _tensors(p), CFG)
-        return float((tl.data * upstream).sum())
+        tl = encode([sent], _tensors(p), CFG)
+        return float((tl.data.reshape(upstream.shape) * upstream).sum())
 
     eps = 1e-3
     for name, g in grads.items():
@@ -225,24 +225,25 @@ def test_packed_tables_equal_one_sentence_encodings(lengths):
     upstream = [rng.normal(size=(n, n, PACK_CFG.d)) for n in lengths]
 
     packed_t = _tensors(params)
-    tables = encode(sentences, packed_t, PACK_CFG)
-    loss = Tensor(0.0)
-    for tl, u in zip(tables, upstream):
-        loss = loss + (tl * Tensor(u)).sum()
-    loss.backward()
+    packed = encode(sentences, packed_t, PACK_CFG)
+    (packed * Tensor(np.concatenate([u.reshape(-1, PACK_CFG.d) for u in upstream]))).sum().backward()
+    bounds = np.cumsum([0] + [n * n for n in lengths])
+    tables = [packed.data[lo:hi].reshape(n, n, PACK_CFG.d)
+              for lo, hi, n in zip(bounds, bounds[1:], lengths)]
 
     alone_grads = {k: np.zeros_like(v) for k, v in params.items()}
     for sentence, tl, u in zip(sentences, tables, upstream):
         alone_t = _tensors(params)
-        (alone,) = encode([sentence], alone_t, PACK_CFG)
-        if sentence.n > 1:
-            np.testing.assert_array_equal(tl.data, alone.data)
+        n = sentence.n
+        alone = encode([sentence], alone_t, PACK_CFG)
+        if n > 1:
+            np.testing.assert_array_equal(tl, alone.data.reshape(n, n, PACK_CFG.d))
         else:
             # A one-token sentence alone makes one-row products, which numpy
             # hands to BLAS gemv; in a pack its rows go through gemm, which
             # sums in another order.
-            np.testing.assert_allclose(tl.data, alone.data, rtol=0, atol=1e-15)
-        (alone * Tensor(u)).sum().backward()
+            np.testing.assert_allclose(tl, alone.data.reshape(1, 1, -1), rtol=0, atol=1e-15)
+        (alone * Tensor(u.reshape(n * n, -1))).sum().backward()
         for k, g in _grads(alone_t).items():
             alone_grads[k] += g
     for k, g in _grads(packed_t).items():

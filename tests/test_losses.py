@@ -8,7 +8,7 @@ import pytest
 from tablemt import autograd as ag
 from tablemt.autograd import Tensor
 from tablemt.corpus import Polarity, Sentence
-from tablemt.detector import Mode, RegionProposal
+from tablemt.detector import Mode, RegionProposal, rpn_scores
 from tablemt.losses import (
     LossBreakdown,
     loss_mmd,
@@ -20,22 +20,28 @@ from tablemt.losses import (
     total_loss,
 )
 from tablemt.encoder import EncoderConfig, encode
-from tablemt.model import as_tensors, forward, init_params
+from tablemt.model import as_tensors, classify, forward, init_params
 from tablemt.tagging import GoldRegion, RegionClass
+
+
+def _mean_weights(y):
+    """Per-cell weights that make ``loss_rpn`` the mean over both maps."""
+    return np.full(y.shape, 1.0 / (2 * y.size))
 
 
 def test_loss_rpn_perfect_prediction_near_zero():
     y = np.array([[1, 0], [0, 1]])
     eps = 1e-9
     p = Tensor(np.where(y == 1, 1 - eps, eps).astype(float))
-    out = loss_rpn(p, p, y, y)
+    out = loss_rpn(p, p, y, y, _mean_weights(y))
     assert out.item() < 1e-8
 
 
 def test_loss_rpn_half_everywhere_is_ln2():
     y = np.array([[1, 0], [1, 1]])
     p = Tensor(np.full((2, 2), 0.5))
-    assert loss_rpn(p, p, y, 1 - y).item() == pytest.approx(math.log(2), rel=1e-12)
+    assert loss_rpn(p, p, y, 1 - y, _mean_weights(y)).item() == pytest.approx(math.log(2),
+                                                                              rel=1e-12)
 
 
 def test_loss_rpn_matches_loop_oracle():
@@ -50,29 +56,38 @@ def test_loss_rpn_matches_loop_oracle():
             for j in range(3):
                 total += -(y[i, j] * math.log(p[i, j]) + (1 - y[i, j]) * math.log(1 - p[i, j]))
     expected = total / 18.0
-    assert loss_rpn(Tensor(pb), Tensor(pe), yb, ye).item() == pytest.approx(expected, rel=1e-12)
+    out = loss_rpn(Tensor(pb), Tensor(pe), yb, ye, _mean_weights(yb))
+    assert out.item() == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_rpn_shape_mismatch():
     with pytest.raises(ValueError):
-        loss_rpn(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), np.ones((3, 3)), np.ones((2, 2)))
+        loss_rpn(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), np.ones((3, 3)), np.ones((2, 2)),
+                 np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        loss_rpn(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2))), np.ones((2, 2)), np.ones((2, 2)),
+                 np.ones(4))
 
 
 def _logp(probs):
     return Tensor(np.log(probs))
 
 
+def _mean_rpc(logp, targets):
+    return loss_rpc(logp, targets, np.full(len(targets), 1.0 / max(len(targets), 1)))
+
+
 def test_loss_rpc_certain_gold_is_zero():
-    assert loss_rpc(_logp(np.array([[1.0, 0, 0, 0]]) + 1e-300), np.array([0])).item() < 1e-12
+    assert _mean_rpc(_logp(np.array([[1.0, 0, 0, 0]]) + 1e-300), np.array([0])).item() < 1e-12
 
 
 def test_loss_rpc_uniform_is_ln4():
     lp = _logp(np.full((2, 4), 0.25))
-    assert loss_rpc(lp, np.array([1, 3])).item() == pytest.approx(math.log(4), rel=1e-12)
+    assert _mean_rpc(lp, np.array([1, 3])).item() == pytest.approx(math.log(4), rel=1e-12)
 
 
 def test_loss_rpc_empty_is_zero():
-    assert loss_rpc(None, np.array([], dtype=int)).item() == 0.0
+    assert _mean_rpc(None, np.array([], dtype=int)).item() == 0.0
 
 
 def test_loss_rpc_matches_loop_oracle():
@@ -80,7 +95,20 @@ def test_loss_rpc_matches_loop_oracle():
     probs = rng.dirichlet(np.ones(4), size=3)
     targets = np.array([2, 0, 3])
     expected = -sum(math.log(probs[i, targets[i]]) for i in range(3)) / 3
-    assert loss_rpc(_logp(probs), targets).item() == pytest.approx(expected, rel=1e-12)
+    assert _mean_rpc(_logp(probs), targets).item() == pytest.approx(expected, rel=1e-12)
+
+
+def test_loss_rpc_weighs_each_row_and_reads_only_the_target_rows():
+    rng = np.random.default_rng(3)
+    probs = rng.dirichlet(np.ones(4), size=5)  # rows 3 and 4 belong to no target
+    targets = np.array([1, 1, 0])
+    weights = np.array([0.5, 0.25, 0.125])
+    expected = -sum(w * math.log(probs[i, t]) for i, (t, w) in enumerate(zip(targets, weights)))
+    lp = _logp(probs)
+    out = loss_rpc(lp, targets, weights)
+    assert out.item() == pytest.approx(expected, rel=1e-14)
+    out.backward()
+    assert not lp.grad[3:].any()
 
 
 def _gold(a, b, c, d, cls=RegionClass.POS):
@@ -100,23 +128,26 @@ def test_forward_appends_missing_extra_rect_once():
     cfg = EncoderConfig(d=8, layers=1, vocab_buckets=64, max_n=8)
     params = as_tensors(init_params(cfg, Mode.ASTE, np.random.default_rng(0)))
     sentence = Sentence(("the", "snoun0", "was", "sadj0", "here"))
-    (tl,) = encode([sentence], params, cfg)
-    base = forward(tl, params, Mode.ASTE, kappa=0.3)
+    n = sentence.n
+    tl = encode([sentence], params, cfg)
+    scores = rpn_scores(tl, params)
+    (pb, pe), = scores.maps([n])
+    base = forward(pb, pe, kappa=0.3)
     predicted = [p.rect() for p in base.proposals]
     assert base.n_predicted == len(predicted) > 0
-    n = sentence.n
     missing = next(
         (a, b, c, d)
         for a in range(n) for b in range(n) for c in range(a, n) for d in range(b, n)
         if (a, b, c, d) not in predicted
     )
-    fwd = forward(tl, params, Mode.ASTE, kappa=0.3,
-                  extra_rects=[missing, predicted[0], missing])
+    fwd = forward(pb, pe, kappa=0.3, extra_rects=[missing, predicted[0], missing])
     assert [p.rect() for p in fwd.proposals] == predicted + [missing]
     assert fwd.n_predicted == len(predicted)
     assert fwd.extra_rows == [len(predicted), 0, len(predicted)]
-    assert fwd.probs.shape[0] == len(predicted) + 1
-    assert np.array_equal(fwd.probs.data[:-1], base.probs.data)
+    _, probs, _ = classify(tl, [n], [fwd], params, Mode.ASTE)
+    _, base_probs, _ = classify(tl, [n], [base], params, Mode.ASTE)
+    assert probs.shape[0] == len(predicted) + 1
+    assert np.array_equal(probs.data[:-1], base_probs.data)
 
 
 def test_match_gold_aope_targets_binary():

@@ -12,6 +12,7 @@ import tablemt.cli  # noqa: F401  (the tracer wraps names in every tablemt modul
 from tablemt import checkpoint, model, trainer
 from tablemt.corpus import SynthConfig, synth_corpus
 from tablemt.encoder import EncoderConfig
+from tablemt.tagging import encode_region_labels
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
 
@@ -49,6 +50,13 @@ def test_tracer_wraps_a_fit_predict_and_checkpoint_round_trip(tmp_path):
 
     for name in ("gold", "proposals", "pseudo_scored", "decoded", "checkpoint_bytes"):
         assert tracer.counts[name] > 0, name
+    # the gold hook fires only when match_gold reads the proposals of the
+    # forward that ran just before it, so every source sentence of the
+    # pretraining epoch and of the student epoch has to run forward then
+    # match_gold, one sentence at a time
+    gold_rects = sum(len({g.rect() for g in encode_region_labels(ls)[1]})
+                     for ls in data.source_train)
+    assert tracer.counts["gold"] == 2 * gold_rects
     for span in ("losses.match_gold", "trainer.teacher_pseudo_label", "model.predict",
                  "checkpoint.save", "checkpoint.load"):
         assert tracer.calls[span] > 0, span

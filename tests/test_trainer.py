@@ -14,6 +14,7 @@ from tablemt.corpus import (
     synth_corpus,
     vocabulary,
 )
+from tablemt.autograd import Tensor
 from tablemt.detector import Mode, foreground_classes
 from tablemt.encoder import EncoderConfig
 from tablemt.model import NonFiniteScoreError, clone_params, init_params, predict
@@ -154,13 +155,15 @@ def test_pseudo_label_eta_one_yields_empty_and_eta_zero_keeps_all(tiny_data):
     sent = tiny_data.target_unlabeled[0].sentence
     assert pseudo_labels(params, [sent], replace(cfg, eta=1.0), teacher_pseudo_label) == [[]]
     (all_kept,) = pseudo_labels(params, [sent], replace(cfg, eta=1e-12), teacher_pseudo_label)
+    from tablemt.detector import rpn_scores
     from tablemt.encoder import encode
     from tablemt.model import as_tensors, forward
 
     import tablemt.autograd as ag
     with ag.no_grad():
         params_t = as_tensors(params)
-        fwd = forward(encode([sent], params_t, cfg.encoder)[0], params_t, cfg.mode, cfg.kappa)
+        scores = rpn_scores(encode([sent], params_t, cfg.encoder), params_t)
+        fwd = forward(*scores.maps([sent.n])[0], cfg.kappa)
     assert len(all_kept) == len(fwd.proposals)
 
 
@@ -454,15 +457,14 @@ def test_mmd_gradient_scales_linearly_with_beta(tiny_data):
 
 
 def _cell_probs(tl, params, mode):
-    """Class probabilities of every cell as its own 1x1 region from one
-    (n^2, 3d) batch in row-major cell order: the dense formula the cell-level
-    variant used before its cells went through the RoI path."""
+    """Class probabilities of every cell of one sentence's (n^2, d) map as
+    its own 1x1 region from one (n^2, 3d) batch in row-major cell order: the
+    dense formula the cell-level variant used before its cells went through
+    the RoI path."""
     import tablemt.autograd as ag
     from tablemt.detector import classify_regions
 
-    n, _, d = tl.shape
-    flat = tl.reshape(n * n, d)
-    return classify_regions(ag.concat([flat, flat, flat], axis=1), params, mode)
+    return classify_regions(ag.concat([tl, tl, tl], axis=1), params, mode)
 
 
 def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
@@ -484,8 +486,7 @@ def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
     teacher_t = as_tensors(teacher)
     for sent, labels in zip(tgt, pseudo):
         with ag.no_grad():
-            dense, _ = _cell_probs(encode([sent], teacher_t, cfg.encoder)[0], teacher_t,
-                                   cfg.mode)
+            dense, _ = _cell_probs(encode([sent], teacher_t, cfg.encoder), teacher_t, cfg.mode)
         for pl in labels:
             assert np.array_equal(pl.probs, dense.data[pl.a * sent.n + pl.b])
         assert len(labels) == int((dense.data[:, list(foreground_classes(cfg.mode))]
@@ -498,7 +499,7 @@ def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
     old_t = as_tensors(student)
     rows = []
     for sent, labels in zip(tgt, pseudo):
-        probs, _ = _cell_probs(encode([sent], old_t, cfg.encoder)[0], old_t, cfg.mode)
+        probs, _ = _cell_probs(encode([sent], old_t, cfg.encoder), old_t, cfg.mode)
         rows.append(probs[np.array([p.a * sent.n + p.b for p in labels])])
     teacher_rows = np.concatenate([np.stack([p.probs for p in labels]) for labels in pseudo])
     old = loss_uns(ag.concat(rows, axis=0), teacher_rows)
@@ -542,3 +543,149 @@ def test_ctfmt_gradient_of_assembled_step_matches_fd(tiny_data, mode):
         fm = value(mod)
         fd = (fp - fm) / (2 * eps)
         assert abs(fd - g[idx]) / max(abs(fd), abs(g[idx]), 1.0) < 1e-4, name
+
+
+def _edge_source_batch(tiny_data) -> list[LabeledSentence]:
+    """A mixed source batch: a sentence with no triplet (which, at student
+    seed 2, has no predicted proposal either), a 1-token and a 2-token
+    sentence, and a synth sentence."""
+    from tablemt.corpus import Polarity, Span, Triplet
+
+    return [
+        LabeledSentence(Sentence(("it", "is", "so", "very", "fine")), ()),
+        LabeledSentence(Sentence(("sadj0",)), (Triplet(Span(0, 0), Span(0, 0), Polarity.POS),)),
+        LabeledSentence(Sentence(("snoun0", "sadj1")),
+                        (Triplet(Span(0, 0), Span(1, 1), Polarity.NEG),)),
+        tiny_data.source_train[0],
+    ]
+
+
+def _losses_and_grads(params, records, cfg):
+    from tablemt.model import as_tensors
+
+    tensors = as_tensors(clone_params(params))
+    total, bd = compute_losses(tensors, records, cfg)
+    total.backward()
+    return bd, {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
+                for k, t in tensors.items()}
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_a_source_batch_equals_the_mean_of_its_sentences(tiny_data, mode):
+    """One packed batch gives each loss term and every parameter gradient
+    as the mean of its sentences run one by one: a sentence without
+    proposals is a zero ``l_rpc`` term that still counts, and 1- and
+    2-token maps weigh as their own 2n² cells."""
+    from dataclasses import fields
+
+    import tablemt.autograd as ag
+    from tablemt.detector import rpn_scores
+    from tablemt.encoder import encode
+    from tablemt.losses import LossBreakdown
+    from tablemt.model import as_tensors, forward
+
+    cfg = tiny_cfg(mode=mode)
+    student = init_params(cfg.encoder, mode, _stream(2, 1))
+    batch = _edge_source_batch(tiny_data)
+    empty = batch[0].sentence
+    with ag.no_grad():
+        params_t = as_tensors(student)
+        scores = rpn_scores(encode([empty], params_t, cfg.encoder), params_t)
+        assert forward(*scores.maps([empty.n])[0], cfg.kappa).proposals == []
+
+    bd, grads = _losses_and_grads(student, batch, cfg)
+    singles = [_losses_and_grads(student, [ls], cfg) for ls in batch]
+    assert singles[0][0].l_rpc == 0.0
+    for f in fields(LossBreakdown):
+        got = getattr(bd, f.name)
+        want = sum(getattr(b, f.name) for b, _ in singles) / len(batch)
+        assert abs(got - want) <= 1e-15 * max(abs(got), abs(want)), f.name
+    for k, g in grads.items():
+        want = sum(gs[k] for _, gs in singles) / len(batch)
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12, err_msg=k)
+
+
+def _per_sentence_rows(student, src, tgt, pseudo, cfg):
+    """The consistency rows and MMD feature rows as the detector made them
+    when it ran per sentence: each sentence's corner scores, region head and
+    gathers on its own slice of the packed map, concatenated in sentence and
+    proposal order."""
+    import tablemt.autograd as ag
+    from tablemt.detector import decode_triplets, rpn_scores
+    from tablemt.encoder import encode
+    from tablemt.model import as_tensors, classify, forward
+    from tablemt.tagging import cells_by_type, encode_region_labels
+
+    params_t = as_tensors(student)
+    sentences = [ls.sentence for ls in src] + tgt
+    extras = [[g.rect() for g in encode_region_labels(ls)[1]] for ls in src]
+    extras += [[p.rect() for p in labels] for labels in pseudo]
+    with ag.no_grad():
+        tl = encode(sentences, params_t, cfg.encoder).data
+    uns, groups, lo = [], ({}, {}), 0
+    for i, (s, extra) in enumerate(zip(sentences, extras)):
+        n = s.n
+        own = Tensor(tl[lo : lo + n * n])
+        lo += n * n
+        with ag.no_grad():
+            fwd = forward(*rpn_scores(own, params_t).maps([n])[0], cfg.kappa, extra_rects=extra)
+            rois, probs, _ = classify(own, [n], [fwd], params_t, cfg.mode)
+        if i >= len(src) and fwd.extra_rows:
+            uns.append(probs.data[fwd.extra_rows])
+        m = fwd.n_predicted
+        if m == 0:
+            continue
+        if cfg.variant == Variant.CTFMT:
+            triplets = decode_triplets(fwd.proposals[:m], probs.data[:m], cfg.mode)
+            by_key = {k: own.data[[a * n + b for a, b in cells]]
+                      for k, cells in cells_by_type(triplets).items() if cells}
+        else:
+            a, b, c, d = np.array([p.rect() for p in fwd.proposals[:m]]).T
+            by_key = {"b": own.data[a * n + b], "e": own.data[c * n + d], "roi": rois.data[:m]}
+        for key, rows in by_key.items():
+            groups[i >= len(src)].setdefault(key, []).append(rows)
+    return (np.concatenate(uns),
+            [{k: np.concatenate(v) for k, v in side.items()} for side in groups])
+
+
+@pytest.mark.parametrize("variant", [Variant.TFMT, Variant.CTFMT])
+def test_batched_consistency_and_mmd_rows_equal_the_per_sentence_rows(tiny_data, monkeypatch,
+                                                                       variant):
+    """The batch head's consistency rows and MMD feature rows are one gather
+    each, and equal, bit for bit, the rows the per-sentence detector made."""
+    import tablemt.trainer as trainer
+    from tablemt.losses import _as_matrix
+    from tablemt.model import as_tensors
+
+    cfg = tiny_cfg(variant=variant, eta=0.05, beta=0.5)
+    teacher = init_params(cfg.encoder, cfg.mode, _stream(20, 0))
+    student = init_params(cfg.encoder, cfg.mode, _stream(20, 1))
+    src = tiny_data.source_train[:3]
+    tgt = [ls.sentence for ls in tiny_data.target_unlabeled[:3]]
+    label = teacher_pseudo_label_cells if variant == Variant.CTFMT else teacher_pseudo_label
+    pseudo = pseudo_labels(teacher, tgt, cfg, label)
+    assert any(pseudo)
+
+    seen = {}
+    real_uns, real_mmd = trainer.loss_uns, trainer.loss_mmd
+
+    def recording_uns(student_probs, teacher_probs):
+        seen["uns"] = student_probs.data
+        return real_uns(student_probs, teacher_probs)
+
+    def recording_mmd(src_groups, tgt_groups):
+        seen["mmd"] = [{k: _as_matrix(v).data for k, v in side.items()}
+                       for side in (src_groups, tgt_groups)]
+        return real_mmd(src_groups, tgt_groups)
+
+    monkeypatch.setattr(trainer, "loss_uns", recording_uns)
+    monkeypatch.setattr(trainer, "loss_mmd", recording_mmd)
+    _, bd = compute_losses(as_tensors(student), src, cfg, tgt, pseudo)
+    assert bd.l_uns > 0 and bd.l_mmd > 0
+
+    uns, groups = _per_sentence_rows(student, src, tgt, pseudo, cfg)
+    np.testing.assert_array_equal(seen["uns"], uns)
+    for got, want in zip(seen["mmd"], groups):
+        assert got.keys() == want.keys()
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key], err_msg=str(key))

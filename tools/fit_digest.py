@@ -14,6 +14,9 @@ The grid:
   small synth corpus (seed 5, 8/4/6/4 sentences), d 8, one conv layer;
 - tfmt and ctfmt at the default sizes on the synth corpus of seed 7,
   2 epochs;
+- tfmt at eta 0.2 on the small corpus plus hand-built sentences that synth
+  corpora never make: a source sentence without triplets, and 1- and
+  2-token sentences in the source, dev and target splits;
 - predictions at kappa 1.0 of 2-epoch source-only ASTE and AOPE models (fit
   on the seed-7 corpus) on 100 sentences of 16 to 24 target-domain tokens.
 
@@ -61,6 +64,25 @@ def fit_cases():
     bench = synth_corpus(SynthConfig(seed=7))
     for variant in (Variant.TFMT, Variant.CTFMT):
         yield f"fit_{variant.value}_synth7", bench, TrainConfig(variant=variant, epochs=2, seed=7)
+    yield "fit_tfmt_aste_eta0.2_edge", edge_corpus(small), TrainConfig(
+        eta=0.2, epochs=2, seed=3, batch=2, encoder=tiny)
+
+
+def edge_corpus(small):
+    """``small`` plus a source sentence without triplets, and 1- and
+    2-token sentences in every split but ``target_test``."""
+    from tablemt.corpus import LabeledSentence, Polarity, Sentence, Span, SynthCorpus, Triplet
+
+    one = LabeledSentence(Sentence(("sadj0",)), (Triplet(Span(0, 0), Span(0, 0), Polarity.POS),))
+    two = LabeledSentence(Sentence(("snoun0", "sadj1")),
+                          (Triplet(Span(0, 0), Span(1, 1), Polarity.NEG),))
+    bare = LabeledSentence(Sentence(("it", "is", "so", "very", "fine")), ())
+    target = [LabeledSentence(Sentence(("tadj0",)), ()),
+              LabeledSentence(Sentence(("the", "tnoun0")), ())]
+    return SynthCorpus(source_train=small.source_train + [bare, one, two],
+                       source_dev=small.source_dev + [one, two],
+                       target_unlabeled=small.target_unlabeled + target,
+                       target_test=small.target_test)
 
 
 def fit_outputs(corpus, cfg, scratch: Path) -> dict:
