@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -261,6 +261,40 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return Tensor(out_data, tuple(tensors), backward)
 
 
+class Packing(NamedTuple):
+    """Read-only index tables of n x n maps packed back to back, one per
+    entry of ``sizes``: map s's n² row-major cells start at packed cell
+    ``cell0[s]``, and its n rows at row ``row0[s]`` of the rows stacked."""
+
+    cell0: np.ndarray  # (S,)
+    row0: np.ndarray  # (S,)
+    ii: np.ndarray  # (Σn²,) the stacked row of each cell's row
+    jj: np.ndarray  # (Σn²,) the stacked row of each cell's column
+    taps: np.ndarray  # (Σn², 9) the cell (i + di - 1, j + dj - 1) at [3·di + dj]; Σn² off the map
+    inside: np.ndarray  # (Σn, max n) set where stacked row r has a column j
+
+
+@functools.lru_cache(maxsize=32)
+def packing(sizes: tuple[int, ...]) -> Packing:
+    """The index tables of maps of ``sizes`` packed back to back, the one
+    place their layout is worked out.  Kept for the last few packings, as
+    the table, every conv layer and the region head of a pass read one."""
+    n = np.array(sizes)
+    cell0, row0 = np.cumsum(n * n) - n * n, np.cumsum(n) - n
+    owner = np.repeat(np.arange(len(n)), n * n)
+    size = n[owner][:, None]
+    i, j = np.divmod(np.arange(len(owner)) - cell0[owner], n[owner])
+    di, dj = np.divmod(np.arange(9), 3)
+    ti, tj = i[:, None] + di - 1, j[:, None] + dj - 1
+    on_map = (ti >= 0) & (ti < size) & (tj >= 0) & (tj < size)
+    taps = np.where(on_map, cell0[owner][:, None] + ti * size + tj, len(owner))
+    inside = np.arange(n.max()) < np.repeat(n, n)[:, None]
+    tables = Packing(cell0, row0, i + row0[owner], j + row0[owner], taps, inside)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @functools.lru_cache(maxsize=None)
 def _floor_log2(n: int) -> np.ndarray:
     """Read-only lookup: entry h is floor(log2(h)), for 1 <= h <= n."""
@@ -296,18 +330,25 @@ def _window_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                              initial=-np.inf)
 
 
-@functools.lru_cache(maxsize=32)
-def _row_cells(sizes: tuple[int, ...]) -> np.ndarray | None:
-    """Read-only (Σn, max n) mask over the rows of n x n maps packed back to
-    back, one per entry of ``sizes``, stacked and padded to the widest: entry
-    [r, j] is set where row r has a column j.  Its set entries, in row-major
-    order, are the packed map's cells in order.  None when no row is padded."""
-    widths = np.repeat(sizes, sizes)
-    if (widths == max(sizes)).all():
-        return None
-    mask = np.arange(max(sizes)) < widths[:, None]
-    mask.flags.writeable = False
-    return mask
+def _window_max_grad(x: np.ndarray, out: np.ndarray, g: np.ndarray, a: np.ndarray,
+                     b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The gradient that ``_window_max(x, a, b, c, d) == out`` hands ``x``
+    for upstream ``g``: row r of ``g`` splits evenly over the cells of window
+    r that hold its max, as ``Tensor.max`` splits ties.  One slot per
+    (window, cell inside it), windows in order, summed into ``x``'s shape by
+    one ``bincount``, so every cell adds its shares in window order, as a
+    loop over the windows would."""
+    n, w, k = x.shape
+    widths = d - b + 1
+    lens = (c - a + 1) * widths
+    first = np.cumsum(lens) - lens
+    owner = np.repeat(np.arange(len(lens)), lens)
+    i, j = np.divmod(np.arange(lens.sum()) - first[owner], widths[owner])
+    cells = (a[owner] + i) * w + b[owner] + j
+    ties = x.reshape(n * w, k)[cells] == out[owner]
+    shares = ties * (g / np.add.reduceat(ties, first, axis=0))[owner]
+    slots = (cells * k)[:, None] + np.arange(k)
+    return np.bincount(slots.ravel(), shares.ravel(), n * w * k).reshape(x.shape)
 
 
 def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]],
@@ -316,30 +357,20 @@ def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]],
 
     The leading axes of ``x`` hold the row-major cells of one n x n map per
     entry of ``sizes`` (an (n, n, k) map with ``sizes=[n]`` included), and
-    its last axis the channels.  The maps' rows are stacked, so map s's row i
-    is row ``sum(sizes[:s]) + i``.  Output row r is the max over rows a..c and
-    columns b..d for ``rects[r] = (a, b, c, d)``, an (m, 4) int array or a
-    sequence of 4-tuples whose window lies inside one map.  Ties split the
-    gradient evenly, as ``Tensor.max`` does, and every window's gradient goes
-    into one buffer.
+    its last axis the channels.  The maps' rows are stacked and padded to the
+    widest, so map s's row i is row ``packing(sizes).row0[s] + i``.  Output
+    row r is the max over rows a..c and columns b..d for ``rects[r] = (a, b,
+    c, d)``, an (m, 4) int array or a sequence of 4-tuples whose window lies
+    inside one map.  Ties split the gradient evenly, as ``Tensor.max`` does.
     """
     rects = np.asarray(rects)
-    k = x.data.shape[-1]
-    inside = _row_cells(tuple(sizes))
-    if inside is None:  # maps of one size stack with no padding
-        rows = x.data.reshape(-1, max(sizes), k)
-    else:
-        rows = np.zeros(inside.shape + (k,))
-        rows[inside] = x.data.reshape(-1, k)
+    inside = packing(tuple(sizes)).inside
+    rows = np.zeros(inside.shape + x.data.shape[-1:])
+    rows[inside] = x.data.reshape(-1, rows.shape[-1])
     out_data = _window_max(rows, *rects.T)
 
     def backward(g):
-        buf = np.zeros_like(rows)
-        for (a, b, c, d), top, gw in zip(rects.tolist(), out_data, g):
-            w = (slice(a, c + 1), slice(b, d + 1))
-            ties = rows[w] == top
-            buf[w] += ties * (gw / ties.sum(axis=(0, 1)))
-        x._accumulate((buf if inside is None else buf[inside]).reshape(x.data.shape))
+        x._accumulate(_window_max_grad(rows, out_data, g, *rects.T)[inside].reshape(x.data.shape))
 
     return Tensor(out_data, (x,), backward)
 
@@ -374,58 +405,19 @@ def range_rowmax(h: Tensor, starts: np.ndarray, stops: np.ndarray) -> Tensor:
     """
     n, k = h.data.shape
     zero = np.zeros_like(starts)
-    out_data = _window_max(h.data.reshape(n, 1, k), starts, zero, stops - 1, zero)
+    rows, windows = h.data.reshape(n, 1, k), (starts, zero, stops - 1, zero)
+    out_data = _window_max(rows, *windows)
 
     def backward(g):
-        # One slot per (window, row inside it), windows in order: each row
-        # of h sums its shares in window order, as a dense mask would.
-        lens = stops - starts
-        first = np.cumsum(lens) - lens
-        owner = np.repeat(np.arange(len(lens)), lens)
-        pos = np.arange(lens.sum()) - first[owner] + starts[owner]
-        ties = h.data[pos] == out_data[owner]
-        counts = np.add.reduceat(ties, first, axis=0)
-        shares = ties * (g / counts)[owner]
-        cells = (pos * k)[:, None] + np.arange(k)
-        h._accumulate(np.bincount(cells.ravel(), shares.ravel(), n * k).reshape(n, k))
+        h._accumulate(_window_max_grad(rows, out_data, g, *windows).reshape(n, k))
 
     return Tensor(out_data, (h,), backward)
 
 
-@functools.lru_cache(maxsize=None)
-def _neighbours(n: int) -> np.ndarray:
-    """Read-only (n², 9) index into an n x n map's row-major cells: entry
-    [i·n + j, 3·di + dj] is the cell (i + di - 1, j + dj - 1), or -1 where
-    that cell lies outside the map."""
-    i, j = np.divmod(np.arange(n * n), n)
-    di, dj = np.divmod(np.arange(9), 3)
-    ni, nj = i[:, None] + di - 1, j[:, None] + dj - 1
-    inside = (ni >= 0) & (ni < n) & (nj >= 0) & (nj < n)
-    table = np.where(inside, ni * n + nj, -1)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=32)
-def _packed_neighbours(sizes: tuple[int, ...]) -> np.ndarray:
-    """Read-only (Σn², 9) 3x3 neighbour rows of maps packed back to back, one
-    n x n map per entry of ``sizes``; a tap outside its own map reads row
-    Σn², the zero row ``_windows`` appends.  Kept for the last few packings,
-    as every conv layer of one encoder pass reads the same one."""
-    zero_row = sum(n * n for n in sizes)
-    parts, offset = [], 0
-    for n in sizes:
-        local = _neighbours(n)
-        parts.append(np.where(local >= 0, local + offset, zero_row))
-        offset += n * n
-    table = np.concatenate(parts)
-    table.flags.writeable = False
-    return table
-
-
 def _windows(a: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """The (Σn², 9·c) rows of a packed (Σn², c) map's zero-padded 3x3
-    windows, each in (di, dj, c) order, matching ``w.reshape(9 * c, c_out)``."""
+    windows, each in (di, dj, c) order, matching ``w.reshape(9 * c, c_out)``;
+    a tap off its map reads the zero row appended as row Σn²."""
     padded = np.concatenate([a, np.zeros((1, a.shape[1]))])
     return np.take(padded, taps.ravel(), axis=0).reshape(len(taps), -1)
 
@@ -442,7 +434,7 @@ def conv3x3(x: Tensor, w: Tensor, b: Tensor, sizes: Sequence[int]) -> Tensor:
     gradient with the kernel flipped in space and its channel axes swapped."""
     ci = x.data.shape[-1]
     co = w.data.shape[3]
-    taps = _packed_neighbours(tuple(sizes))
+    taps = packing(tuple(sizes)).taps
     cols = _windows(x.data.reshape(-1, ci), taps)
     out_data = (cols @ w.data.reshape(9 * ci, co) + b.data).reshape(*x.data.shape[:-1], co)
 

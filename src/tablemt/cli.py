@@ -263,6 +263,7 @@ def cmd_eval(args) -> int:
     records = load_dataset(args.data)
     if not records:
         raise UsageError(f"empty test file: {args.data}")
+    trainer.check_lengths(records, args.data, ckpt.config.encoder.max_n)
     preds = _predict_items(records, ckpt.student, ckpt.config)
     golds = [gold_items(ls, ckpt.config.mode) for ls in records]
     report = build_report(preds, golds)
@@ -284,6 +285,7 @@ def cmd_audit(args) -> int:
     records = load_dataset(args.data)
     if not any(ls.triplets for ls in records):
         raise UsageError(f"audit needs labeled target data: {args.data}")
+    trainer.check_lengths(records, args.data, cfg.encoder.max_n)
     counts = {cat: 0 for cat in ErrorCategory}
     total_retained = 0
     for ls in records:

@@ -8,7 +8,6 @@ pruning and pairing run on one sentence's (n, n) corner maps, in numpy."""
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -64,12 +63,9 @@ class RpnScores:
 
     def maps(self, sizes: Sequence[int]) -> list[tuple[np.ndarray, np.ndarray]]:
         """Each sentence's (n, n) B and E maps, as views of the packed data."""
-        out, lo = [], 0
-        for n in sizes:
-            out.append((self.pb.data[lo : lo + n * n].reshape(n, n),
-                        self.pe.data[lo : lo + n * n].reshape(n, n)))
-            lo += n * n
-        return out
+        cell0 = ag.packing(tuple(sizes)).cell0.tolist()
+        return [(self.pb.data[c : c + n * n].reshape(n, n),
+                 self.pe.data[c : c + n * n].reshape(n, n)) for c, n in zip(cell0, sizes)]
 
 
 @dataclass(frozen=True)
@@ -110,34 +106,18 @@ def propose_regions(
     return [RegionProposal(*r) for r in sorted(rects)]
 
 
-@functools.lru_cache(maxsize=32)
-def _packing(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only index tables of maps packed back to back, one per entry of
-    ``sizes``: the (S, 4) shift that moves each map's (a, b, c, d)
-    rectangles onto the stacked rows, and the packed cell where each of the
-    Σn stacked rows starts."""
-    n = np.array(sizes)
-    row0 = np.cumsum(n) - n
-    shift = np.zeros((len(n), 4), dtype=np.int64)
-    shift[:, 0] = shift[:, 2] = row0
-    row_cell = (np.repeat(np.cumsum(n * n) - n * n - row0 * n, n)
-                + np.arange(n.sum()) * np.repeat(n, n))
-    shift.flags.writeable = row_cell.flags.writeable = False
-    return shift, row_cell
-
-
 def roi_represent(tl: Tensor, sizes: Sequence[int],
                   rects: Sequence[Sequence[tuple[int, int, int, int]]]) -> Tensor:
     """Fixed-length region vectors over a packed (Σn², d) map of sentences
     of ``sizes``: one (3d,) row per (a, b, c, d) rectangle of ``rects[s]`` on
     sentence s, sentences in order, each the B-corner cell + E-corner cell +
     elementwise max over every cell inside."""
-    sizes = tuple(sizes)
-    shift, row_cell = _packing(sizes)
+    p = ag.packing(tuple(sizes))
     local = np.fromiter(chain.from_iterable(chain.from_iterable(rects)), np.int64).reshape(-1, 4)
-    windows = local + np.repeat(shift, [len(r) for r in rects], axis=0)
-    a, b, c, d = windows.T
-    return ag.concat([tl[row_cell[a] + b], tl[row_cell[c] + d],
+    a, b, c, d = local.T
+    n, cell0, row0 = (np.repeat(v, [len(r) for r in rects]) for v in (sizes, p.cell0, p.row0))
+    windows = np.stack([a + row0, b, c + row0, d], axis=1)
+    return ag.concat([tl[cell0 + a * n + b], tl[cell0 + c * n + d],
                       ag.rect_max(tl, windows, sizes)], axis=1)
 
 

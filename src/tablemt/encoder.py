@@ -12,14 +12,14 @@ back onto its input so zero kernels give the identity map.
 ``encode`` takes a list of sentences through every layer at once.  Their
 tokens are stacked as one (Σn, d) matrix, and their tables as one ragged
 (Σn², d) map: each sentence's n² row-major cells, back to back, with no
-padding.  The window mean is one block-diagonal matrix, the table indexes
-tokens by their row in the stack, and the conv layers read a cached per-n
-neighbour index whose taps outside a sentence's own map read a zero row.
-So no cell sees another sentence, and each sentence's cells equal its
-encoding alone, up to the order in which BLAS sums a row: bit for bit at
-the shipped widths, except for a one-token sentence, whose lone encoding is
-made of one-row products.  A training step encodes once per role: the student's
-source and target sentences together, and the teacher's target sentences
+padding.  The window mean is one block-diagonal matrix; the table's token
+rows and the conv layers' 3x3 taps come from ``autograd.packing(sizes)``,
+whose taps outside a sentence's own map read a zero row.  So no cell sees
+another sentence, and each sentence's cells equal its encoding alone, up to
+the order in which BLAS sums a row: bit for bit at the shipped widths,
+except for a one-token sentence, whose lone encoding is made of one-row
+products.  A training step encodes once per role: the student's source and
+target sentences together, and the teacher's target sentences
 under ``no_grad``; ``predict`` encodes one sentence.  The window mean and
 the bilinear form are (Σn)² matrices, so pack a step's sentences, not a
 corpus.
@@ -114,17 +114,6 @@ def _window_mean_matrix(sizes: Sequence[int], window: int) -> np.ndarray:
     return inside / (hi - lo + 1)[:, None]
 
 
-def _cell_tokens(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of the token stack that each cell of the packed table pairs."""
-    ii, jj, lo = [], [], 0
-    for n in sizes:
-        i, j = np.divmod(np.arange(n * n), n)
-        ii.append(i + lo)
-        jj.append(j + lo)
-        lo += n
-    return np.concatenate(ii), np.concatenate(jj)
-
-
 def embed(sentences: Sequence[Sentence], params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
     """Token representations H of every sentence, stacked: shape (Σn, d)."""
     sizes = _sizes(sentences, cfg)
@@ -139,7 +128,8 @@ def embed(sentences: Sequence[Sentence], params: dict[str, Tensor], cfg: Encoder
 def build_table(h: Tensor, sizes: Sequence[int], params: dict[str, Tensor]) -> Tensor:
     """Layer-0 relation tables of stacked tokens ``h`` from sentences of
     ``sizes``, packed: shape (Σn², d)."""
-    ii, jj = _cell_tokens(sizes)
+    p = ag.packing(tuple(sizes))
+    ii, jj = p.ii, p.jj
     hi = h[ii]
     hj = h[jj]
     pooled = ag.range_rowmax(h, np.minimum(ii, jj), np.maximum(ii, jj) + 1)

@@ -79,13 +79,6 @@ def loss_uns(student_probs: Tensor | None, teacher_probs: np.ndarray) -> Tensor:
     return (diff * diff).sum(axis=1).mean()
 
 
-def _as_matrix(x) -> Tensor:
-    """An (m, k) Tensor or array, or a list of (m_i, k) Tensors stacked."""
-    if isinstance(x, list):
-        return ag.concat(x, axis=0) if x else Tensor(np.zeros((0, 1)))
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _median_bandwidth(d2: Tensor) -> Tensor:
     """Median distance over the pairs i < j of a (p, p) squared-distance
     matrix, p >= 2: the mean of the two middle ones for an even count."""
@@ -99,12 +92,12 @@ def _median_bandwidth(d2: Tensor) -> Tensor:
 
 
 def mmd(x, y) -> Tensor:
-    """Biased-estimator (V-statistic) squared MMD with a Gaussian kernel:
+    """Biased-estimator (V-statistic) squared MMD with a Gaussian kernel
+    between the rows of two (m, k) Tensors or arrays:
     mean k(x,x') + mean k(y,y') - 2 mean k(x,y), clamped at zero.  The
     bandwidth is the median pairwise distance over the pooled samples; it
     and the kernel read one pooled squared-distance matrix."""
-    xm = _as_matrix(x)
-    ym = _as_matrix(y)
+    xm, ym = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, y))
     m, k = xm.shape[0], ym.shape[0]
     if m == 0 or k == 0:
         return Tensor(0.0)
@@ -120,8 +113,7 @@ def mmd(x, y) -> Tensor:
 
 def loss_mmd(src_groups: dict, tgt_groups: dict) -> Tensor:
     """Sum of ``mmd`` over the feature groups present on both sides, in
-    sorted key order.  Each group maps a key to its feature rows: an (m, k)
-    tensor or a list of them, one per sentence."""
+    sorted key order.  Each group maps a key to its (m, k) feature rows."""
     keys = sorted(src_groups.keys() & tgt_groups.keys())
     terms = [mmd(src_groups[k], tgt_groups[k]) for k in keys]
     return sum(terms[1:], terms[0]) if terms else Tensor(0.0)

@@ -233,11 +233,9 @@ def pseudo_labels(teacher: dict, sentences: list[Sentence], cfg: TrainConfig,
     with ag.no_grad():
         teacher_t = as_tensors(teacher)
         tl = encode(sentences, teacher_t, cfg.encoder)
-    out, lo = [], 0
-    for s in sentences:
-        out.append(label(teacher_t, Tensor(tl.data[lo : lo + s.n * s.n]), s.n, cfg))
-        lo += s.n * s.n
-    return out
+    cell0 = ag.packing(tuple(s.n for s in sentences)).cell0.tolist()
+    return [label(teacher_t, Tensor(tl.data[c : c + s.n * s.n]), s.n, cfg)
+            for c, s in zip(cell0, sentences)]
 
 
 def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
@@ -247,7 +245,7 @@ def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
     return uns_on, mmd_on
 
 
-def _mmd_groups(tl: Tensor, rois: Tensor, probs: Tensor, sizes: list[int],
+def _mmd_groups(tl: Tensor, rois: Tensor, probs: Tensor, sizes: tuple[int, ...],
                 fwds: list[SentenceForward], side: range, cfg: TrainConfig) -> dict:
     """The MMD feature groups of the regions the pruner proposed in the
     batch's sentences ``side``, each one (m, k) gather from the batch
@@ -255,7 +253,7 @@ def _mmd_groups(tl: Tensor, rois: Tensor, probs: Tensor, sizes: list[int],
     vectors ``roi``; for ``ctfmt``, the table cells of each populated
     ``CELL_*`` type of the decoded predictions instead.  Rows run in
     sentence order, then proposal (or cell) order."""
-    cell0 = np.cumsum([0] + [n * n for n in sizes])
+    cell0 = ag.packing(sizes).cell0
     row0 = np.cumsum([0] + [len(f.proposals) for f in fwds])
     cells: dict = {}
     rows = []
@@ -311,7 +309,7 @@ def compute_losses(
     mmd_on = _target_flags(cfg)[1]
     tgt_sentences = list(tgt_sentences or []) if uns_on or mmd_on else []
     sentences = [ls.sentence for ls in src_batch] + tgt_sentences
-    sizes = [s.n for s in sentences]
+    sizes = tuple(s.n for s in sentences)
     zero = Tensor(0.0)
     if not sentences:
         return zero, LossBreakdown()
@@ -338,10 +336,9 @@ def compute_losses(
 
     l_rpn_t = l_rpc_t = zero
     if src_batch:
-        src_cells = [n * n for n in sizes[:n_src]]
-        pad = np.zeros(len(scores.pb.data) - sum(src_cells))
-        w_rpn = np.concatenate([np.repeat(1.0 / (2 * np.array(src_cells) * n_src), src_cells),
-                                pad])
+        cells = np.diff(ag.packing(sizes).cell0, append=len(scores.pb.data))[:n_src]
+        pad = np.zeros(len(scores.pb.data) - cells.sum())
+        w_rpn = np.concatenate([np.repeat(1.0 / (2 * cells * n_src), cells), pad])
         l_rpn_t = loss_rpn(scores.pb, scores.pe, np.concatenate(yb + [pad]),
                            np.concatenate(ye + [pad]), w_rpn)
         m = counts[:n_src]
@@ -511,10 +508,16 @@ def check_corpus(data: SynthCorpus, cfg: TrainConfig) -> None:
     if uses_target or cfg.variant == Variant.SELF_TRAIN:
         splits.append("target_unlabeled")
     for split in splits:
-        for i, ls in enumerate(getattr(data, split)):
-            if ls.sentence.n > cfg.encoder.max_n:
-                raise ValueError(f"{split} record {i}: sentence length {ls.sentence.n} "
-                                 f"exceeds max_n={cfg.encoder.max_n}")
+        check_lengths(getattr(data, split), split, cfg.encoder.max_n)
+
+
+def check_lengths(records: list[LabeledSentence], name: str, max_n: int) -> None:
+    """Raise ``ValueError`` naming ``name``, the record's index in it and its
+    length at the first sentence of ``records`` longer than ``max_n``."""
+    for i, ls in enumerate(records):
+        if ls.sentence.n > max_n:
+            raise ValueError(f"{name} record {i}: sentence length {ls.sentence.n} "
+                             f"exceeds max_n={max_n}")
 
 
 def fit(

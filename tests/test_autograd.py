@@ -343,6 +343,68 @@ def test_rect_max_on_two_packed_maps_matches_finite_differences():
     _fd_every_entry(lambda u: (ag.rect_max(u, rects, sizes) * Tensor(g)).sum(), x, t.grad)
 
 
+@pytest.mark.parametrize("nan", [False, True], ids=["ties", "ties-and-nan"])
+def test_rect_max_on_packed_tied_maps_equals_the_window_loop_bit_for_bit(nan):
+    """Maps of 1 to 24 tokens packed back to back, most windows holding ties:
+    the output and the gradient equal the loop over the windows that
+    ``rect_max`` ran on the stacked, padded rows before its backward was
+    vectorised, bit for bit."""
+    rng_ = np.random.default_rng(61 + nan)
+    sizes = [24, 1, 2, 7, 24, 3]
+    x = np.concatenate([_tied_map(rng_, (n * n, 4), False) for n in sizes])
+    if nan:
+        x[int(rng_.integers(len(x))), 2] = np.nan
+    row0 = np.cumsum(sizes) - sizes
+    rects = [(r0 + a, b, r0 + c, d) for n, r0 in zip(sizes, row0)
+             for a, b, c, d in _all_windows(n, rng_, cap=60)]
+    g = rng_.normal(size=(len(rects), 4))
+    inside = np.arange(max(sizes)) < np.repeat(sizes, sizes)[:, None]
+    rows = np.zeros(inside.shape + (4,))
+    rows[inside] = x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected, expected_grad = _rect_max_loop(rows, rects, g)
+        t = Tensor(x)
+        out = ag.rect_max(t, rects, sizes)
+        (out * Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(out.data, expected)
+    np.testing.assert_array_equal(t.grad, expected_grad[inside])
+
+
+def _alone(n):
+    """One n x n map's tables, cell by cell: each cell's token rows, and its
+    3x3 taps with n² for a tap off the map."""
+    ii, jj, taps = [], [], []
+    for i in range(n):
+        for j in range(n):
+            ii.append(i)
+            jj.append(j)
+            taps.append([(i + di - 1) * n + j + dj - 1
+                         if 0 <= i + di - 1 < n and 0 <= j + dj - 1 < n else n * n
+                         for di in range(3) for dj in range(3)])
+    return np.array(ii), np.array(jj), np.array(taps)
+
+
+def test_packing_is_each_map_alone_shifted_by_its_offsets():
+    sizes = (3, 1, 24, 2, 1, 24, 5)
+    p = ag.packing(sizes)
+    total = sum(n * n for n in sizes)
+    assert p.cell0.tolist() == [0, 9, 10, 586, 590, 591, 1167]
+    assert p.row0.tolist() == [0, 3, 4, 28, 30, 31, 55]
+    assert p.taps.shape == (total, 9) and p.inside.shape == (sum(sizes), 24)
+    for n, c0, r0 in zip(sizes, p.cell0, p.row0):
+        ii, jj, taps = _alone(n)
+        cells, rows = slice(c0, c0 + n * n), slice(r0, r0 + n)
+        np.testing.assert_array_equal(p.ii[cells], ii + r0)
+        np.testing.assert_array_equal(p.jj[cells], jj + r0)
+        np.testing.assert_array_equal(p.taps[cells], np.where(taps == n * n, total, taps + c0))
+        assert p.inside[rows, :n].all() and not p.inside[rows, n:].any()
+    for table in p:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+    assert ag.packing(sizes) is p
+
+
 def _bce_composed(p, y, w, floor):
     """``weighted_bce`` written with the engine's elementwise ops."""
     logp = p.clamp_min(floor).log()

@@ -315,6 +315,25 @@ def test_audit_requires_labels(tmp_path, corpus_dir, trained_dir):
     assert code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["eval", "audit"])
+def test_over_length_record_stops_eval_and_audit_before_any_prediction(
+        tmp_path, corpus_dir, trained_dir, monkeypatch, capsys, command):
+    """A last record longer than the checkpoint's ``max_n`` is named, with
+    its file and index, before the first sentence is predicted or labelled."""
+    data = tmp_path / "long.txt"
+    records = (corpus_dir / "target_test.txt").read_text(encoding="utf-8").splitlines()
+    tokens = " ".join(f"w{i}" for i in range(25))
+    data.write_text("\n".join(records + [tokens + "####[]"]) + "\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "_predict_items", None)  # neither may run
+    monkeypatch.setattr(cli, "pseudo_labels", None)
+    out_csv = tmp_path / "out.csv"
+    assert main([command, "--checkpoint", str(trained_dir / "checkpoint_tfmt_seed1.bin"),
+                 "--data", str(data), "--out", str(out_csv)]) == EXIT_RUNTIME
+    assert capsys.readouterr().err == (
+        f"error: ValueError: {data} record {len(records)}: sentence length 25 exceeds max_n=24\n")
+    assert not out_csv.exists()
+
+
 def test_ablate_row_set(tmp_path, corpus_dir):
     out = tmp_path / "ablate"
     assert main(["ablate", "--data", str(corpus_dir), "--out", str(out),

@@ -238,7 +238,7 @@ def test_mmd_matches_oracle_100_random_pairs():
 
 def test_mmd_empty_set_contract():
     assert mmd(np.zeros((0, 3)), np.ones((2, 3))).item() == 0.0
-    assert mmd([], [Tensor(np.ones(3))]).item() == 0.0
+    assert mmd(Tensor(np.zeros((0, 3))), Tensor(np.ones((1, 3)))).item() == 0.0
 
 
 def test_mmd_median_fallback_when_degenerate():
@@ -267,11 +267,10 @@ def test_mmd_gradient_matches_fd_through_median():
         assert xt.grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
-def _three_pass_mmd(x, y):
+def _three_pass_mmd(xm, ym):
     """The formula ``mmd`` had before it read one pooled distance matrix:
     the bandwidth from its own upper-triangle gather, then one repeat/tile
     gather per kernel block (xx, yy, xy)."""
-    xm, ym = (ag.concat(v, axis=0) if isinstance(v, list) else v for v in (x, y))
     z = ag.concat([xm, ym], axis=0)
     iu, ju = np.triu_indices(z.shape[0], k=1)
     diff = z[iu] - z[ju]
@@ -296,33 +295,33 @@ def _three_pass_mmd(x, y):
 
 
 def _mmd_cases():
-    """(name, x blocks, y blocks, as_list): more than one block, or
-    ``as_list``, passes a list of per-sentence tensors."""
+    """(name, x blocks, y blocks): each side is its blocks' rows, stacked by
+    ``concat`` as a batch stacks per-sentence rows, so the gradient reaches
+    every block."""
     rng = np.random.default_rng(12)
     # pooled sizes 2..9 give pair counts 1, 3, 6, 10, 15, 21, 28, 36
     for m, k in [(1, 1), (1, 2), (2, 2), (3, 2), (3, 3), (3, 4), (4, 4), (5, 4)]:
-        yield f"{m}x{k}", [rng.normal(size=(m, 3))], [rng.normal(size=(k, 3))], False
+        yield f"{m}x{k}", [rng.normal(size=(m, 3))], [rng.normal(size=(k, 3))]
     for i in range(40):
         dim = int(rng.integers(1, 17))
         x = [rng.normal(size=(int(rng.integers(1, 9)), dim))]
-        yield f"random{i}", x, [rng.normal(size=(int(rng.integers(1, 9)), dim))], False
+        yield f"random{i}", x, [rng.normal(size=(int(rng.integers(1, 9)), dim))]
     base = rng.integers(-2, 3, size=(3, 4)).astype(float)
-    yield "duplicated rows", [base[[0, 0, 1, 2]]], [base[[1, 2, 2]]], False
+    yield "duplicated rows", [base[[0, 0, 1, 2]]], [base[[1, 2, 2]]]
     yield "integer grid ties", [rng.integers(0, 2, size=(4, 2)).astype(float)], \
-        [rng.integers(0, 2, size=(5, 2)).astype(float)], False
-    yield "all rows equal", [np.full((3, 2), 0.5)], [np.full((2, 2), 0.5)], False
-    yield "one sentence each", [rng.normal(size=(2, 5))], [rng.normal(size=(3, 5))], True
+        [rng.integers(0, 2, size=(5, 2)).astype(float)]
+    yield "all rows equal", [np.full((3, 2), 0.5)], [np.full((2, 2), 0.5)]
+    yield "one sentence each", [rng.normal(size=(2, 5))], [rng.normal(size=(3, 5))]
     yield "per-sentence lists", [rng.normal(size=(s, 5)) for s in (2, 1, 3)], \
-        [rng.normal(size=(s, 5)) for s in (1, 4)], True
+        [rng.normal(size=(s, 5)) for s in (1, 4)]
 
 
-@pytest.mark.parametrize("name,xs,ys,as_list", list(_mmd_cases()),
-                         ids=[c[0] for c in _mmd_cases()])
-def test_mmd_equals_three_pass_reference(name, xs, ys, as_list):
+@pytest.mark.parametrize("name,xs,ys", list(_mmd_cases()), ids=[c[0] for c in _mmd_cases()])
+def test_mmd_equals_three_pass_reference(name, xs, ys):
     def run(f):
         leaves = [Tensor(a.copy()) for a in xs + ys]
         x, y = leaves[: len(xs)], leaves[len(xs):]
-        out = f(x, y) if as_list else f(x[0], y[0])
+        out = f(*(ag.concat(v, axis=0) if len(v) > 1 else v[0] for v in (x, y)))
         out.backward()
         return out.data, [t.grad for t in leaves]
 
@@ -336,11 +335,11 @@ def test_mmd_equals_three_pass_reference(name, xs, ys, as_list):
 def test_loss_mmd_region_level_identical_and_empty():
     rng = np.random.default_rng(7)
     feats = {
-        "b": [Tensor(rng.normal(size=(3, 4)))],
-        "e": [Tensor(rng.normal(size=(3, 4)))],
-        "roi": [Tensor(rng.normal(size=(3, 12)))],
+        "b": Tensor(rng.normal(size=(3, 4))),
+        "e": Tensor(rng.normal(size=(3, 4))),
+        "roi": Tensor(rng.normal(size=(3, 12))),
     }
-    same = {k: [Tensor(v[0].data.copy())] for k, v in feats.items()}
+    same = {k: Tensor(v.data.copy()) for k, v in feats.items()}
     assert loss_mmd(feats, same).item() == 0.0
     assert loss_mmd(feats, {}).item() == 0.0
 
@@ -348,9 +347,9 @@ def test_loss_mmd_region_level_identical_and_empty():
 def test_loss_mmd_region_level_matches_oracle_sum():
     rng = np.random.default_rng(8)
     shapes = {"b": (2, 4), "e": (2, 4), "roi": (2, 12)}
-    src = {k: [Tensor(rng.normal(size=shape))] for k, shape in shapes.items()}
-    tgt = {k: [Tensor(rng.normal(size=shape))] for k, shape in shapes.items()}
-    expected = sum(oracle_mmd(src[k][0].data, tgt[k][0].data) for k in ("b", "e", "roi"))
+    src = {k: Tensor(rng.normal(size=shape)) for k, shape in shapes.items()}
+    tgt = {k: Tensor(rng.normal(size=shape)) for k, shape in shapes.items()}
+    expected = sum(oracle_mmd(src[k].data, tgt[k].data) for k in ("b", "e", "roi"))
     assert loss_mmd(src, tgt).item() == pytest.approx(expected, abs=1e-10)
 
 
@@ -358,14 +357,14 @@ def test_loss_mmd_cell_level_by_type():
     rng = np.random.default_rng(9)
     a_src = rng.normal(size=(3, 4)); a_tgt = rng.normal(size=(2, 4))
     o_src = rng.normal(size=(2, 4)); o_tgt = rng.normal(size=(2, 4))
-    src = {1: [Tensor(a_src)], 2: [Tensor(o_src)], 3: [Tensor(rng.normal(size=(2, 4)))]}
-    tgt = {1: [Tensor(a_tgt)], 2: [Tensor(o_tgt)], 5: [Tensor(rng.normal(size=(1, 4)))]}
+    src = {1: Tensor(a_src), 2: Tensor(o_src), 3: Tensor(rng.normal(size=(2, 4)))}
+    tgt = {1: Tensor(a_tgt), 2: Tensor(o_tgt), 5: Tensor(rng.normal(size=(1, 4)))}
     out = loss_mmd(src, tgt)
     expected = oracle_mmd(a_src, a_tgt) + oracle_mmd(o_src, o_tgt)  # types 3, 5 skipped
     assert out.item() == pytest.approx(expected, abs=1e-10)
-    only_a = loss_mmd({1: [Tensor(a_src)]}, {1: Tensor(a_tgt)})
+    only_a = loss_mmd({1: Tensor(a_src)}, {1: Tensor(a_tgt)})
     assert only_a.item() == pytest.approx(oracle_mmd(a_src, a_tgt), abs=1e-12)
-    identical = loss_mmd(src, {k: [Tensor(v[0].data.copy())] for k, v in src.items()})
+    identical = loss_mmd(src, {k: Tensor(v.data.copy()) for k, v in src.items()})
     assert identical.item() == 0.0
 
 

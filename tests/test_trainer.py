@@ -654,7 +654,6 @@ def test_batched_consistency_and_mmd_rows_equal_the_per_sentence_rows(tiny_data,
     """The batch head's consistency rows and MMD feature rows are one gather
     each, and equal, bit for bit, the rows the per-sentence detector made."""
     import tablemt.trainer as trainer
-    from tablemt.losses import _as_matrix
     from tablemt.model import as_tensors
 
     cfg = tiny_cfg(variant=variant, eta=0.05, beta=0.5)
@@ -674,7 +673,7 @@ def test_batched_consistency_and_mmd_rows_equal_the_per_sentence_rows(tiny_data,
         return real_uns(student_probs, teacher_probs)
 
     def recording_mmd(src_groups, tgt_groups):
-        seen["mmd"] = [{k: _as_matrix(v).data for k, v in side.items()}
+        seen["mmd"] = [{k: v.data for k, v in side.items()}
                        for side in (src_groups, tgt_groups)]
         return real_mmd(src_groups, tgt_groups)
 

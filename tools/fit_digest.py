@@ -15,8 +15,10 @@ The grid:
 - tfmt and ctfmt at the default sizes on the synth corpus of seed 7,
   2 epochs;
 - tfmt at eta 0.2 on the small corpus plus hand-built sentences that synth
-  corpora never make: a source sentence without triplets, and 1- and
-  2-token sentences in the source, dev and target splits;
+  corpora never make: a source sentence without triplets, 1- and 2-token
+  sentences in the source, dev and target splits, and 24-token (the default
+  ``max_n``) sentences in the source and target splits, so a training batch
+  packs maps from 1 token up to ``max_n`` wide;
 - predictions at kappa 1.0 of 2-epoch source-only ASTE and AOPE models (fit
   on the seed-7 corpus) on 100 sentences of 16 to 24 target-domain tokens.
 
@@ -69,17 +71,25 @@ def fit_cases():
 
 
 def edge_corpus(small):
-    """``small`` plus a source sentence without triplets, and 1- and
-    2-token sentences in every split but ``target_test``."""
+    """``small`` plus a source sentence without triplets, 1- and 2-token
+    sentences in every split but ``target_test``, and a 24-token sentence in
+    ``source_train`` and in ``target_unlabeled``."""
     from tablemt.corpus import LabeledSentence, Polarity, Sentence, Span, SynthCorpus, Triplet
 
     one = LabeledSentence(Sentence(("sadj0",)), (Triplet(Span(0, 0), Span(0, 0), Polarity.POS),))
     two = LabeledSentence(Sentence(("snoun0", "sadj1")),
                           (Triplet(Span(0, 0), Span(1, 1), Polarity.NEG),))
     bare = LabeledSentence(Sentence(("it", "is", "so", "very", "fine")), ())
+    long = LabeledSentence(
+        Sentence(("the", "snoun1", "is", "very", "sadj2") + ("and", "here", "today") * 5
+                 + ("this", "snoun3", "was", "sadj0")),
+        (Triplet(Span(1, 1), Span(4, 4), Polarity.POS),
+         Triplet(Span(21, 21), Span(23, 23), Polarity.NEG)))
     target = [LabeledSentence(Sentence(("tadj0",)), ()),
-              LabeledSentence(Sentence(("the", "tnoun0")), ())]
-    return SynthCorpus(source_train=small.source_train + [bare, one, two],
+              LabeledSentence(Sentence(("the", "tnoun0")), ()),
+              LabeledSentence(Sentence(("here", "the", "tnoun3", "was", "so", "tadj0")
+                                       + ("and", "then", "today") * 6), ())]
+    return SynthCorpus(source_train=small.source_train + [bare, one, two, long],
                        source_dev=small.source_dev + [one, two],
                        target_unlabeled=small.target_unlabeled + target,
                        target_test=small.target_test)
