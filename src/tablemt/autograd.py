@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -76,20 +77,23 @@ class Tensor:
 
     def backward(self) -> None:
         """Backpropagate from this (typically scalar) tensor to all leaves."""
+        # Leaves run no closure and sit on no path between two nodes that
+        # do, so the walk never pushes them; that leaves the order of the
+        # closures, and so the order each gradient is summed in, unchanged.
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p._parents and p not in visited:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
@@ -235,11 +239,31 @@ class Tensor:
         out_data = self.data[idx]
 
         def backward(g):
-            buf = np.zeros_like(self.data)
-            np.add.at(buf, idx, g)
-            self._accumulate(buf)
+            self._accumulate(_scatter_add(idx, g, self.data.shape))
 
         return Tensor(np.array(out_data), (self,), backward)
+
+
+def _scatter_add(idx, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``np.add.at(np.zeros(shape), idx, g)``, the gradient that ``x[idx]``
+    hands ``x``.  Integer arrays, alone or in a tuple, the gathers of the
+    packed map and the embedding, become one slot per element in index
+    order, summed by one ``bincount``: each element adds its contributions
+    in the order ``np.add.at`` does, starting from +0.0."""
+    keys = idx if isinstance(idx, tuple) else (idx,)
+    if all(isinstance(k, np.ndarray) and k.dtype.kind in "iu" for k in keys):
+        # the forward gather checked the bounds, so "wrap" only turns
+        # negative indices around
+        cells = np.ravel_multi_index(keys, shape[: len(keys)], mode="wrap")
+        inner = math.prod(shape[len(keys) :])
+        slots = cells.reshape(-1, 1) * inner + np.arange(inner)
+        return np.bincount(slots.ravel(), g.ravel(), math.prod(shape)).reshape(shape)
+    buf = np.zeros(shape)
+    if any(isinstance(k, (np.ndarray, list)) for k in keys):
+        np.add.at(buf, idx, g)  # a boolean mask, a list, arrays mixed with slices
+    else:
+        buf[idx] += g  # slices and ints pick each element at most once
+    return buf
 
 
 def _ensure(x) -> Tensor:
@@ -274,22 +298,30 @@ class Packing(NamedTuple):
     inside: np.ndarray  # (Σn, max n) set where stacked row r has a column j
 
 
+@functools.lru_cache(maxsize=None)
+def _map_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One n x n map's tables, cell by cell: its row, its column and its
+    (n², 9) 3x3 taps, -1 for a tap off the map."""
+    i, j = np.divmod(np.arange(n * n), n)
+    di, dj = np.divmod(np.arange(9), 3)
+    ti, tj = i[:, None] + di - 1, j[:, None] + dj - 1
+    on_map = (ti >= 0) & (ti < n) & (tj >= 0) & (tj < n)
+    return i, j, np.where(on_map, ti * n + tj, -1)
+
+
 @functools.lru_cache(maxsize=32)
 def packing(sizes: tuple[int, ...]) -> Packing:
     """The index tables of maps of ``sizes`` packed back to back, the one
     place their layout is worked out.  Kept for the last few packings, as
-    the table, every conv layer and the region head of a pass read one."""
+    the table, every conv layer and the region head of a pass read one;
+    each map's own tables are built once per size and shifted here."""
     n = np.array(sizes)
     cell0, row0 = np.cumsum(n * n) - n * n, np.cumsum(n) - n
-    owner = np.repeat(np.arange(len(n)), n * n)
-    size = n[owner][:, None]
-    i, j = np.divmod(np.arange(len(owner)) - cell0[owner], n[owner])
-    di, dj = np.divmod(np.arange(9), 3)
-    ti, tj = i[:, None] + di - 1, j[:, None] + dj - 1
-    on_map = (ti >= 0) & (ti < size) & (tj >= 0) & (tj < size)
-    taps = np.where(on_map, cell0[owner][:, None] + ti * size + tj, len(owner))
+    i, j, taps = (np.concatenate(t) for t in zip(*map(_map_tables, sizes)))
+    cell_row0 = np.repeat(row0, n * n)
+    taps = np.where(taps < 0, len(taps), taps + np.repeat(cell0, n * n)[:, None])
     inside = np.arange(n.max()) < np.repeat(n, n)[:, None]
-    tables = Packing(cell0, row0, i + row0[owner], j + row0[owner], taps, inside)
+    tables = Packing(cell0, row0, i + cell_row0, j + cell_row0, taps, inside)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -365,12 +397,18 @@ def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]],
     """
     rects = np.asarray(rects)
     inside = packing(tuple(sizes)).inside
-    rows = np.zeros(inside.shape + x.data.shape[-1:])
-    rows[inside] = x.data.reshape(-1, rows.shape[-1])
+    k = x.data.shape[-1]
+    full = inside.size * k == x.data.size  # every map is the widest: no row is padded
+    if full:
+        rows = x.data.reshape(inside.shape + (k,))
+    else:
+        rows = np.zeros(inside.shape + (k,))
+        rows[inside] = x.data.reshape(-1, k)
     out_data = _window_max(rows, *rects.T)
 
     def backward(g):
-        x._accumulate(_window_max_grad(rows, out_data, g, *rects.T)[inside].reshape(x.data.shape))
+        grad = _window_max_grad(rows, out_data, g, *rects.T)
+        x._accumulate((grad if full else grad[inside]).reshape(x.data.shape))
 
     return Tensor(out_data, (x,), backward)
 

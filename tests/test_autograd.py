@@ -370,6 +370,83 @@ def test_rect_max_on_packed_tied_maps_equals_the_window_loop_bit_for_bit(nan):
     np.testing.assert_array_equal(t.grad, expected_grad[inside])
 
 
+def test_rect_max_on_maps_of_one_width_equals_the_window_loop_bit_for_bit():
+    """Maps all as wide as the widest have no padded row, so ``rect_max``
+    reads their stacked rows in place: one map, and three of one size."""
+    rng_ = np.random.default_rng(67)
+    for sizes in ([5], [4, 4, 4]):
+        x = np.concatenate([_tied_map(rng_, (n * n, 3), False) for n in sizes])
+        row0 = np.cumsum(sizes) - sizes
+        rects = [(r0 + a, b, r0 + c, d) for n, r0 in zip(sizes, row0)
+                 for a, b, c, d in _all_windows(n, rng_, cap=40)]
+        g = rng_.normal(size=(len(rects), 3))
+        expected, expected_grad = _rect_max_loop(x.reshape(sum(sizes), sizes[0], 3), rects, g)
+        t = Tensor(x)
+        out = ag.rect_max(t, rects, sizes)
+        (out * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(t.grad, expected_grad.reshape(x.shape))
+
+
+_GATHERS = {
+    "repeated rows": ((6, 3), np.array([0, 2, 2, 5, 2, 0])),
+    "bilinear (ii, jj)": ((5, 5), (np.repeat(np.arange(5), 5), np.tile([0, 1, 1, 4, 4], 5))),
+    "triu_indices": ((5, 5), np.triu_indices(5)),
+    "2-D index array": ((4, 2), np.array([[0, 3], [3, 3], [1, 0]])),
+    "slices": ((5, 4), (slice(1, 4), slice(None, None, 2))),
+    "an int and a slice": ((5, 4), (2, slice(1, None))),
+    "negative rows": ((5, 3), np.array([-1, 0, -1, 4, -5])),
+    "negative pairs": ((4, 4, 2), (np.array([-1, 0, 3, -1]), np.array([2, -4, -1, 2]))),
+    "a boolean mask": ((3, 4), np.array([True, False, True])),
+    "a slice and an array": ((3, 5), (slice(None), np.array([4, 0, 4]))),
+}
+
+
+@pytest.mark.parametrize("name", list(_GATHERS))
+def test_getitem_backward_equals_np_add_at_bit_for_bit(name):
+    """The scatter that ``x[idx]`` sends back sums duplicates in index
+    order from +0.0, as ``np.add.at`` into a zero buffer does; upstream
+    ``-0.0`` values, alone and repeated, keep that sum's signs."""
+    shape, idx = _GATHERS[name]
+    rng_ = np.random.default_rng(71)
+    t = Tensor(rng_.normal(size=shape))
+    out = t[idx]
+    g = rng_.normal(size=out.shape)
+    g.ravel()[::3] = -0.0
+    (out * Tensor(g)).sum().backward()
+    expected = np.zeros(shape)
+    np.add.at(expected, idx, g)
+    assert t.grad.shape == shape and t.grad.tobytes() == expected.tobytes()
+
+
+def _broadcast_packing(sizes):
+    """``packing``'s tables as one broadcast over every cell of the batch,
+    the way they were built before each size's tables were cached."""
+    n = np.array(sizes)
+    cell0, row0 = np.cumsum(n * n) - n * n, np.cumsum(n) - n
+    owner = np.repeat(np.arange(len(n)), n * n)
+    size = n[owner][:, None]
+    i, j = np.divmod(np.arange(len(owner)) - cell0[owner], n[owner])
+    di, dj = np.divmod(np.arange(9), 3)
+    ti, tj = i[:, None] + di - 1, j[:, None] + dj - 1
+    on_map = (ti >= 0) & (ti < size) & (tj >= 0) & (tj < size)
+    taps = np.where(on_map, cell0[owner][:, None] + ti * size + tj, len(owner))
+    inside = np.arange(n.max()) < np.repeat(n, n)[:, None]
+    return cell0, row0, i + row0[owner], j + row0[owner], taps, inside
+
+
+def test_packing_equals_the_broadcast_construction():
+    rng_ = np.random.default_rng(73)
+    for _ in range(40):
+        sizes = tuple(int(n) for n in rng_.integers(1, 25, size=rng_.integers(1, 10)))
+        sizes += (1, 24)
+        sizes = tuple(rng_.permutation(sizes).tolist())
+        for table, expected in zip(ag.packing(sizes), _broadcast_packing(sizes)):
+            assert table.dtype == expected.dtype and table.shape == expected.shape
+            np.testing.assert_array_equal(table, expected)
+            assert not table.flags.writeable
+
+
 def _alone(n):
     """One n x n map's tables, cell by cell: each cell's token rows, and its
     3x3 taps with n² for a tap off the map."""

@@ -73,6 +73,96 @@ def test_config_validation():
         tiny_cfg(seed=-1)
 
 
+class DenseAdam(Adam):
+    """Adam over every element of every parameter at every step, the
+    reference that the live-row updates must equal bit for bit."""
+
+    def step(self, grads):
+        self.t += 1
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
+        for k in sorted(self.params):
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            self.params[k] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
+
+
+def _same_bytes(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+def _fit_recording(monkeypatch, data, cfg, adam):
+    """``fit`` with ``adam`` as its optimizer; also returns each optimizer
+    made, with the rows of ``emb`` that got a gradient at each of its steps."""
+    import tablemt.trainer as trainer
+
+    opts = []
+
+    class Recording(adam):
+        def __init__(self, params, lr):
+            super().__init__(params, lr)
+            self.emb_rows = []
+            opts.append(self)
+
+        def step(self, grads):
+            self.emb_rows.append(np.flatnonzero(np.abs(grads["emb"]).sum(axis=1)).tolist())
+            super().step(grads)
+
+    monkeypatch.setattr(trainer, "Adam", Recording)
+    ckpt, history = fit(data, cfg)
+    monkeypatch.undo()
+    return ckpt, history, opts
+
+
+def test_live_row_adam_equals_dense_adam_over_a_fit(tiny_data, monkeypatch):
+    cfg = tiny_cfg(eta=0.2)
+    ckpt, history, opts = _fit_recording(monkeypatch, tiny_data, cfg, Adam)
+    ref_ckpt, ref_history, ref_opts = _fit_recording(monkeypatch, tiny_data, cfg, DenseAdam)
+    assert history == ref_history
+    assert _same_bytes(ckpt.student, ref_ckpt.student)
+    assert _same_bytes(ckpt.teacher, ref_ckpt.teacher)
+    assert len(opts) == len(ref_opts) == 2  # the teacher's pretraining, then the student
+    for opt, ref in zip(opts, ref_opts):
+        assert _same_bytes(opt.params, ref.params)
+        assert _same_bytes(opt.m, ref.m) and _same_bytes(opt.v, ref.v)
+        # most rows of the embedding never got a gradient, so the live-row
+        # path ran at every step
+        steps_with_grad = np.bincount(np.concatenate(opt.emb_rows), minlength=256)
+        assert opt.live["emb"].tolist() == (steps_with_grad > 0).tolist()
+    # the student's augmented target tokens give some rows a gradient at one
+    # step and never again
+    assert (steps_with_grad == 1).any()
+
+
+@pytest.mark.parametrize("special", [np.nan, 5e-324, -0.0], ids=["nan", "subnormal", "minus-zero"])
+def test_live_row_adam_equals_dense_adam_on_a_special_gradient(special):
+    """A row whose only gradient is one NaN or the smallest subnormal turns
+    live; one whose only gradient is -0.0 stays dead.  Either way every
+    parameter and moment equals dense Adam's bit for bit."""
+    rng_ = np.random.default_rng(79)
+    start = {"emb": rng_.normal(size=(8, 3)), "bias": rng_.normal(size=3)}
+    start["emb"][5, 0] = -0.0
+    grads = []
+    for t in range(4):
+        g = {"emb": np.zeros((8, 3)), "bias": rng_.normal(size=3)}
+        g["emb"][1] = rng_.normal(size=3)
+        if t == 1:
+            g["emb"][5, 2] = special
+        grads.append(g)
+    live = Adam({k: v.copy() for k, v in start.items()}, 0.01)
+    dense = DenseAdam({k: v.copy() for k, v in start.items()}, 0.01)
+    for g in grads:
+        live.step(g)
+        dense.step(g)
+    assert live.live["emb"].tolist() == [False, True, False, False, False,
+                                         not (special == 0.0), False, False]
+    for got, want in ((live.params, dense.params), (live.m, dense.m), (live.v, dense.v)):
+        assert _same_bytes(got, want)
+
+
 def test_ema_scalar_example():
     t = {"w": np.array([1.0])}
     s = {"w": np.array([0.5])}
