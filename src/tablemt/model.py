@@ -5,12 +5,15 @@ and decoding predictions.
 A batch runs in three stages: ``rpn_scores`` over the packed map of every
 sentence, ``forward`` per sentence on its slice of the corner maps (numpy
 only, no tape), then ``classify`` once over every sentence's proposals.
-``predict`` and the teacher's pseudo labelling run the same stages on a
-batch of one sentence."""
+``predict_batch`` runs the same stages under ``no_grad`` on each packed
+chunk that ``encoder.chunks`` cuts from its list, and ``predict`` is
+``predict_batch`` of one sentence.  The teacher's pseudo labelling encodes
+its sentences as one batch and runs the region head per sentence."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .detector import (
     rpn_scores,
     topk_prune,
 )
-from .encoder import EncoderConfig, encode, init_encoder_params
+from .encoder import EncoderConfig, chunks, encode, init_encoder_params
 
 
 def init_params(cfg: EncoderConfig, mode: Mode, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -95,23 +98,53 @@ def classify(tl: Tensor, sizes: list[int], fwds: list[SentenceForward],
     return rois, probs, logp
 
 
+Prediction = list[Triplet] | list[tuple[Span, Span]]
+
+
 def predict(
     sentence: Sentence,
     params: dict[str, np.ndarray],
     cfg: EncoderConfig,
     mode: Mode,
     kappa: float,
-) -> list[Triplet] | list[tuple[Span, Span]]:
+) -> Prediction:
     """Decode the model's triplets (ASTE) or aspect-opinion pairs (AOPE);
     non-finite corner or class scores raise ``NonFiniteScoreError``."""
+    return predict_batch([sentence], params, cfg, mode, kappa)[0]
+
+
+def predict_batch(
+    sentences: list[Sentence],
+    params: dict[str, np.ndarray],
+    cfg: EncoderConfig,
+    mode: Mode,
+    kappa: float,
+) -> list[Prediction]:
+    """``predict`` of each sentence, in order.  Each packed chunk of
+    ``encoder.chunks`` is encoded, corner-scored and classified once, and
+    only the proposal stage and decoding run per sentence.  An over-length
+    sentence anywhere raises ``ValueError`` before any encode; non-finite
+    corner or class scores in a chunk raise ``NonFiniteScoreError``."""
+    parts = chunks(sentences, cfg)
     with ag.no_grad():
         params_t = as_tensors(params)
-        tl = encode([sentence], params_t, cfg)
-        scores = rpn_scores(tl, params_t)
-        check_finite_scores(scores.pb.data, scores.pe.data)
-        fwd = forward(*scores.maps([sentence.n])[0], kappa)
-        if not fwd.proposals:
-            return []
-        _, probs, _ = classify(tl, [sentence.n], [fwd], params_t, mode)
+        return [pred for part in parts
+                for pred in _predict_chunk(part, params_t, cfg, mode, kappa)]
+
+
+def _predict_chunk(sentences: list[Sentence], params_t: dict[str, Tensor], cfg: EncoderConfig,
+                   mode: Mode, kappa: float) -> list[Prediction]:
+    """``predict_batch`` of one packed chunk, run under ``no_grad``."""
+    sizes = [s.n for s in sentences]
+    tl = encode(sentences, params_t, cfg)
+    scores = rpn_scores(tl, params_t)
+    check_finite_scores(scores.pb.data, scores.pe.data)
+    fwds = [forward(pb, pe, kappa) for pb, pe in scores.maps(sizes)]
+    counts = [len(f.proposals) for f in fwds]
+    if not any(counts):
+        return [[] for _ in sentences]
+    _, probs, _ = classify(tl, sizes, fwds, params_t, mode)
     check_finite_scores(probs.data)
-    return decode_triplets(fwd.proposals, probs.data, mode)
+    ends = accumulate(counts)
+    return [decode_triplets(f.proposals, probs.data[end - m : end], mode) if m else []
+            for f, m, end in zip(fwds, counts, ends)]

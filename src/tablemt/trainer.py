@@ -33,9 +33,9 @@ from .losses import (
     match_gold,
     total_loss,
 )
-from .encoder import EncoderConfig, encode
+from .encoder import EncoderConfig, chunks, encode
 from .model import (SentenceForward, as_tensors, check_finite_scores, classify, clone_params,
-                    forward, init_params, predict)
+                    forward, init_params, predict_batch)
 from .tagging import (
     CELL_A,
     CELL_O,
@@ -511,9 +511,8 @@ def pretrain_teacher(source_train: list[LabeledSentence], cfg: TrainConfig) -> d
 
 
 def _predict_items(records, params, cfg: TrainConfig):
-    return [
-        predict(ls.sentence, params, cfg.encoder, cfg.mode, cfg.kappa) for ls in records
-    ]
+    return predict_batch([ls.sentence for ls in records], params, cfg.encoder, cfg.mode,
+                         cfg.kappa)
 
 
 def _f1(records, params, cfg: TrainConfig) -> float:
@@ -531,14 +530,17 @@ def pseudo_triplet(pl: PseudoLabel, mode: Mode) -> Triplet:
     return Triplet(Span(pl.a, pl.c), Span(pl.b, pl.d), pol)
 
 
-def _self_labels(params: dict, sentence: Sentence, cfg: TrainConfig) -> tuple[Triplet, ...]:
-    """Confident pseudo labels of ``params`` whose overall argmax is also a
-    foreground class, as triplets in rectangle order."""
-    return tuple(
-        pseudo_triplet(pl, cfg.mode)
-        for pl in pseudo_labels(params, [sentence], cfg, teacher_pseudo_label)[0]
-        if int(np.argmax(pl.probs)) != invalid_class(cfg.mode)
-    )
+def _self_labels(params: dict, sentences: list[Sentence],
+                 cfg: TrainConfig) -> list[tuple[Triplet, ...]]:
+    """Each sentence's confident pseudo labels of ``params`` whose overall
+    argmax is also a foreground class, as triplets in rectangle order; the
+    sentences are labelled in the packed chunks of ``encoder.chunks``."""
+    return [
+        tuple(pseudo_triplet(pl, cfg.mode) for pl in labels
+              if int(np.argmax(pl.probs)) != invalid_class(cfg.mode))
+        for part in chunks(sentences, cfg.encoder)
+        for labels in pseudo_labels(params, part, cfg, teacher_pseudo_label)
+    ]
 
 
 def _snapshot(student: dict, teacher: dict | None) -> tuple[dict, dict]:
@@ -614,8 +616,8 @@ def fit(
     for epoch in range(1, cfg.epochs + 1):
         pool = list(data.source_train)
         if self_train:
-            labeled = ((ls.sentence, _self_labels(student, ls.sentence, cfg))
-                       for ls in data.target_unlabeled)
+            sentences = [ls.sentence for ls in data.target_unlabeled]
+            labeled = zip(sentences, _self_labels(student, sentences, cfg))
             pool += [LabeledSentence(s, trips) for s, trips in labeled if trips]
         steps, means = _run_epoch(student, teacher, opt, pool, rng_src, cfg,
                                   target, rng_aug, aug_lex)

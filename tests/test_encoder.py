@@ -8,7 +8,9 @@ from tablemt.autograd import Tensor
 from tablemt.corpus import Sentence
 from tablemt.encoder import (
     EncoderConfig,
+    _CHUNK_TOKENS,
     build_table,
+    chunks,
     conv_stack,
     embed,
     encode,
@@ -256,3 +258,30 @@ def test_pack_with_an_over_length_sentence_fails_before_any_encoding():
     # empty parameters: any encoding work would raise KeyError first
     with pytest.raises(ValueError, match=f"sentence length {CFG.max_n + 1} exceeds max_n"):
         encode(sentences, {}, CFG)
+
+
+def test_chunks_cut_runs_of_at_most_the_bound_in_order():
+    rng = np.random.default_rng(3)
+    lengths = rng.integers(1, PACK_CFG.max_n + 1, size=60)
+    sentences = _sentences(lengths, rng)
+    parts = chunks(sentences, PACK_CFG)
+    assert [s for part in parts for s in part] == sentences
+    totals = [sum(s.n for s in part) for part in parts]
+    assert len(parts) > 1 and max(totals) <= _CHUNK_TOKENS
+    # each run is cut only where its next sentence would cross the bound
+    assert all(t + part[0].n > _CHUNK_TOKENS for t, part in zip(totals, parts[1:]))
+    assert chunks([], PACK_CFG) == []
+
+
+def test_chunks_give_a_sentence_over_the_bound_its_own_run():
+    cfg = EncoderConfig(d=8, layers=1, vocab_buckets=128, max_n=_CHUNK_TOKENS + 1)
+    rng = np.random.default_rng(4)
+    sentences = _sentences([3, _CHUNK_TOKENS + 1, 2, 5], rng)
+    assert chunks(sentences, cfg) == [sentences[:1], sentences[1:2], sentences[2:]]
+
+
+def test_chunks_check_every_length_before_the_first_run():
+    rng = np.random.default_rng(0)
+    sentences = _sentences([3] * 100 + [CFG.max_n + 1], rng)
+    with pytest.raises(ValueError, match=f"sentence length {CFG.max_n + 1} exceeds max_n"):
+        chunks(sentences, CFG)

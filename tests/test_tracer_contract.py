@@ -58,7 +58,7 @@ def test_tracer_wraps_a_fit_predict_and_checkpoint_round_trip(tmp_path):
                      for ls in data.source_train)
     assert tracer.counts["gold"] == 2 * gold_rects
     for span in ("losses.match_gold", "trainer.teacher_pseudo_label", "model.predict",
-                 "checkpoint.save", "checkpoint.load"):
+                 "trainer.eval", "checkpoint.save", "checkpoint.load"):
         assert tracer.calls[span] > 0, span
     metrics = tracer.metrics()
     assert metrics["detector.proposals_per_sentence"][0] > 0

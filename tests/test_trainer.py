@@ -413,8 +413,8 @@ def test_self_training_drops_invalid_argmax_labels(tiny_data, monkeypatch):
     valid = PseudoLabel(0, 2, 1, 2, np.array([0.05, 0.1, 0.6, 0.25]), 0.6)
     assert pseudo_triplet(invalid, Mode.ASTE) == Triplet(Span(0, 0), Span(1, 1), Polarity.NEU)
     monkeypatch.setattr(trainer, "pseudo_labels", lambda *a, **k: [[invalid, valid]])
-    kept = trainer._self_labels({}, tiny_data.target_unlabeled[0].sentence, tiny_cfg(eta=0.3))
-    assert kept == (Triplet(Span(0, 1), Span(2, 2), Polarity.NEG),)
+    kept = trainer._self_labels({}, [tiny_data.target_unlabeled[0].sentence], tiny_cfg(eta=0.3))
+    assert kept == [(Triplet(Span(0, 1), Span(2, 2), Polarity.NEG),)]
 
 
 @pytest.mark.parametrize("variant", [Variant.SOURCE_ONLY, Variant.SELF_TRAIN])
