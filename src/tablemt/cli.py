@@ -17,7 +17,7 @@ from . import trainer
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import SynthConfig, SynthCorpus, load_dataset, synth_corpus, write_corpus
 from .detector import Mode
-from .encoder import EncoderConfig, chunks
+from .encoder import EncoderConfig
 from .evaluate import ErrorCategory, audit_pseudo_labels, build_report, gold_items
 from .gradcheck import run_gradcheck
 from .trainer import (
@@ -289,9 +289,7 @@ def cmd_audit(args) -> int:
     counts = {cat: 0 for cat in ErrorCategory}
     total_retained = 0
     sentences = [ls.sentence for ls in records]
-    labels = [pls for part in chunks(sentences, cfg.encoder)
-              for pls in pseudo_labels(ckpt.teacher, part, cfg, teacher_pseudo_label)]
-    for ls, pls in zip(records, labels):
+    for ls, pls in zip(records, pseudo_labels(ckpt.teacher, sentences, cfg, teacher_pseudo_label)):
         # every retained label counts, under its most confident foreground
         # polarity, even where the overall argmax says INVALID
         pseudo = [pseudo_triplet(pl, cfg.mode) for pl in pls]

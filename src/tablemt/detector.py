@@ -11,7 +11,7 @@ import enum
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -68,15 +68,16 @@ class RpnScores:
                  self.pe.data[c : c + n * n].reshape(n, n)) for c, n in zip(cell0, sizes)]
 
 
-@dataclass(frozen=True)
-class RegionProposal:
+class RegionProposal(NamedTuple):
+    """A proposed (a, b, c, d) rectangle; equal to, and hashed as, its tuple."""
+
     a: int
     b: int
     c: int
     d: int
 
     def rect(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(self)
 
 
 def rpn_scores(tl: Tensor, params: dict[str, Tensor]) -> RpnScores:
@@ -103,7 +104,7 @@ def propose_regions(
     """Pair every B candidate with every E candidate it can enclose with
     (a <= c and b <= d); deduplicated per rectangle, sorted by (a, b, c, d)."""
     rects = {(a, b, c, d) for a, b, _ in b_top for c, d, _ in e_top if a <= c and b <= d}
-    return [RegionProposal(*r) for r in sorted(rects)]
+    return list(map(RegionProposal._make, sorted(rects)))
 
 
 def roi_represent(tl: Tensor, sizes: Sequence[int],
@@ -142,8 +143,8 @@ def decode_triplets(
     if mode == Mode.AOPE:  # VALID decodes as one polarity, so the ASTE order holds
         picks = np.where(picks == AOPE_VALID, RegionClass.POS, RegionClass.INVALID)
     kept = np.flatnonzero(picks != RegionClass.INVALID)
-    rows = [proposals[i] for i in kept.tolist()]
-    triplets = decode_regions([(p.a, p.b, p.c, p.d, k) for p, k in zip(rows, picks[kept].tolist())])
+    triplets = decode_regions([(*proposals[i], k)
+                               for i, k in zip(kept.tolist(), picks[kept].tolist())])
     if mode == Mode.ASTE:
         return triplets
     return [(t.aspect, t.opinion) for t in triplets]

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .detector import Mode, RegionProposal, invalid_class
+from .detector import AOPE_VALID, Mode, RegionProposal, invalid_class
 from .tagging import GoldRegion
 
 _LOG_FLOOR = 1e-12
@@ -64,9 +64,8 @@ def match_gold(
     proposals through ``model.forward(extra_rects=)``, not here."""
     gold_by_rect: dict[tuple[int, int, int, int], int] = {}
     for g in gold_regions:
-        cls = int(g.cls) if mode == Mode.ASTE else 0
-        gold_by_rect.setdefault(g.rect(), cls)
-    targets = [gold_by_rect.get(p.rect(), invalid_class(mode)) for p in proposals]
+        gold_by_rect.setdefault(g.rect(), int(g.cls) if mode == Mode.ASTE else AOPE_VALID)
+    targets = [gold_by_rect.get(p, invalid_class(mode)) for p in proposals]
     return np.array(targets, dtype=np.int64)
 
 

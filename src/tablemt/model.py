@@ -1,14 +1,14 @@
 """Full model assembly: encoder + detector parameters, the detector's
 proposal stage over one sentence's corner maps, the batched region head,
-and decoding predictions.
+the no-grad detector pass, and decoding predictions.
 
 A batch runs in three stages: ``rpn_scores`` over the packed map of every
 sentence, ``forward`` per sentence on its slice of the corner maps (numpy
 only, no tape), then ``classify`` once over every sentence's proposals.
-``predict_batch`` runs the same stages under ``no_grad`` on each packed
-chunk that ``encoder.chunks`` cuts from its list, and ``predict`` is
-``predict_batch`` of one sentence.  The teacher's pseudo labelling encodes
-its sentences as one batch and runs the region head per sentence."""
+``detect`` is that sequence with its scores checked, and the one no-grad
+detector: ``predict_batch`` decodes it on each packed chunk of
+``encoder.chunks``, ``predict`` is ``predict_batch`` of one sentence, and
+the teacher's ``trainer.teacher_pseudo_label`` keeps its confident rows."""
 
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ from .detector import (
     classify_regions,
     decode_triplets,
     init_detector_params,
+    num_classes,
     propose_regions,
     roi_represent,
     rpn_scores,
@@ -79,7 +80,7 @@ def forward(
     n_predicted = len(proposals)
     extra_rows = []
     if extra_rects:
-        row_of = {p.rect(): i for i, p in enumerate(proposals)}
+        row_of = {p: i for i, p in enumerate(proposals)}
         for rect in extra_rects:
             if rect not in row_of:
                 row_of[rect] = len(proposals)
@@ -93,9 +94,28 @@ def classify(tl: Tensor, sizes: list[int], fwds: list[SentenceForward],
     """The region head over a packed map: the (M, 3d) RoI rows of every
     sentence's proposals, sentences in order, and their class probabilities
     and log-probabilities.  Needs at least one proposal."""
-    rois = roi_represent(tl, sizes, [[p.rect() for p in f.proposals] for f in fwds])
+    rois = roi_represent(tl, sizes, [f.proposals for f in fwds])
     probs, logp = classify_regions(rois, params, mode)
     return rois, probs, logp
+
+
+def detect(tl: Tensor, sizes: list[int], params_t: dict[str, Tensor], mode: Mode,
+           kappa: float) -> list[tuple[list[RegionProposal], np.ndarray]]:
+    """The detector's pass over a packed map of sentences of ``sizes``, for
+    callers under ``no_grad``: each sentence's proposals and their (m, C)
+    class probabilities, sentences in order.  Non-finite corner or class
+    scores raise ``NonFiniteScoreError``; the region head is skipped when no
+    sentence has a proposal."""
+    scores = rpn_scores(tl, params_t)
+    check_finite_scores(scores.pb.data, scores.pe.data)
+    fwds = [forward(pb, pe, kappa) for pb, pe in scores.maps(sizes)]
+    counts = [len(f.proposals) for f in fwds]
+    probs = np.empty((0, num_classes(mode)))
+    if any(counts):
+        probs = classify(tl, sizes, fwds, params_t, mode)[1].data
+        check_finite_scores(probs)
+    ends = accumulate(counts)
+    return [(f.proposals, probs[end - m : end]) for f, m, end in zip(fwds, counts, ends)]
 
 
 Prediction = list[Triplet] | list[tuple[Span, Span]]
@@ -120,31 +140,14 @@ def predict_batch(
     mode: Mode,
     kappa: float,
 ) -> list[Prediction]:
-    """``predict`` of each sentence, in order.  Each packed chunk of
-    ``encoder.chunks`` is encoded, corner-scored and classified once, and
-    only the proposal stage and decoding run per sentence.  An over-length
-    sentence anywhere raises ``ValueError`` before any encode; non-finite
-    corner or class scores in a chunk raise ``NonFiniteScoreError``."""
-    parts = chunks(sentences, cfg)
+    """``predict`` of each sentence, in order: each packed chunk of
+    ``encoder.chunks`` is encoded and goes through ``detect`` once, and only
+    decoding runs per sentence.  An over-length sentence anywhere raises
+    ``ValueError`` before any encode; non-finite corner or class scores in a
+    chunk raise ``NonFiniteScoreError``."""
     with ag.no_grad():
         params_t = as_tensors(params)
-        return [pred for part in parts
-                for pred in _predict_chunk(part, params_t, cfg, mode, kappa)]
-
-
-def _predict_chunk(sentences: list[Sentence], params_t: dict[str, Tensor], cfg: EncoderConfig,
-                   mode: Mode, kappa: float) -> list[Prediction]:
-    """``predict_batch`` of one packed chunk, run under ``no_grad``."""
-    sizes = [s.n for s in sentences]
-    tl = encode(sentences, params_t, cfg)
-    scores = rpn_scores(tl, params_t)
-    check_finite_scores(scores.pb.data, scores.pe.data)
-    fwds = [forward(pb, pe, kappa) for pb, pe in scores.maps(sizes)]
-    counts = [len(f.proposals) for f in fwds]
-    if not any(counts):
-        return [[] for _ in sentences]
-    _, probs, _ = classify(tl, sizes, fwds, params_t, mode)
-    check_finite_scores(probs.data)
-    ends = accumulate(counts)
-    return [decode_triplets(f.proposals, probs.data[end - m : end], mode) if m else []
-            for f, m, end in zip(fwds, counts, ends)]
+        return [decode_triplets(proposals, probs, mode) if proposals else []
+                for part in chunks(sentences, cfg)
+                for proposals, probs in detect(encode(part, params_t, cfg), [s.n for s in part],
+                                               params_t, mode, kappa)]

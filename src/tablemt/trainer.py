@@ -35,7 +35,7 @@ from .losses import (
 )
 from .encoder import EncoderConfig, chunks, encode
 from .model import (SentenceForward, as_tensors, check_finite_scores, classify, clone_params,
-                    forward, init_params, predict_batch)
+                    detect, forward, init_params, predict_batch)
 from .tagging import (
     CELL_A,
     CELL_O,
@@ -256,15 +256,11 @@ def _confident(rects: list, probs: np.ndarray, mode: Mode, eta: float) -> list[P
 
 def teacher_pseudo_label(teacher_t: dict[str, Tensor], tl: Tensor, n: int,
                          cfg: TrainConfig) -> list[PseudoLabel]:
-    """Teacher detector over one sentence of length ``n``, whose (n², d) map
-    ``tl`` the teacher's ``encode`` made, keeping proposals whose maximum
-    foreground-class probability reaches ``cfg.eta``."""
-    with ag.no_grad():
-        fwd = forward(*rpn_scores(tl, teacher_t).maps([n])[0], cfg.kappa)
-        if not fwd.proposals:
-            return []
-        _, probs, _ = classify(tl, [n], [fwd], teacher_t, cfg.mode)
-    return _confident([p.rect() for p in fwd.proposals], probs.data, cfg.mode, cfg.eta)
+    """``model.detect`` of the teacher over one sentence of length ``n``,
+    whose (n², d) map ``tl`` the teacher's ``encode`` made, keeping proposals
+    whose maximum foreground-class probability reaches ``cfg.eta``."""
+    ((proposals, probs),) = detect(tl, [n], teacher_t, cfg.mode, cfg.kappa)
+    return _confident(proposals, probs, cfg.mode, cfg.eta)
 
 
 def teacher_pseudo_label_cells(
@@ -272,22 +268,26 @@ def teacher_pseudo_label_cells(
 ) -> list[PseudoLabel]:
     """Cell-level variant: every cell is its own 1x1 region, in row-major order."""
     rects = [(i, j, i, j) for i in range(n) for j in range(n)]
-    with ag.no_grad():
-        probs, _ = classify_regions(roi_represent(tl, [n], [rects]), teacher_t, cfg.mode)
+    probs, _ = classify_regions(roi_represent(tl, [n], [rects]), teacher_t, cfg.mode)
     return _confident(rects, probs.data, cfg.mode, cfg.eta)
 
 
 def pseudo_labels(teacher: dict, sentences: list[Sentence], cfg: TrainConfig,
                   label: Callable[..., list[PseudoLabel]]) -> list[list[PseudoLabel]]:
-    """Each sentence's retained pseudo labels: ``teacher`` encodes all of
-    ``sentences`` in one no-grad pass, then ``label`` (``teacher_pseudo_label``
-    or ``teacher_pseudo_label_cells``) filters each sentence's cells."""
+    """Each sentence's retained pseudo labels, in order.  Under one
+    ``no_grad``, ``teacher`` encodes each packed chunk of ``encoder.chunks``
+    and ``label`` (``teacher_pseudo_label`` or ``teacher_pseudo_label_cells``)
+    filters each sentence's slice of it; non-finite teacher scores raise
+    ``NonFiniteScoreError``."""
+    out = []
     with ag.no_grad():
         teacher_t = as_tensors(teacher)
-        tl = encode(sentences, teacher_t, cfg.encoder)
-    cell0 = ag.packing(tuple(s.n for s in sentences)).cell0.tolist()
-    return [label(teacher_t, Tensor(tl.data[c : c + s.n * s.n]), s.n, cfg)
-            for c, s in zip(cell0, sentences)]
+        for part in chunks(sentences, cfg.encoder):
+            tl = encode(part, teacher_t, cfg.encoder)
+            cell0 = ag.packing(tuple(s.n for s in part)).cell0.tolist()
+            out += [label(teacher_t, Tensor(tl.data[c : c + s.n * s.n]), s.n, cfg)
+                    for c, s in zip(cell0, part)]
+    return out
 
 
 def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
@@ -298,15 +298,15 @@ def _target_flags(cfg: TrainConfig) -> tuple[bool, bool]:
 
 
 def _mmd_groups(tl: Tensor, rois: Tensor, probs: Tensor, sizes: tuple[int, ...],
-                fwds: list[SentenceForward], side: range, cfg: TrainConfig) -> dict:
+                fwds: list[SentenceForward], row0: np.ndarray, side: range,
+                cfg: TrainConfig) -> dict:
     """The MMD feature groups of the regions the pruner proposed in the
     batch's sentences ``side``, each one (m, k) gather from the batch
     tensors: the B-corner cells ``b``, the E-corner cells ``e`` and the RoI
-    vectors ``roi``; for ``ctfmt``, the table cells of each populated
-    ``CELL_*`` type of the decoded predictions instead.  Rows run in
-    sentence order, then proposal (or cell) order."""
+    vectors ``roi`` (sentence s's from row ``row0[s]``); for ``ctfmt``, the
+    table cells of each populated ``CELL_*`` type of the decoded predictions
+    instead.  Rows run in sentence order, then proposal (or cell) order."""
     cell0 = ag.packing(sizes).cell0
-    row0 = np.cumsum([0] + [len(f.proposals) for f in fwds])
     cells: dict = {}
     rows = []
     for s in side:
@@ -315,7 +315,7 @@ def _mmd_groups(tl: Tensor, rois: Tensor, probs: Tensor, sizes: tuple[int, ...],
         if m == 0:
             continue
         if cfg.variant != Variant.CTFMT:
-            a, b, c, d = np.array([p.rect() for p in fwd.proposals[:m]]).T
+            a, b, c, d = np.array(fwd.proposals[:m]).T
             by_key = {"b": c0 + a * n + b, "e": c0 + c * n + d}
             rows.append(r0 + np.arange(m))
         else:
@@ -400,11 +400,11 @@ def compute_losses(
 
     l_uns_t = l_mmd_t = zero
     if tgt_sentences:
+        row0 = np.cumsum(counts) - counts
         if mmd_on:
-            head = (tl, rois, probs, sizes, fwds)
+            head = (tl, rois, probs, sizes, fwds, row0)
             l_mmd_t = loss_mmd(_mmd_groups(*head, range(n_src), cfg),
                                _mmd_groups(*head, range(n_src, len(fwds)), cfg))
-        row0 = np.cumsum(counts) - counts
         rows = [r0 + np.array(f.extra_rows, dtype=np.int64)
                 for f, r0 in zip(fwds[n_src:], row0[n_src:]) if f.extra_rows]
         if rows:
@@ -538,8 +538,7 @@ def _self_labels(params: dict, sentences: list[Sentence],
     return [
         tuple(pseudo_triplet(pl, cfg.mode) for pl in labels
               if int(np.argmax(pl.probs)) != invalid_class(cfg.mode))
-        for part in chunks(sentences, cfg.encoder)
-        for labels in pseudo_labels(params, part, cfg, teacher_pseudo_label)
+        for labels in pseudo_labels(params, sentences, cfg, teacher_pseudo_label)
     ]
 
 

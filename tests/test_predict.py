@@ -1,6 +1,6 @@
-"""Batched no-grad prediction: ``predict_batch`` runs each packed chunk of
-``encoder.chunks`` through the encoder, the corner heads and the region
-head once, and must give what ``predict`` gives one sentence at a time."""
+"""Batched no-grad detection: ``predict_batch`` and the teacher's
+``pseudo_labels`` encode each packed chunk of ``encoder.chunks`` once, and
+must give what they give one sentence at a time."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,8 @@ from tablemt.detector import Mode, rpn_scores
 from tablemt.encoder import EncoderConfig, chunks
 from tablemt.model import (NonFiniteScoreError, as_tensors, forward, init_params, predict,
                            predict_batch)
-from tablemt.trainer import TrainConfig, _self_labels
+from tablemt.trainer import (TrainConfig, _self_labels, pseudo_labels, teacher_pseudo_label,
+                             teacher_pseudo_label_cells)
 
 ENC = EncoderConfig(d=8, layers=1)  # max_n 24
 # the edge sentences of tools/fit_digest.py: 1, 2, 5 and 24 tokens
@@ -65,12 +66,15 @@ def test_predict_batch_equals_predict_of_each_sentence(sentences, mode, kappa):
     assert predict_batch([], params, ENC, mode, kappa) == []
 
 
-@pytest.mark.parametrize("name", ["cls_w", "emb", "tab_w", "rpn_e_b"])
+@pytest.mark.parametrize("name", ["cls_w", "emb", "tab_w", "rpn_e_b", "rpn_b_w"])
 def test_non_finite_params_fail_a_batch(sentences, name):
+    """Both no-grad callers of ``model.detect``: prediction and the teacher."""
     params = _params(Mode.ASTE)
     params[name][...] = np.nan
     with pytest.raises(NonFiniteScoreError):
         predict_batch(sentences, params, ENC, Mode.ASTE, 1.0)
+    with pytest.raises(NonFiniteScoreError):
+        pseudo_labels(params, sentences, TrainConfig(encoder=ENC), teacher_pseudo_label)
 
 
 @pytest.mark.parametrize("at", [0, 7, -1])
@@ -82,6 +86,11 @@ def test_an_over_length_sentence_anywhere_fails_before_any_encode(sentences, mon
         predict_batch(batch, _params(Mode.ASTE), ENC, Mode.ASTE, 0.3)
 
 
+def _label_bytes(per_sentence) -> list:
+    return [[(pl.rect(), pl.confidence, pl.probs.tobytes()) for pl in labels]
+            for labels in per_sentence]
+
+
 def test_self_labels_in_chunks_equal_each_sentence_alone(sentences):
     cfg = TrainConfig(eta=0.3, encoder=ENC)
     params = _params(cfg.mode)
@@ -89,3 +98,9 @@ def test_self_labels_in_chunks_equal_each_sentence_alone(sentences):
     labels = _self_labels(params, sentences, cfg)
     assert labels == [_self_labels(params, [s], cfg)[0] for s in sentences]
     assert any(labels)
+    for label in (teacher_pseudo_label, teacher_pseudo_label_cells):
+        chunked = _label_bytes(pseudo_labels(params, sentences, cfg, label))
+        assert chunked == _label_bytes(pseudo_labels(params, [s], cfg, label)[0]
+                                       for s in sentences)
+        assert any(chunked)
+    assert pseudo_labels(params, [], cfg, teacher_pseudo_label) == []

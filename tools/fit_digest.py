@@ -5,9 +5,11 @@
     python3 tools/fit_digest.py --against ../parent/src    # gaps against another checkout
 
 Prints one ``<case> <sha256>`` line per case (a predict case also gives
-the number of items predicted), so the outputs of two checkouts compare
-with ``diff``.  A fit case hashes the history rows as JSON
-and the bytes ``save_checkpoint`` writes for the dev-selected checkpoint.
+the number of items predicted, a label case the number of labels kept), so
+the outputs of two checkouts compare with ``diff``.  A fit case hashes the
+history rows as JSON and the bytes ``save_checkpoint`` writes for the
+dev-selected checkpoint; a label case hashes each label's rectangle,
+confidence and class-probability bytes.
 The grid:
 
 - every variant, in ASTE and AOPE, at eta 0.98 and 0.2: 2-epoch fits on a
@@ -20,13 +22,16 @@ The grid:
   ``max_n``) sentences in the source and target splits, so a training batch
   packs maps from 1 token up to ``max_n`` wide;
 - predictions at kappa 1.0 of 2-epoch source-only ASTE and AOPE models (fit
-  on the seed-7 corpus) on 100 sentences of 16 to 24 target-domain tokens.
+  on the seed-7 corpus) on 100 sentences of 16 to 24 target-domain tokens;
+- the teacher labels of the ASTE one of those models, at eta 0.2 and the
+  default kappa, on the same 100 sentences: by proposals
+  (``teacher_pseudo_label``) and by cells (``teacher_pseudo_label_cells``).
 
 ``--against OTHER_SRC`` runs the grid on both trees, the other one in a
 child process, and says how far apart they are: for each fit case, whether
 the dev-selected epoch matches and the largest absolute and relative gap of
-each history column over the epochs; for each predict case, whether the
-predictions are identical.  A change that moves results by rounding only
+each history column over the epochs; for each predict or label case,
+whether the predictions or labels are identical.  A change that moves results by rounding only
 states its tolerance from that one command.  ``--json`` prints each case's
 raw outputs as one JSON object a line, which is what ``--against`` reads.
 """
@@ -108,12 +113,16 @@ def fit_outputs(corpus, cfg, scratch: Path) -> dict:
     return {"digest": h.hexdigest(), "epoch": ckpt.epoch, "history": rows}
 
 
-def predict_outputs():
-    """(name, predictions) of a source-only model per mode."""
+def model_outputs():
+    """(name, outputs) of a source-only model per mode: its predictions, then,
+    after every predict case, the ASTE model's teacher labels."""
+    from dataclasses import replace
+
     from tablemt.corpus import Sentence, SynthConfig, synth_corpus, vocabulary
     from tablemt.detector import Mode
     from tablemt.model import predict
-    from tablemt.trainer import TrainConfig, Variant, fit
+    from tablemt.trainer import (TrainConfig, Variant, fit, pseudo_labels, teacher_pseudo_label,
+                                 teacher_pseudo_label_cells)
 
     corpus = synth_corpus(SynthConfig(seed=7))
     vocab = vocabulary(corpus.target_unlabeled)
@@ -124,20 +133,44 @@ def predict_outputs():
     for mode in Mode:
         cfg = TrainConfig(variant=Variant.SOURCE_ONLY, mode=mode, epochs=2, seed=7)
         ckpt, _ = fit(corpus, cfg)
-        yield f"predict_{mode.value}_kappa1", [predict(s, ckpt.student, cfg.encoder, mode, 1.0)
-                                               for s in sentences]
+        yield f"predict_{mode.value}_kappa1", prediction_outputs(
+            [predict(s, ckpt.student, cfg.encoder, mode, 1.0) for s in sentences])
+        if mode == Mode.ASTE:
+            teacher, label_cfg = ckpt.student, replace(cfg, eta=0.2)
+    for name, label in (("pseudo", teacher_pseudo_label),
+                        ("pseudo_cells", teacher_pseudo_label_cells)):
+        yield f"{name}_aste_eta0.2", label_outputs(
+            pseudo_labels(teacher, sentences, label_cfg, label))
+
+
+def prediction_outputs(preds) -> dict:
+    """The digest of the repr of a predict case's predictions, its item
+    count and the repr itself."""
+    text = repr(preds)
+    return {"digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "items": sum(map(len, preds)), "predictions": text}
+
+
+def label_outputs(labels) -> dict:
+    """The digest of each sentence's label count and each label's rectangle,
+    confidence and class-probability bytes, and the number of labels."""
+    h = hashlib.sha256()
+    for kept in labels:
+        h.update(np.int64(len(kept)).tobytes())
+        for pl in kept:
+            h.update(np.array(pl.rect(), dtype=np.int64).tobytes())
+            h.update(np.float64(pl.confidence).tobytes())
+            h.update(pl.probs.tobytes())
+    return {"digest": h.hexdigest(), "labels": sum(map(len, labels))}
 
 
 def case_outputs():
-    """(name, outputs) of every case, fit cases first; a predict case's
-    outputs are the repr of its predictions, its digest and its item count."""
+    """(name, outputs) of every case: fit cases, then predict cases, then
+    label cases."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, corpus, cfg in fit_cases():
             yield name, fit_outputs(corpus, cfg, Path(tmp))
-    for name, preds in predict_outputs():
-        text = repr(preds)
-        yield name, {"digest": hashlib.sha256(text.encode("utf-8")).hexdigest(),
-                     "items": sum(map(len, preds)), "predictions": text}
+    yield from model_outputs()
 
 
 def _gaps(mine: list[dict], other: list[dict]) -> str:
@@ -160,6 +193,9 @@ def compare(mine: dict, other: dict) -> str:
     if "predictions" in mine:
         same = mine["predictions"] == other["predictions"]
         return f"predictions {'identical' if same else 'DIFFER'} ({mine['items']} items)"
+    if "labels" in mine:
+        same = mine["digest"] == other["digest"]
+        return f"labels {'identical' if same else 'DIFFER'} ({mine['labels']} labels)"
     if mine["digest"] == other["digest"]:
         return f"byte-identical, epoch {mine['epoch']}"
     epoch = ("epoch same" if mine["epoch"] == other["epoch"]
@@ -198,6 +234,8 @@ def main(argv=None) -> int:
             mine[name] = out
         elif "items" in out:
             print(name, f"{out['digest']} ({out['items']} items)", flush=True)
+        elif "labels" in out:
+            print(name, f"{out['digest']} ({out['labels']} labels)", flush=True)
         else:
             print(name, out["digest"], flush=True)
     if child is None:
