@@ -15,12 +15,15 @@ tokens are stacked as one (Σn, d) matrix, and their tables as one ragged
 padding.  The window mean is one block-diagonal matrix; the table's token
 rows and the conv layers' 3x3 taps come from ``autograd.packing(sizes)``,
 whose taps outside a sentence's own map read a zero row.  So no cell sees
-another sentence, and each sentence's cells equal its encoding alone, up to
-the order in which BLAS sums a row: bit for bit at the shipped widths,
-except for a one-token sentence, whose lone encoding is made of one-row
-products.  A training step encodes once per role: the student's source and
-target sentences together, and the teacher's target sentences
-under ``no_grad``.  The window mean and the bilinear form are (Σn)²
+another sentence, and each sentence's cells equal its encoding alone up to
+the order in which BLAS sums a row of a product, which can change with the
+number of rows: a one-token sentence alone is made of one-row products, and
+in a long pack some rows of a few sentences are summed in another order.
+Those cells move by rounding only, a few units in the last place (up to
+8.9e-16 in one pack of 40 sentences of 16 to 24 tokens at d 16); short
+packs are often bit-identical.  A training step encodes once per role:
+the student's source and target sentences together, and the teacher's
+target sentences under ``no_grad``.  The window mean and the bilinear form are (Σn)²
 matrices, so pack a step's sentences, not a corpus: prediction and the
 no-grad labelling of a corpus encode it in the packed chunks ``chunks``
 cuts, each of at most ``_CHUNK_TOKENS`` tokens.

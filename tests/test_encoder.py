@@ -252,6 +252,29 @@ def test_packed_tables_equal_one_sentence_encodings(lengths):
         np.testing.assert_allclose(g, alone_grads[k], rtol=1e-12, atol=1e-12, err_msg=k)
 
 
+# A packed cell's largest gap to its lone encoding, from BLAS summing a row in
+# another order: the long pack below reads up to 8.9e-16 (4 units in the last
+# place of a value near 1; the tables stay within +-2.7).
+LONG_PACK_ATOL = 1e-14
+
+
+def test_a_long_pack_equals_one_sentence_encodings_up_to_rounding():
+    """Bit-for-bit equality holds for the short packs above, not for every
+    pack: on a long pack BLAS may sum some rows of a packed product in
+    another order than the lone encoding does, so a few cells of a few
+    sentences move by rounding.  Here 40 sentences of 16 to 24 tokens, ~800
+    tokens in one pack at d 16, must stay within ``LONG_PACK_ATOL``."""
+    rng = np.random.default_rng(40)
+    lengths = rng.integers(16, PACK_CFG.max_n + 1, size=40)
+    params = _tensors(_pack_params(40))
+    sentences = _sentences(lengths, rng)
+    packed = encode(sentences, params, PACK_CFG).data
+    bounds = np.cumsum([0] + [n * n for n in lengths])
+    for sentence, lo, hi in zip(sentences, bounds, bounds[1:]):
+        alone = encode([sentence], params, PACK_CFG).data
+        np.testing.assert_allclose(packed[lo:hi], alone, rtol=0, atol=LONG_PACK_ATOL)
+
+
 def test_pack_with_an_over_length_sentence_fails_before_any_encoding():
     rng = np.random.default_rng(0)
     sentences = _sentences([3, CFG.max_n, 2, CFG.max_n + 1], rng)

@@ -214,6 +214,11 @@ def test_mmd_identical_sets_zero():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 4))
     assert mmd(x, x.copy()).item() == 0.0
+    xt, yt = Tensor(x), Tensor(x[::-1].copy())
+    out = mmd(xt, yt)  # clamped at 0, so no gradient passes
+    assert out.item() == 0.0
+    out.backward()
+    assert not xt.grad.any() and not yt.grad.any()
 
 
 def test_mmd_symmetry_and_nonnegativity():
@@ -246,6 +251,13 @@ def test_mmd_median_fallback_when_degenerate():
     y = np.ones((2, 2))
     out = mmd(x, y)  # all pairwise distances zero -> bandwidth falls back
     assert out.item() == 0.0  # identical distributions regardless
+    mostly = np.full((10, 3), 1.5)  # 28 of the 45 distances zero: the median is 0
+    mostly[[2, 8]] = np.random.default_rng(20).normal(size=(2, 3))
+    x, y = Tensor(mostly[:5]), Tensor(mostly[5:])
+    out = mmd(x, y)
+    assert out.item() == pytest.approx(oracle_mmd(mostly[:5], mostly[5:], sigma=1.0), abs=1e-14)
+    out.backward()
+    assert np.abs(x.grad).max() > 0.0
 
 
 def test_mmd_gradient_matches_fd_through_median():
@@ -330,6 +342,123 @@ def test_mmd_equals_three_pass_reference(name, xs, ys):
     assert np.array_equal(got, want)
     for g, w in zip(got_grads, want_grads):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+def _composed_mmd(x, y):
+    """``mmd`` as the composed tape ops it replays: ``concat``, pairwise
+    differences, the median bandwidth's gathers, the kernel blocks' means and
+    ``clamp_min``, about thirty nodes.  The fused op must equal it byte for
+    byte, value and gradients."""
+    xm, ym = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, y))
+    m, k = xm.shape[0], ym.shape[0]
+    if m == 0 or k == 0:
+        return Tensor(0.0)
+    z = ag.concat([xm, ym], axis=0)
+    p, dim = z.shape
+    diff = z.reshape(p, 1, dim) - z.reshape(1, p, dim)
+    d2 = (diff * diff).sum(axis=2)
+    dists = d2[np.triu_indices(p, k=1)].sqrt()
+    q = dists.shape[0]
+    order = np.argsort(dists.data, kind="stable")
+    med = dists[order[(q - 1) // 2 : q // 2 + 1]].mean()
+    if float(med.data) <= 0.0:
+        med = Tensor(1.0)
+    inv_two_sigma_sq = (med ** -2.0) * 0.5
+    kern = (d2 * -1.0 * inv_two_sigma_sq).exp()
+    raw = kern[:m, :m].mean() + kern[m:, m:].mean() - 2.0 * kern[:m, m:].mean()
+    return raw.clamp_min(0.0)
+
+
+def _fit_shape_cases():
+    """(name, x blocks, y blocks) at the shapes a tfmt fit hands ``mmd``
+    (pooled p up to 60, dims 16 and 48, m != k), one-row sides, the
+    zero-median fallback and equal sets, which clamp at 0."""
+    rng = np.random.default_rng(19)
+    for dim in (16, 48):
+        for m, k in [(6, 7), (12, 5), (20, 39), (36, 24), (1, 1), (1, 9), (9, 1)]:
+            yield f"{m}x{k}x{dim}", [rng.normal(size=(m, dim))], [rng.normal(size=(k, dim))]
+    yield "all rows equal", [np.full((4, 16), 0.5)], [np.full((3, 16), 0.5)]
+    mostly = np.full((10, 16), -0.25)  # 28 of the 45 distances are 0
+    mostly[[0, 7]] = rng.normal(size=(2, 16))
+    yield "median distance 0", [mostly[:4]], [mostly[4:]]
+    x = rng.normal(size=(12, 48))
+    yield "x equal to y", [x], [x.copy()]
+    yield "x equal to y, shuffled", [x], [x[rng.permutation(12)]]
+    yield "per-sentence lists", [rng.normal(size=(s, 48)) for s in (5, 1, 9)], \
+        [rng.normal(size=(s, 48)) for s in (14, 3)]
+
+
+def _leaf_grads(f, xs, ys, how):
+    """``f``'s value and the leaves' gradients, upstream 0.3, with x and y
+    each stacked from its blocks by ``concat`` (``how="concat"``) or
+    gathered by ``[]`` from one table that holds every block (``"gather"``),
+    as ``_mmd_groups`` gathers both sides from the batch tensors."""
+    if how == "concat":
+        leaves = [Tensor(a.copy()) for a in xs + ys]
+        x, y = (ag.concat(v, axis=0) if len(v) > 1 else v[0]
+                for v in (leaves[: len(xs)], leaves[len(xs):]))
+    else:
+        table = Tensor(np.concatenate(xs + ys))
+        m = sum(len(a) for a in xs)
+        x, y = table[np.arange(m)], table[np.arange(m, table.shape[0])]
+        leaves = [table]
+    out = f(x, y) * Tensor(0.3)
+    out.backward()
+    return [out.data] + [t.grad for t in leaves]
+
+
+ALL_MMD_CASES = list(_mmd_cases()) + list(_fit_shape_cases())
+
+
+@pytest.mark.parametrize("how", ["concat", "gather"])
+@pytest.mark.parametrize("name,xs,ys", ALL_MMD_CASES, ids=[c[0] for c in ALL_MMD_CASES])
+def test_fused_mmd_equals_the_composed_graph_byte_for_byte(name, xs, ys, how):
+    got = _leaf_grads(mmd, xs, ys, how)
+    want = _leaf_grads(_composed_mmd, xs, ys, how)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_mmd_records_one_node_with_parents_x_and_y():
+    rng = np.random.default_rng(21)
+    table = Tensor(rng.normal(size=(9, 16)))
+    x, y = table[np.arange(4)], table[np.arange(4, 9)]
+    out = mmd(x, y)
+    assert out._parents == (x, y)
+    assert all(p._parents == (table,) for p in out._parents)
+    xa, ya = rng.normal(size=(3, 2)), rng.normal(size=(2, 2))
+    leaf_out = mmd(xa, ya)
+    assert [p.data.tobytes() for p in leaf_out._parents] == [xa.tobytes(), ya.tobytes()]
+    assert all(not p._parents for p in leaf_out._parents)
+
+
+def test_fused_mmd_gradients_match_fd_at_a_fit_shape():
+    """Central differences at a fit's shape (p 40, dim 48) on every entry of
+    the rows whose distances set the median bandwidth, which alone get the
+    bandwidth's gradient and here lie in both x and y, and of two other rows."""
+    rng = np.random.default_rng(22)
+    m = 17
+    z0 = np.concatenate([rng.normal(size=(m, 48)), rng.normal(size=(23, 48)) + 0.3])
+    iu, ju = np.triu_indices(len(z0), k=1)
+    dists = np.sqrt(((z0[iu] - z0[ju]) ** 2).sum(axis=1))
+    mid = np.argsort(dists, kind="stable")[len(dists) // 2 - 1 : len(dists) // 2 + 1]
+    median_rows = np.unique(np.concatenate([iu[mid], ju[mid]]))
+    assert (median_rows < m).any() and (median_rows >= m).any()
+
+    def value(z):
+        return mmd(z[:m], z[m:]).item()
+
+    x, y = Tensor(z0[:m].copy()), Tensor(z0[m:].copy())
+    mmd(x, y).backward()
+    grad = np.concatenate([x.grad, y.grad])
+    eps = 1e-6
+    for r in [*median_rows, 0, 30]:
+        for c in range(z0.shape[1]):
+            plus = z0.copy(); plus[r, c] += eps
+            minus = z0.copy(); minus[r, c] -= eps
+            fd = (value(plus) - value(minus)) / (2 * eps)
+            assert grad[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9), (r, c)
 
 
 def test_loss_mmd_region_level_identical_and_empty():

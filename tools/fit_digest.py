@@ -5,11 +5,12 @@
     python3 tools/fit_digest.py --against ../parent/src    # gaps against another checkout
 
 Prints one ``<case> <sha256>`` line per case (a predict case also gives
-the number of items predicted, a label case the number of labels kept), so
-the outputs of two checkouts compare with ``diff``.  A fit case hashes the
-history rows as JSON and the bytes ``save_checkpoint`` writes for the
-dev-selected checkpoint; a label case hashes each label's rectangle,
-confidence and class-probability bytes.
+the number of items predicted, a label case the number of labels kept, the
+``mmd`` case the number of calls), so the outputs of two checkouts compare
+with ``diff``.  A fit case hashes the history rows as JSON and the bytes
+``save_checkpoint`` writes for the dev-selected checkpoint; a label case
+hashes each label's rectangle, confidence and class-probability bytes; the
+``mmd`` case hashes the value and both input gradients of each call.
 The grid:
 
 - every variant, in ASTE and AOPE, at eta 0.98 and 0.2: 2-epoch fits on a
@@ -25,13 +26,17 @@ The grid:
   on the seed-7 corpus) on 100 sentences of 16 to 24 target-domain tokens;
 - the teacher labels of the ASTE one of those models, at eta 0.2 and the
   default kappa, on the same 100 sentences: by proposals
-  (``teacher_pseudo_label``) and by cells (``teacher_pseudo_label_cells``).
+  (``teacher_pseudo_label``) and by cells (``teacher_pseudo_label_cells``);
+- ``losses.mmd`` alone, on fixed inputs: the (m, k) shapes of a 5-epoch tfmt
+  fit at the default sizes, at dims 16 and 48, and two sets whose median
+  pairwise distance is 0, so they take the fallback bandwidth.
 
 ``--against OTHER_SRC`` runs the grid on both trees, the other one in a
 child process, and says how far apart they are: for each fit case, whether
 the dev-selected epoch matches and the largest absolute and relative gap of
 each history column over the epochs; for each predict or label case,
-whether the predictions or labels are identical.  A change that moves results by rounding only
+whether the predictions or labels are identical; for the ``mmd`` case,
+whether its values and gradients are.  A change that moves results by rounding only
 states its tolerance from that one command.  ``--json`` prints each case's
 raw outputs as one JSON object a line, which is what ``--against`` reads.
 """
@@ -51,6 +56,8 @@ import numpy as np
 SRC = Path(__file__).resolve().parents[1] / "src"
 PREDICT_SENTENCES = 100
 PREDICT_LENGTHS = (16, 24)
+# (m, k) row counts that ``mmd`` sees in a 5-epoch tfmt fit: pooled p from 13 to 60
+MMD_SHAPES = ((6, 7), (12, 5), (20, 39), (36, 24))
 
 
 def fit_cases():
@@ -164,13 +171,37 @@ def label_outputs(labels) -> dict:
     return {"digest": h.hexdigest(), "labels": sum(map(len, labels))}
 
 
+def mmd_outputs() -> dict:
+    """The digest of ``mmd``'s value and both input gradients, call by call,
+    and the number of calls."""
+    from tablemt.autograd import Tensor
+    from tablemt.losses import mmd
+
+    rng = np.random.default_rng(19)
+    inputs = [(rng.normal(size=(m, dim)), rng.normal(size=(k, dim)))
+              for dim in (16, 48) for m, k in MMD_SHAPES]
+    inputs.append((np.full((3, 16), 0.5), np.full((4, 16), 0.5)))  # every distance 0
+    mostly_equal = np.full((10, 16), 0.5)  # 28 of the 45 distances 0
+    mostly_equal[[0, 7]] = rng.normal(size=(2, 16))
+    inputs.append((mostly_equal[:4], mostly_equal[4:]))
+    h = hashlib.sha256()
+    for xs, ys in inputs:
+        x, y = Tensor(xs), Tensor(ys)
+        out = mmd(x, y)
+        out.backward()
+        for a in (out.data, x.grad, y.grad):
+            h.update(a.tobytes())
+    return {"digest": h.hexdigest(), "calls": len(inputs)}
+
+
 def case_outputs():
     """(name, outputs) of every case: fit cases, then predict cases, then
-    label cases."""
+    label cases, then the ``mmd`` case."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, corpus, cfg in fit_cases():
             yield name, fit_outputs(corpus, cfg, Path(tmp))
     yield from model_outputs()
+    yield "mmd", mmd_outputs()
 
 
 def _gaps(mine: list[dict], other: list[dict]) -> str:
@@ -196,6 +227,9 @@ def compare(mine: dict, other: dict) -> str:
     if "labels" in mine:
         same = mine["digest"] == other["digest"]
         return f"labels {'identical' if same else 'DIFFER'} ({mine['labels']} labels)"
+    if "calls" in mine:
+        same = mine["digest"] == other["digest"]
+        return f"values and gradients {'identical' if same else 'DIFFER'} ({mine['calls']} calls)"
     if mine["digest"] == other["digest"]:
         return f"byte-identical, epoch {mine['epoch']}"
     epoch = ("epoch same" if mine["epoch"] == other["epoch"]
@@ -236,6 +270,8 @@ def main(argv=None) -> int:
             print(name, f"{out['digest']} ({out['items']} items)", flush=True)
         elif "labels" in out:
             print(name, f"{out['digest']} ({out['labels']} labels)", flush=True)
+        elif "calls" in out:
+            print(name, f"{out['digest']} ({out['calls']} calls)", flush=True)
         else:
             print(name, out["digest"], flush=True)
     if child is None:
