@@ -294,19 +294,19 @@ class Packing(NamedTuple):
     row0: np.ndarray  # (S,)
     ii: np.ndarray  # (Σn²,) the stacked row of each cell's row
     jj: np.ndarray  # (Σn²,) the stacked row of each cell's column
-    taps: np.ndarray  # (Σn², 9) the cell (i + di - 1, j + dj - 1) at [3·di + dj]; Σn² off the map
+    taps: np.ndarray  # (Σn², 9) int32: cell (i+di-1, j+dj-1) at [3·di+dj]; Σn² off the map
     inside: np.ndarray  # (Σn, max n) set where stacked row r has a column j
 
 
 @functools.lru_cache(maxsize=None)
 def _map_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One n x n map's tables, cell by cell: its row, its column and its
-    (n², 9) 3x3 taps, -1 for a tap off the map."""
+    (n², 9) int32 3x3 taps, -1 for a tap off the map."""
     i, j = np.divmod(np.arange(n * n), n)
     di, dj = np.divmod(np.arange(9), 3)
     ti, tj = i[:, None] + di - 1, j[:, None] + dj - 1
     on_map = (ti >= 0) & (ti < n) & (tj >= 0) & (tj < n)
-    return i, j, np.where(on_map, ti * n + tj, -1)
+    return i, j, np.where(on_map, ti * n + tj, -1).astype(np.int32)
 
 
 @functools.lru_cache(maxsize=32)
@@ -319,7 +319,9 @@ def packing(sizes: tuple[int, ...]) -> Packing:
     cell0, row0 = np.cumsum(n * n) - n * n, np.cumsum(n) - n
     i, j, taps = (np.concatenate(t) for t in zip(*map(_map_tables, sizes)))
     cell_row0 = np.repeat(row0, n * n)
-    taps = np.where(taps < 0, len(taps), taps + np.repeat(cell0, n * n)[:, None])
+    # int32, as every conv3x3 gathers through them, forward and backward
+    shift = np.repeat(cell0, n * n).astype(np.int32)[:, None]
+    taps = np.where(taps < 0, len(taps), taps + shift)
     inside = np.arange(n.max()) < np.repeat(n, n)[:, None]
     tables = Packing(cell0, row0, i + cell_row0, j + cell_row0, taps, inside)
     for table in tables:

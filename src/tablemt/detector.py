@@ -93,9 +93,10 @@ def topk_prune(scores: np.ndarray, kappa: float) -> list[tuple[int, int, float]]
     if not (0.0 < kappa <= 1.0):
         raise ValueError("kappa must be in (0, 1]")
     k = max(1, math.ceil(kappa * scores.shape[0]))
-    order = np.argsort(-scores.ravel(), kind="stable")[:k]
+    flat = scores.ravel()
+    order = np.argsort(-flat, kind="stable")[:k]
     rows, cols = np.divmod(order, scores.shape[1])
-    return [(int(i), int(j), float(scores[i, j])) for i, j in zip(rows, cols)]
+    return list(zip(rows.tolist(), cols.tolist(), flat[order].tolist()))
 
 
 def propose_regions(
@@ -143,7 +144,7 @@ def decode_triplets(
     if mode == Mode.AOPE:  # VALID decodes as one polarity, so the ASTE order holds
         picks = np.where(picks == AOPE_VALID, RegionClass.POS, RegionClass.INVALID)
     kept = np.flatnonzero(picks != RegionClass.INVALID)
-    triplets = decode_regions([(*proposals[i], k)
+    triplets = decode_regions([proposals[i] + (k,)
                                for i, k in zip(kept.tolist(), picks[kept].tolist())])
     if mode == Mode.ASTE:
         return triplets

@@ -31,6 +31,7 @@ cuts, each of at most ``_CHUNK_TOKENS`` tokens.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,6 +53,8 @@ _FNV_PRIME = 1099511628211
 _MASK64 = (1 << 64) - 1
 
 
+# Kept per token, as every encode of a sentence hashes each of its tokens.
+@functools.lru_cache(maxsize=1 << 16)
 def fnv1a64(token: str) -> int:
     h = _FNV_OFFSET
     for byte in token.encode("utf-8"):
@@ -130,15 +133,19 @@ def chunks(sentences: Sequence[Sentence], cfg: EncoderConfig) -> list[list[Sente
     return out
 
 
-def _window_mean_matrix(sizes: Sequence[int], window: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _window_mean_matrix(sizes: tuple[int, ...], window: int) -> np.ndarray:
     """Block-diagonal (Σn, Σn): A[i, j] = 1/|range| for j in [i-window,
-    i+window] clipped to the sentence of token i."""
+    i+window] clipped to the sentence of token i.  Read-only, and kept for
+    the last few packings, as ``autograd.packing`` keeps its tables."""
     ends = np.repeat(np.cumsum(sizes), sizes)  # one past each token's sentence
     rows = np.arange(len(ends))
     lo = np.maximum(ends - np.repeat(sizes, sizes), rows - window)
     hi = np.minimum(ends - 1, rows + window)
     inside = (rows >= lo[:, None]) & (rows <= hi[:, None])
-    return inside / (hi - lo + 1)[:, None]
+    matrix = inside / (hi - lo + 1)[:, None]
+    matrix.flags.writeable = False
+    return matrix
 
 
 def embed(sentences: Sequence[Sentence], params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:

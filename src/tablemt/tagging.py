@@ -14,6 +14,7 @@ triplet's sentiment.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -80,12 +81,21 @@ def encode_region_labels(ls: LabeledSentence) -> tuple[BoundaryLabels, list[Gold
 _POLARITY_OF_CLASS = {int(c): _CLASS_TO_POLARITY.get(c) for c in RegionClass}
 
 
+@functools.lru_cache(maxsize=4096)
+def _span(start: int, end: int) -> Span:
+    """The shared ``Span`` of inclusive bounds; ``Span`` is frozen, so one
+    object serves every triplet that holds those bounds, across calls.  It
+    is built from ``int`` bounds, and numpy integers hash and compare as the
+    ints they equal, so no ``Span`` holds a caller's numpy scalars."""
+    return Span(int(start), int(end))
+
+
 def decode_regions(regions: Iterable[tuple[int, int, int, int, int]]) -> list[Triplet]:
     """Map classified rectangles back to triplets; INVALID dropped, output
     deduplicated and sorted by (a, b, c, d, class).  Each distinct span is
-    built once and shared by the triplets that hold it."""
+    built once by ``_span`` and shared by every triplet that holds it, in
+    this call and later ones."""
     out = {}
-    spans: dict[tuple[int, int], Span] = {}
     for a, b, c, d, cls in regions:
         try:
             pol = _POLARITY_OF_CLASS[cls]
@@ -96,13 +106,7 @@ def decode_regions(regions: Iterable[tuple[int, int, int, int, int]]) -> list[Tr
             continue
         if not (a <= c and b <= d):
             raise ValueError(f"degenerate rectangle ({a},{b},{c},{d})")
-        aspect = spans.get((a, c))
-        if aspect is None:
-            aspect = spans[a, c] = Span(a, c)
-        opinion = spans.get((b, d))
-        if opinion is None:
-            opinion = spans[b, d] = Span(b, d)
-        out[key] = Triplet(aspect, opinion, pol)
+        out[key] = Triplet(_span(a, c), _span(b, d), pol)
     return [out[k] for k in sorted(out)]
 
 

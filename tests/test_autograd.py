@@ -441,8 +441,10 @@ def test_packing_equals_the_broadcast_construction():
         sizes = tuple(int(n) for n in rng_.integers(1, 25, size=rng_.integers(1, 10)))
         sizes += (1, 24)
         sizes = tuple(rng_.permutation(sizes).tolist())
-        for table, expected in zip(ag.packing(sizes), _broadcast_packing(sizes)):
-            assert table.dtype == expected.dtype and table.shape == expected.shape
+        tables = zip(ag.Packing._fields, ag.packing(sizes), _broadcast_packing(sizes))
+        for name, table, expected in tables:
+            dtype = np.int32 if name == "taps" else expected.dtype  # conv3x3 gathers by int32
+            assert table.dtype == dtype and table.shape == expected.shape
             np.testing.assert_array_equal(table, expected)
             assert not table.flags.writeable
 

@@ -9,6 +9,7 @@ from tablemt.corpus import Sentence
 from tablemt.encoder import (
     EncoderConfig,
     _CHUNK_TOKENS,
+    _window_mean_matrix,
     build_table,
     chunks,
     conv_stack,
@@ -43,6 +44,54 @@ def test_fnv1a64_is_the_published_hash():
     # Reference values of 64-bit FNV-1a
     assert fnv1a64("") == 14695981039346656037
     assert fnv1a64("a") == 12638187200555641996
+
+
+def _fnv1a64_uncached(token):
+    h = 0xCBF29CE484222325
+    for byte in token.encode("utf-8"):
+        h = ((h ^ byte) * 0x100000001B3) % 2**64
+    return h
+
+
+@pytest.mark.parametrize("tokens", [
+    ("the", "fried", "rice", "is", "amazing", "snoun3", "AT&T", "x_1"),  # ASCII
+    ("café", "naïve", "日本語", "😀", "Ж", "e\u0301"),  # non-ASCII
+    ("a", "Z", "0", ".", "\x00", "\x7f"),  # one byte each
+])
+def test_fnv1a64_cache_returns_the_uncached_hash(tokens):
+    fnv1a64.cache_clear()
+    for _ in range(2):  # a miss, then a hit
+        assert [fnv1a64(t) for t in tokens] == [_fnv1a64_uncached(t) for t in tokens]
+    assert fnv1a64.cache_info().hits == len(set(tokens))
+    assert fnv1a64.cache_info().maxsize is not None
+
+
+def _window_mean_loop(sizes, window):
+    """A[i, j] = 1/|range| over token i's +-window range inside its sentence."""
+    total = sum(sizes)
+    a = np.zeros((total, total))
+    start = 0
+    for n in sizes:
+        for i in range(n):
+            lo, hi = max(0, i - window), min(n - 1, i + window)
+            a[start + i, start + lo : start + hi + 1] = 1.0 / (hi - lo + 1)
+        start += n
+    return a
+
+
+@pytest.mark.parametrize("window", [0, 1, 2, 24, 50])
+@pytest.mark.parametrize("sizes", [(1,), (1, 1, 1), (3, 1, 24, 1), (5, 1, 2), (24,)])
+def test_window_mean_matrix_cache_equals_a_fresh_build(sizes, window):
+    _window_mean_matrix.cache_clear()
+    cached = _window_mean_matrix(sizes, window)
+    assert _window_mean_matrix(sizes, window) is cached
+    assert not cached.flags.writeable
+    with pytest.raises(ValueError):
+        cached[0, 0] = 2.0
+    fresh = _window_mean_matrix.__wrapped__(sizes, window)
+    assert cached.dtype == fresh.dtype and cached.tobytes() == fresh.tobytes()
+    np.testing.assert_array_equal(cached, _window_mean_loop(sizes, window))
+    assert _window_mean_matrix.cache_info().maxsize is not None
 
 
 def test_embed_shape_and_determinism():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tablemt import autograd as ag
-from tablemt import encoder, model
+from tablemt import encoder, model, tagging
 from tablemt.corpus import Sentence, SynthConfig, synth_corpus
 from tablemt.detector import Mode, rpn_scores
 from tablemt.encoder import EncoderConfig, chunks
@@ -64,6 +64,23 @@ def test_predict_batch_equals_predict_of_each_sentence(sentences, mode, kappa):
     assert batched == alone
     assert sum(map(len, alone)) > 0
     assert predict_batch([], params, ENC, mode, kappa) == []
+
+
+# What ``predict`` keeps between calls: token hashes, window-mean matrices
+# and decoded spans, beside the packing tables.
+CACHES = (encoder.fnv1a64, encoder._window_mean_matrix, tagging._span, ag.packing)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_predictions_do_not_depend_on_what_the_caches_hold(sentences, mode):
+    params = _params(mode)
+    forward_order = predict_batch(sentences, params, ENC, mode, 1.0)
+    for cache in CACHES:
+        cache.cache_clear()
+    backward_order = predict_batch(sentences[::-1], params, ENC, mode, 1.0)
+    assert len(sentences) == 48 and sum(map(len, forward_order)) > 0
+    assert backward_order[::-1] == forward_order
+    assert all(cache.cache_info().currsize > 0 for cache in CACHES)
 
 
 @pytest.mark.parametrize("name", ["cls_w", "emb", "tab_w", "rpn_e_b", "rpn_b_w"])

@@ -16,6 +16,7 @@ from tablemt.tagging import (
     CellConflictError,
     GoldRegion,
     RegionClass,
+    _span,
     cells_by_type,
     decode_cell_table,
     decode_regions,
@@ -65,6 +66,31 @@ def test_decode_regions_sorted():
         [(2, 2, 2, 2, RegionClass.NEG), (0, 1, 0, 1, RegionClass.POS)]
     )
     assert [t.aspect.start for t in out] == [0, 2]
+
+
+def test_decode_regions_shares_spans_across_calls():
+    first = decode_regions([(1, 4, 2, 4, RegionClass.POS), (1, 2, 2, 4, RegionClass.NEG)])
+    second = decode_regions([(0, 4, 0, 4, RegionClass.NEU), (1, 4, 2, 4, RegionClass.NEG)])
+    assert first[0].aspect is first[1].aspect  # (1, 2) within one call
+    assert second[1].aspect is first[0].aspect  # (1, 2) across calls
+    assert second[0].opinion is second[1].opinion is first[1].opinion  # (4, 4)
+    assert second[0].opinion is not first[0].opinion  # (2, 4)
+
+
+def test_decode_regions_spans_hold_python_ints_for_numpy_bounds():
+    _span.cache_clear()  # so the numpy bounds below build their spans
+    rects = [(9, 11, 10, 12, RegionClass.POS), (13, 14, 15, 16, RegionClass.NEG)]
+    for dtype in (np.int64, np.int32, np.intp):
+        out = decode_regions([tuple(np.array(r[:4], dtype=dtype)) + (np.int64(r[4]),)
+                              for r in rects])
+        assert out == decode_regions(rects)
+        for t in out:
+            for bound in (t.aspect.start, t.aspect.end, t.opinion.start, t.opinion.end):
+                assert type(bound) is int
+    # spans first built from numpy bounds hold Python ints for later callers too
+    out = decode_regions([(np.int64(17), np.int64(18), np.int64(19), np.int64(20), 0)])
+    again = decode_regions([(17, 18, 19, 20, 0)])
+    assert again[0].aspect is out[0].aspect and type(again[0].aspect.start) is int
 
 
 ALL_POLARITIES = (Polarity.POS, Polarity.NEU, Polarity.NEG)
