@@ -106,7 +106,9 @@ class Tensor:
 
     def _unary(self, out_data, grad: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> "Tensor":
         """A single-input op's result; its backward hands this tensor
-        ``grad(g, out_data)``.  Ops the tracer times by kind keep their own closure."""
+        ``grad(g, out_data)``.  Ops the tracer times by kind keep their own
+        closure.  The ops that only tests use, in ``tests/reference_ops.py``,
+        are built on it too."""
 
         def backward(g):
             self._accumulate(grad(g, out_data))
@@ -148,9 +150,6 @@ class Tensor:
     def __rsub__(self, other) -> "Tensor":
         return _ensure(other) + (self * -1.0)
 
-    def __pow__(self, p: float) -> "Tensor":
-        return self._unary(self.data**p, lambda g, y: g * p * self.data ** (p - 1))
-
     def __matmul__(self, other) -> "Tensor":
         other = _ensure(other)
         assert self.data.ndim == 2 and other.data.ndim == 2
@@ -189,14 +188,6 @@ class Tensor:
     def log(self) -> "Tensor":
         return self._unary(np.log(self.data), lambda g, y: g / self.data)
 
-    def sqrt(self) -> "Tensor":
-        # Guarded at exact zeros so a zero upstream gradient stays zero
-        # instead of producing 0 * inf = nan.
-        return self._unary(np.sqrt(self.data), lambda g, y: g * 0.5 / np.where(y > 0.0, y, 1.0))
-
-    def clamp_min(self, floor: float) -> "Tensor":
-        return self._unary(np.maximum(self.data, floor), lambda g, y: g * (self.data > floor))
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -211,24 +202,6 @@ class Tensor:
 
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.data.size)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Max over ``axis``; ties split the gradient evenly.  The library
-        pools with ``rect_max``; this op stays as the per-window reference
-        that the tests check ``rect_max``'s tie-split gradient against."""
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(g):
-            out_k = out_data
-            gk = g
-            if axis is not None and not keepdims:
-                out_k = np.expand_dims(out_data, axis)
-                gk = np.expand_dims(g, axis)
-            mask = self.data == out_k
-            counts = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-            self._accumulate(mask * (gk / counts))
-
-        return Tensor(out_data, (self,), backward)
 
     # -- shape ops ----------------------------------------------------------
 
@@ -367,8 +340,8 @@ def _window_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
 def _window_max_grad(x: np.ndarray, out: np.ndarray, g: np.ndarray, a: np.ndarray,
                      b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The gradient that ``_window_max(x, a, b, c, d) == out`` hands ``x``
-    for upstream ``g``: row r of ``g`` splits evenly over the cells of window
-    r that hold its max, as ``Tensor.max`` splits ties.  One slot per
+    for upstream ``g``: row r of ``g`` splits evenly over the k cells of
+    window r that hold its max, ``g[r] / k`` to each.  One slot per
     (window, cell inside it), windows in order, summed into ``x``'s shape by
     one ``bincount``, so every cell adds its shares in window order, as a
     loop over the windows would."""
@@ -395,7 +368,8 @@ def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]],
     widest, so map s's row i is row ``packing(sizes).row0[s] + i``.  Output
     row r is the max over rows a..c and columns b..d for ``rects[r] = (a, b,
     c, d)``, an (m, 4) int array or a sequence of 4-tuples whose window lies
-    inside one map.  Ties split the gradient evenly, as ``Tensor.max`` does.
+    inside one map.  The k cells of a window that tie for its max get 1/k
+    of its gradient each.
     """
     rects = np.asarray(rects)
     inside = packing(tuple(sizes)).inside
@@ -418,9 +392,8 @@ def rect_max(x: Tensor, rects: np.ndarray | Sequence[tuple[int, int, int, int]],
 def weighted_bce(p: Tensor, y: np.ndarray, weights: np.ndarray, floor: float) -> Tensor:
     """Weighted binary cross-entropy ``-sum(w * (y log p + (1 - y) log(1 - p)))``
     of probabilities ``p`` against 0/1 labels ``y``, all three of one shape.
-    Each log reads its argument clamped at ``floor``, as ``clamp_min`` then
-    ``log`` would, so a clamped term passes no gradient.  One node, where the
-    composed ops record eleven."""
+    Each log reads ``max(argument, floor)``, and a clamped term passes no
+    gradient.  One node, where the composed ops record eleven."""
     q = np.maximum(p.data, floor)
     r = np.maximum(1.0 - p.data, floor)
     value = -(weights * (y * np.log(q) + (1.0 - y) * np.log(r))).sum()

@@ -225,7 +225,10 @@ SYNTH_LEXICON_DEFAULTS = {"num_aspects": 10, "num_opinions": 8}
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
+    try:
+        cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     for f in fields(SynthCorpus):
         _guard_overwrite(Path(args.out) / f"{f.name}.txt", args.force)
     corpus = synth_corpus(cfg)
@@ -322,13 +325,8 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-ABLATION_ROWS = [
-    ("full", frozenset()),
-    ("no_aug", frozenset({"no_aug"})),
-    ("no_uns", frozenset({"no_uns"})),
-    ("no_mmd", frozenset({"no_mmd"})),
-    ("no_uns+no_mmd", frozenset({"no_uns", "no_mmd"})),
-]
+ABLATION_ROWS = [("full", frozenset()), *((a, frozenset({a})) for a in trainer.ABLATIONS),
+                 ("no_uns+no_mmd", frozenset({"no_uns", "no_mmd"}))]
 
 
 def cmd_ablate(args) -> int:

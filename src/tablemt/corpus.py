@@ -226,7 +226,9 @@ class SynthConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.num_aspects < 4 or self.num_opinions < 2:
-            raise ValueError("lexicons exhausted: need >= 4 aspect and >= 2 opinion words")
+            raise ValueError("num_aspects must be >= 4 and num_opinions >= 2, or the lexicons run out")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

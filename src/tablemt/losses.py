@@ -86,58 +86,48 @@ def mmd(x, y) -> Tensor:
     mean of the two middle ones for an even count, 1.0 when that is zero);
     it and the kernel read one pooled squared-distance matrix.
 
-    One tape node with parents ``(x, y)``.  Forward and backward run, in
-    order, the numpy expressions that the composed ops (``concat``, the
-    pairwise differences, the median's gathers, the kernel blocks' means,
-    ``clamp_min``) would run, so the value and both gradients equal theirs
-    byte for byte; the gradients of the constants, which nothing reads, are
-    skipped."""
+    One tape node with parents ``(x, y)``.  Its value and both gradients
+    equal, byte for byte, those of the same formula composed from tape ops
+    (``concat``, the pairwise differences, the median's gathers, the kernel
+    blocks' means and a clamp at zero)."""
     xm, ym = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, y))
     m, k = xm.shape[0], ym.shape[0]
     if m == 0 or k == 0:
         return Tensor(0.0)
     z = np.concatenate([xm.data, ym.data], axis=0)
-    p, dim = z.shape
-    diff = z.reshape(p, 1, dim) + z.reshape(1, p, dim) * -1.0
+    p = len(z)
+    diff = z[:, None, :] - z[None, :, :]
     d2 = (diff * diff).sum(axis=2)
-    pairs = np.triu_indices(p, k=1)
-    dists = np.sqrt(d2[pairs])
-    q = dists.shape[0]
+    iu, ju = np.triu_indices(p, k=1)
+    dists = np.sqrt(d2[iu, ju])
+    q = len(dists)
     mid = np.argsort(dists, kind="stable")[(q - 1) // 2 : q // 2 + 1]
-    med = np.asarray(dists[mid].sum() * (1.0 / mid.size))
+    med = np.asarray(dists[mid].mean())  # 0-d: a numpy scalar's ** rounds differently
     fallback = float(med) <= 0.0
     if fallback:
         med = np.asarray(_FALLBACK_BANDWIDTH)
     inv_two_sigma_sq = med**-2.0 * 0.5
-    neg_d2 = d2 * -1.0
-    kern = np.exp(neg_d2 * inv_two_sigma_sq)
+    kern = np.exp(-d2 * inv_two_sigma_sq)
     blocks = ((slice(None, m), slice(None, m)), (slice(m, None), slice(m, None)),
               (slice(None, m), slice(m, None)))
-    # each block's mean sums a contiguous copy, as ``[]`` then ``sum`` would
+    # numpy sums a strided block of over 8192 cells in another order than a copy
     mxx, myy, mxy = (np.array(kern[b]).sum() * (1.0 / kern[b].size) for b in blocks)
-    raw = mxx + myy + mxy * 2.0 * -1.0
+    raw = mxx + myy - mxy * 2.0
 
     def backward(g):
-        # The composed closures, in the order ``Tensor.backward`` ran them.
-        # Scatters add into zeros, as ``[]``'s do, so a -0.0 lands as +0.0.
         g_raw = g * (raw > 0.0)
         g_kern = np.zeros((p, p))
-        for b, g_mean in zip(blocks, (g_raw, g_raw, g_raw * -1.0 * 2.0)):
+        for b, g_mean in zip(blocks, (g_raw, g_raw, g_raw * -2.0)):
             g_kern[b] += g_mean * (1.0 / kern[b].size)
         g_exp = g_kern * kern
-        g_d2 = g_exp * inv_two_sigma_sq * -1.0
+        g_d2 = -g_exp * inv_two_sigma_sq
         if not fallback:
-            g_inv = (g_exp * neg_d2).sum(axis=0).sum(axis=0)
+            g_inv = (g_exp * -d2).sum(axis=0).sum()
             g_med = g_inv * 0.5 * -2.0 * med**-3.0
-            g_dists = np.zeros(q)
-            g_dists[mid] += g_med * (1.0 / mid.size)
-            g_pairs = np.zeros((p, p))
-            g_pairs[pairs] += g_dists * 0.5 / np.where(dists > 0.0, dists, 1.0)
-            g_d2 = g_d2 + g_pairs
-        t = g_d2[:, :, None] * diff
-        g_diff = t + t  # ``diff * diff`` hands the same product to both its parents
-        g_z = (g_diff.sum(axis=1, keepdims=True).reshape(p, dim)
-               + (g_diff.sum(axis=0, keepdims=True) * -1.0).reshape(p, dim))
+            g_mid = g_med * (1.0 / mid.size) * 0.5
+            g_d2[iu[mid], ju[mid]] += g_mid / np.where(dists[mid] > 0.0, dists[mid], 1.0)
+        g_diff = 2.0 * (g_d2[:, :, None] * diff)
+        g_z = g_diff.sum(axis=1) - g_diff.sum(axis=0)
         xm._accumulate(g_z[:m])
         ym._accumulate(g_z[m:])
 

@@ -388,7 +388,7 @@ def compute_losses(
 
     l_rpn_t = l_rpc_t = zero
     if src_batch:
-        cells = np.diff(ag.packing(sizes).cell0, append=len(scores.pb.data))[:n_src]
+        cells = np.square(sizes[:n_src])
         pad = np.zeros(len(scores.pb.data) - cells.sum())
         w_rpn = np.concatenate([np.repeat(1.0 / (2 * cells * n_src), cells), pad])
         l_rpn_t = loss_rpn(scores.pb, scores.pe, np.concatenate(yb + [pad]),

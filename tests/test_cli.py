@@ -66,6 +66,17 @@ def test_synth_refuses_overwrite_without_force(tmp_path):
     assert dir_bytes(out) != before
 
 
+@pytest.mark.parametrize("flag,value,field", [("--num-source", "0", "num_source"),
+                                              ("--num-aspects", "3", "num_aspects"),
+                                              ("--seed", "-1", "seed")])
+def test_synth_bad_value_is_a_usage_error_naming_its_field(tmp_path, capsys, flag, value, field):
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), flag, value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and field in err
+    assert not out.exists()
+
+
 def test_synth_counts_match_flags(corpus_dir):
     lines = (corpus_dir / "source_train.txt").read_text().strip().splitlines()
     assert len(lines) == 12

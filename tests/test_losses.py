@@ -23,6 +23,8 @@ from tablemt.encoder import EncoderConfig, encode
 from tablemt.model import as_tensors, classify, forward, init_params
 from tablemt.tagging import GoldRegion, RegionClass
 
+import reference_ops as ref
+
 
 def _mean_weights(y):
     """Per-cell weights that make ``loss_rpn`` the mean over both maps."""
@@ -286,7 +288,7 @@ def _three_pass_mmd(xm, ym):
     z = ag.concat([xm, ym], axis=0)
     iu, ju = np.triu_indices(z.shape[0], k=1)
     diff = z[iu] - z[ju]
-    dists = (diff * diff).sum(axis=1).sqrt()
+    dists = ref.sqrt((diff * diff).sum(axis=1))
     order = np.argsort(dists.data, kind="stable")
     q = order.shape[0]
     if q % 2 == 1:
@@ -295,7 +297,7 @@ def _three_pass_mmd(xm, ym):
         sigma = (dists[order[q // 2 - 1]] + dists[order[q // 2]]) * 0.5
     if float(sigma.data) <= 0.0:
         sigma = Tensor(1.0)
-    inv_two_sigma_sq = (sigma**-2.0) * 0.5
+    inv_two_sigma_sq = ref.power(sigma, -2.0) * 0.5
 
     def kernel_mean(a, b):
         m, k = a.shape[0], b.shape[0]
@@ -303,7 +305,7 @@ def _three_pass_mmd(xm, ym):
         return ((d * d).sum(axis=1) * -1.0 * inv_two_sigma_sq).exp().mean()
 
     raw = kernel_mean(xm, xm) + kernel_mean(ym, ym) - 2.0 * kernel_mean(xm, ym)
-    return raw.clamp_min(0.0)
+    return ref.clamp_min(raw, 0.0)
 
 
 def _mmd_cases():
@@ -345,7 +347,7 @@ def test_mmd_equals_three_pass_reference(name, xs, ys):
 
 
 def _composed_mmd(x, y):
-    """``mmd`` as the composed tape ops it replays: ``concat``, pairwise
+    """``mmd`` as the composed tape ops it equals: ``concat``, pairwise
     differences, the median bandwidth's gathers, the kernel blocks' means and
     ``clamp_min``, about thirty nodes.  The fused op must equal it byte for
     byte, value and gradients."""
@@ -357,16 +359,16 @@ def _composed_mmd(x, y):
     p, dim = z.shape
     diff = z.reshape(p, 1, dim) - z.reshape(1, p, dim)
     d2 = (diff * diff).sum(axis=2)
-    dists = d2[np.triu_indices(p, k=1)].sqrt()
+    dists = ref.sqrt(d2[np.triu_indices(p, k=1)])
     q = dists.shape[0]
     order = np.argsort(dists.data, kind="stable")
     med = dists[order[(q - 1) // 2 : q // 2 + 1]].mean()
     if float(med.data) <= 0.0:
         med = Tensor(1.0)
-    inv_two_sigma_sq = (med ** -2.0) * 0.5
+    inv_two_sigma_sq = ref.power(med, -2.0) * 0.5
     kern = (d2 * -1.0 * inv_two_sigma_sq).exp()
     raw = kern[:m, :m].mean() + kern[m:, m:].mean() - 2.0 * kern[:m, m:].mean()
-    return raw.clamp_min(0.0)
+    return ref.clamp_min(raw, 0.0)
 
 
 def _fit_shape_cases():

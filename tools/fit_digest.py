@@ -28,8 +28,10 @@ The grid:
   default kappa, on the same 100 sentences: by proposals
   (``teacher_pseudo_label``) and by cells (``teacher_pseudo_label_cells``);
 - ``losses.mmd`` alone, on fixed inputs: the (m, k) shapes of a 5-epoch tfmt
-  fit at the default sizes, at dims 16 and 48, and two sets whose median
-  pairwise distance is 0, so they take the fallback bandwidth.
+  fit at the default sizes, at dims 16 and 48; two sets whose median
+  pairwise distance is 0, so they take the fallback bandwidth; x equal to y
+  and to y shuffled, where the clamp at 0 fires; and the shapes (1, 1), with
+  one pairwise distance, and (1, 9) and (9, 1), with one row on a side.
 
 ``--against OTHER_SRC`` runs the grid on both trees, the other one in a
 child process, and says how far apart they are: for each fit case, whether
@@ -184,6 +186,10 @@ def mmd_outputs() -> dict:
     mostly_equal = np.full((10, 16), 0.5)  # 28 of the 45 distances 0
     mostly_equal[[0, 7]] = rng.normal(size=(2, 16))
     inputs.append((mostly_equal[:4], mostly_equal[4:]))
+    x = rng.normal(size=(12, 48))
+    inputs += [(x, x.copy()), (x, x[rng.permutation(12)])]
+    inputs += [(rng.normal(size=(m, 16)), rng.normal(size=(k, 16)))
+               for m, k in ((1, 1), (1, 9), (9, 1))]
     h = hashlib.sha256()
     for xs, ys in inputs:
         x, y = Tensor(xs), Tensor(ys)
