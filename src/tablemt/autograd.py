@@ -127,8 +127,6 @@ class Tensor:
 
         return Tensor(out_data, (self, other), backward)
 
-    __radd__ = __add__
-
     def __mul__(self, other) -> "Tensor":
         other = _ensure(other)
         out_data = self.data * other.data
@@ -141,14 +139,8 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
     def __sub__(self, other) -> "Tensor":
         return self + (_ensure(other) * -1.0)
-
-    def __rsub__(self, other) -> "Tensor":
-        return _ensure(other) + (self * -1.0)
 
     def __matmul__(self, other) -> "Tensor":
         other = _ensure(other)

@@ -64,16 +64,24 @@ def _manifest(config: TrainConfig) -> list[tuple[str, list[int]]]:
             for group in ("student", "teacher") for name in sorted(shapes)]
 
 
+def _check_manifest(path, found: list[tuple[str, list[int]]], config: TrainConfig) -> None:
+    """Raise ``CheckpointError`` naming the first (name, shape) of ``found``
+    that differs from the tensors ``config`` builds, in file order."""
+    for got, want in zip_longest(found, _manifest(config)):
+        if got != want:
+            raise CheckpointError(f"{path}: checkpoint has tensor {got}, config builds {want}")
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write ``ckpt``; a non-finite tensor raises ``CheckpointError`` first."""
-    tensors = []
-    blobs = []
-    for group, params in (("student", ckpt.student), ("teacher", ckpt.teacher)):
-        for name in sorted(params):
-            arr = np.ascontiguousarray(params[name], dtype="<f8")
-            _check_finite(path, f"{group}/{name}", arr)
-            tensors.append({"name": f"{group}/{name}", "shape": list(arr.shape)})
-            blobs.append(arr.tobytes())
+    """Write ``ckpt``; tensors other than those its config builds, or a
+    non-finite tensor, raise ``CheckpointError`` before anything is written."""
+    arrays = {f"{group}/{name}": np.ascontiguousarray(params[name], dtype="<f8")
+              for group, params in (("student", ckpt.student), ("teacher", ckpt.teacher))
+              for name in sorted(params)}
+    tensors = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
+    _check_manifest(path, [(t["name"], t["shape"]) for t in tensors], ckpt.config)
+    for name, arr in arrays.items():
+        _check_finite(path, name, arr)
     header = {
         "version": 1,
         "config": {**_to_json(ckpt.config), "encoder_kind": ENCODER_KIND},
@@ -86,8 +94,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays.values():
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -115,7 +123,7 @@ def load_checkpoint(path) -> Checkpoint:
         config = _from_json(TrainConfig, header["config"])
         found = [(spec["name"], spec["shape"]) for spec in header["tensors"]]
         epoch, history = header["epoch"], header["history"]
-        expected = _manifest(config)
+        _check_manifest(path, found, config)
     except CheckpointError:
         raise
     except KeyError as exc:
@@ -123,9 +131,6 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from None
     off += hlen
-    for got, want in zip_longest(found, expected):
-        if got != want:
-            raise CheckpointError(f"{path}: file has tensor {got}, config builds {want}")
     student: dict = {}
     teacher: dict = {}
     for name, shape in found:

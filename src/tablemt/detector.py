@@ -8,6 +8,7 @@ pruning and pairing run on one sentence's (n, n) corner maps, in numpy."""
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -26,22 +27,23 @@ class Mode(enum.Enum):
     AOPE = "aope"  # binary region classes {VALID, INVALID}
 
 
-AOPE_VALID = 0
-AOPE_INVALID = 1
+@functools.cache
+def foreground_classes(mode: Mode) -> tuple[int, ...]:
+    """The region classes of ``mode`` other than INVALID, the one table of
+    them: each is numbered as the ``RegionClass`` of the polarity it decodes
+    to, so AOPE's VALID, which decodes as a placeholder POS, is 0.  INVALID
+    is the class right after them."""
+    if mode == Mode.ASTE:
+        return (int(RegionClass.POS), int(RegionClass.NEU), int(RegionClass.NEG))
+    return (int(RegionClass.POS),)
 
 
 def num_classes(mode: Mode) -> int:
-    return 4 if mode == Mode.ASTE else 2
+    return len(foreground_classes(mode)) + 1
 
 
 def invalid_class(mode: Mode) -> int:
-    return int(RegionClass.INVALID) if mode == Mode.ASTE else AOPE_INVALID
-
-
-def foreground_classes(mode: Mode) -> tuple[int, ...]:
-    if mode == Mode.ASTE:
-        return (int(RegionClass.POS), int(RegionClass.NEU), int(RegionClass.NEG))
-    return (AOPE_VALID,)
+    return len(foreground_classes(mode))
 
 
 def init_detector_params(d: int, mode: Mode, rng: np.random.Generator) -> dict[str, np.ndarray]:
@@ -141,9 +143,7 @@ def decode_triplets(
     AOPE returns (aspect, opinion) span pairs."""
     assert len(proposals) == probs.shape[0]
     picks = probs.argmax(axis=1)
-    if mode == Mode.AOPE:  # VALID decodes as one polarity, so the ASTE order holds
-        picks = np.where(picks == AOPE_VALID, RegionClass.POS, RegionClass.INVALID)
-    kept = np.flatnonzero(picks != RegionClass.INVALID)
+    kept = np.flatnonzero(picks != invalid_class(mode))
     triplets = decode_regions([proposals[i] + (k,)
                                for i, k in zip(kept.tolist(), picks[kept].tolist())])
     if mode == Mode.ASTE:

@@ -11,8 +11,17 @@ from .corpus import LabeledSentence, Triplet
 from .detector import Mode
 
 
-def _f1(p: float, r: float) -> float:
-    return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+def _set_pairs(preds: Sequence, golds: Sequence) -> list[tuple[set, set]]:
+    if len(preds) != len(golds):
+        raise ValueError("prediction/gold list length mismatch")
+    return [(set(p), set(g)) for p, g in zip(preds, golds)]
+
+
+def _prf(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_gold if n_gold else 0.0
+    f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
+    return precision, recall, f1
 
 
 def sentence_prf(preds: Sequence, golds: Sequence) -> tuple[float, float, float]:
@@ -20,35 +29,16 @@ def sentence_prf(preds: Sequence, golds: Sequence) -> tuple[float, float, float]
     gold set exactly.  Precision counts over sentences with any prediction,
     recall over sentences with any gold; sentences empty on both sides are
     counted nowhere."""
-    if len(preds) != len(golds):
-        raise ValueError("prediction/gold list length mismatch")
-    tp = n_pred = n_gold = 0
-    for p, g in zip(preds, golds):
-        ps, gs = set(p), set(g)
-        if ps:
-            n_pred += 1
-        if gs:
-            n_gold += 1
-        if gs and ps == gs:
-            tp += 1
-    precision = tp / n_pred if n_pred else 0.0
-    recall = tp / n_gold if n_gold else 0.0
-    return precision, recall, _f1(precision, recall)
+    pairs = _set_pairs(preds, golds)
+    return _prf(sum(bool(gs) and ps == gs for ps, gs in pairs),
+                sum(bool(ps) for ps, _ in pairs), sum(bool(gs) for _, gs in pairs))
 
 
 def triplet_prf(preds: Sequence, golds: Sequence) -> tuple[float, float, float]:
     """Micro-averaged exact match over items pooled across sentences."""
-    if len(preds) != len(golds):
-        raise ValueError("prediction/gold list length mismatch")
-    tp = total_pred = total_gold = 0
-    for p, g in zip(preds, golds):
-        ps, gs = set(p), set(g)
-        tp += len(ps & gs)
-        total_pred += len(ps)
-        total_gold += len(gs)
-    precision = tp / total_pred if total_pred else 0.0
-    recall = tp / total_gold if total_gold else 0.0
-    return precision, recall, _f1(precision, recall)
+    pairs = _set_pairs(preds, golds)
+    return _prf(sum(len(ps & gs) for ps, gs in pairs),
+                sum(len(ps) for ps, _ in pairs), sum(len(gs) for _, gs in pairs))
 
 
 class ErrorCategory(enum.Enum):

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .detector import AOPE_VALID, Mode, RegionProposal, invalid_class
+from .detector import Mode, RegionProposal, foreground_classes, invalid_class
 from .tagging import GoldRegion
 
 _LOG_FLOOR = 1e-12
@@ -60,12 +60,16 @@ def match_gold(
     mode: Mode,
 ) -> np.ndarray:
     """Class targets per proposal by exact rectangle match; unmatched
-    proposals are INVALID.  Gold rectangles the pruner missed reach the
-    proposals through ``model.forward(extra_rects=)``, not here."""
+    proposals are INVALID, and a gold class that is not one of the mode's
+    foreground classes takes the first of them (AOPE's VALID).  Gold
+    rectangles the pruner missed reach the proposals through
+    ``model.forward(extra_rects=)``, not here."""
+    fg = foreground_classes(mode)
     gold_by_rect: dict[tuple[int, int, int, int], int] = {}
     for g in gold_regions:
-        gold_by_rect.setdefault(g.rect(), int(g.cls) if mode == Mode.ASTE else AOPE_VALID)
-    targets = [gold_by_rect.get(p, invalid_class(mode)) for p in proposals]
+        gold_by_rect.setdefault(g.rect(), int(g.cls) if g.cls in fg else fg[0])
+    invalid = invalid_class(mode)
+    targets = [gold_by_rect.get(p, invalid) for p in proposals]
     return np.array(targets, dtype=np.int64)
 
 

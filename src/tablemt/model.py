@@ -1,10 +1,11 @@
 """Full model assembly: encoder + detector parameters, the detector's
-proposal stage over one sentence's corner maps, the batched region head,
-the no-grad detector pass, and decoding predictions.
+proposal stage over one sentence's corner maps, the no-grad detector
+pass, and decoding predictions.
 
 A batch runs in three stages: ``rpn_scores`` over the packed map of every
 sentence, ``forward`` per sentence on its slice of the corner maps (numpy
-only, no tape), then ``classify`` once over every sentence's proposals.
+only, no tape), then the region head, ``roi_represent`` and
+``classify_regions``, once over every sentence's proposals.
 ``detect`` is that sequence with its scores checked, and the one no-grad
 detector: ``predict_batch`` decodes it on each packed chunk of
 ``encoder.chunks``, ``predict`` is ``predict_batch`` of one sentence, and
@@ -89,16 +90,6 @@ def forward(
     return SentenceForward(proposals, n_predicted, extra_rows)
 
 
-def classify(tl: Tensor, sizes: list[int], fwds: list[SentenceForward],
-             params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor, Tensor]:
-    """The region head over a packed map: the (M, 3d) RoI rows of every
-    sentence's proposals, sentences in order, and their class probabilities
-    and log-probabilities.  Needs at least one proposal."""
-    rois = roi_represent(tl, sizes, [f.proposals for f in fwds])
-    probs, logp = classify_regions(rois, params, mode)
-    return rois, probs, logp
-
-
 def detect(tl: Tensor, sizes: list[int], params_t: dict[str, Tensor], mode: Mode,
            kappa: float) -> list[tuple[list[RegionProposal], np.ndarray]]:
     """The detector's pass over a packed map of sentences of ``sizes``, for
@@ -112,7 +103,8 @@ def detect(tl: Tensor, sizes: list[int], params_t: dict[str, Tensor], mode: Mode
     counts = [len(f.proposals) for f in fwds]
     probs = np.empty((0, num_classes(mode)))
     if any(counts):
-        probs = classify(tl, sizes, fwds, params_t, mode)[1].data
+        rois = roi_represent(tl, sizes, [f.proposals for f in fwds])
+        probs = classify_regions(rois, params_t, mode)[0].data
         check_finite_scores(probs)
     ends = accumulate(counts)
     return [(f.proposals, probs[end - m : end]) for f, m, end in zip(fwds, counts, ends)]

@@ -36,11 +36,6 @@ _POLARITY_TO_CLASS = {
     Polarity.NEU: RegionClass.NEU,
     Polarity.NEG: RegionClass.NEG,
 }
-_CLASS_TO_POLARITY = {v: k for k, v in _POLARITY_TO_CLASS.items()}
-
-
-def class_to_polarity(c: RegionClass) -> Polarity:
-    return _CLASS_TO_POLARITY[RegionClass(c)]
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,8 @@ def encode_region_labels(ls: LabeledSentence) -> tuple[BoundaryLabels, list[Gold
 
 # Polarity by region class; INVALID maps to None.  Keyed by plain ints, so a
 # lookup accepts the same values ``RegionClass(cls)`` does.
-_POLARITY_OF_CLASS = {int(c): _CLASS_TO_POLARITY.get(c) for c in RegionClass}
+_POLARITY_OF_CLASS = ({int(c): p for p, c in _POLARITY_TO_CLASS.items()}
+                      | {int(RegionClass.INVALID): None})
 
 
 @functools.lru_cache(maxsize=4096)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .corpus import LabeledSentence, Polarity, Sentence, Span, SynthCorpus, Triplet, vocabulary
+from .corpus import LabeledSentence, Sentence, SynthCorpus, Triplet, vocabulary
 from .detector import (Mode, classify_regions, decode_triplets, foreground_classes,
                        invalid_class, roi_represent, rpn_scores)
 from .evaluate import gold_items, sentence_prf
@@ -34,16 +34,9 @@ from .losses import (
     total_loss,
 )
 from .encoder import EncoderConfig, chunks, encode
-from .model import (SentenceForward, as_tensors, check_finite_scores, classify, clone_params,
-                    detect, forward, init_params, predict_batch)
-from .tagging import (
-    CELL_A,
-    CELL_O,
-    RegionClass,
-    cells_by_type,
-    class_to_polarity,
-    encode_region_labels,
-)
+from .model import (SentenceForward, as_tensors, check_finite_scores, clone_params, detect,
+                    forward, init_params, predict_batch)
+from .tagging import CELL_A, CELL_O, cells_by_type, decode_regions, encode_region_labels
 
 ABLATIONS = ("no_aug", "no_uns", "no_mmd")
 HISTORY_COLUMNS = ("epoch", "step", *(f.name for f in fields(LossBreakdown)), "dev_f1", "test_f1")
@@ -266,9 +259,11 @@ def teacher_pseudo_label(teacher_t: dict[str, Tensor], tl: Tensor, n: int,
 def teacher_pseudo_label_cells(
     teacher_t: dict[str, Tensor], tl: Tensor, n: int, cfg: TrainConfig
 ) -> list[PseudoLabel]:
-    """Cell-level variant: every cell is its own 1x1 region, in row-major order."""
+    """Cell-level variant: every cell is its own 1x1 region, in row-major
+    order.  A 1x1 region's RoI row is its cell's vector three times (both
+    corners and the max over one cell), so no pooling runs."""
     rects = [(i, j, i, j) for i in range(n) for j in range(n)]
-    probs, _ = classify_regions(roi_represent(tl, [n], [rects]), teacher_t, cfg.mode)
+    probs, _ = classify_regions(ag.concat([tl, tl, tl], axis=1), teacher_t, cfg.mode)
     return _confident(rects, probs.data, cfg.mode, cfg.eta)
 
 
@@ -384,7 +379,8 @@ def compute_losses(
     counts = np.array([len(f.proposals) for f in fwds])
     rois = probs = logp = None
     if counts.sum():
-        rois, probs, logp = classify(tl, sizes, fwds, student_t, cfg.mode)
+        rois = roi_represent(tl, sizes, [f.proposals for f in fwds])
+        probs, logp = classify_regions(rois, student_t, cfg.mode)
 
     l_rpn_t = l_rpc_t = zero
     if src_batch:
@@ -526,8 +522,8 @@ def pseudo_triplet(pl: PseudoLabel, mode: Mode) -> Triplet:
     its most probable foreground class (AOPE carries a placeholder POS)."""
     fg = foreground_classes(mode)
     cls = fg[int(np.argmax(pl.probs[list(fg)]))]
-    pol = class_to_polarity(RegionClass(cls)) if mode == Mode.ASTE else Polarity.POS
-    return Triplet(Span(pl.a, pl.c), Span(pl.b, pl.d), pol)
+    (triplet,) = decode_regions([pl.rect() + (cls,)])
+    return triplet
 
 
 def _self_labels(params: dict, sentences: list[Sentence],

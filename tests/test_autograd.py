@@ -489,8 +489,8 @@ def test_packing_is_each_map_alone_shifted_by_its_offsets():
 def _bce_composed(p, y, w, floor):
     """``weighted_bce`` written with the engine's elementwise ops."""
     logp = ref.clamp_min(p, floor).log()
-    log1mp = ref.clamp_min(1.0 - p, floor).log()
-    return -(Tensor(w) * (Tensor(y) * logp + Tensor(1.0 - y) * log1mp)).sum()
+    log1mp = ref.clamp_min(p * -1.0 + 1.0, floor).log()
+    return (Tensor(w) * (Tensor(y) * logp + Tensor(1.0 - y) * log1mp)).sum() * -1.0
 
 
 def test_weighted_bce_matches_finite_differences_and_the_composed_ops():

@@ -212,6 +212,30 @@ def test_saving_non_finite_params_raises(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("defect, name", [
+    ("extra", "teacher/extra"),
+    ("missing", "student/cls_b"),
+    ("wrong_shape", "student/cls_w"),
+    ("other_encoder", "student/V"),
+])
+def test_saving_tensors_the_config_does_not_build_raises(tmp_path, defect, name):
+    ckpt = _checkpoint()
+    if defect == "extra":
+        ckpt.teacher["extra"] = np.zeros(3)
+    elif defect == "missing":
+        del ckpt.student["cls_b"]
+    elif defect == "wrong_shape":
+        ckpt.student["cls_w"] = ckpt.student["cls_w"][:, :1]
+    else:  # a student built for d = 10 under a config of d = 8
+        enc = EncoderConfig(d=10, layers=1, vocab_buckets=64, max_n=12)
+        ckpt.student.update(init_params(enc, ckpt.config.mode, np.random.default_rng(0)))
+    path = tmp_path / "model.bin"
+    with pytest.raises(CheckpointError, match=f"tensor .*'{name}'") as err:
+        save_checkpoint(path, ckpt)
+    assert str(path) in str(err.value)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("defect", [
     "not_json", "not_an_object", "encoder_d_3", "encoder_d_float", "bogus_mode",
     "no_version", "no_tensors", "no_epoch", "no_history",

@@ -9,14 +9,13 @@ import pytest
 from tablemt.autograd import Tensor, concat
 from tablemt.corpus import Polarity, Span, Triplet
 from tablemt.detector import (
-    AOPE_INVALID,
-    AOPE_VALID,
     Mode,
     RegionProposal,
     classify_regions,
     decode_triplets,
     foreground_classes,
     init_detector_params,
+    invalid_class,
     num_classes,
     propose_regions,
     roi_represent,
@@ -304,7 +303,7 @@ def _decode_triplets_enum(proposals, probs, mode):
     pairs = {
         (p.a, p.b, p.c, p.d): (Span(p.a, p.c), Span(p.b, p.d))
         for p, k in zip(proposals, picks)
-        if int(k) == AOPE_VALID
+        if int(k) in foreground_classes(Mode.AOPE)
     }
     return [pairs[r] for r in sorted(pairs)]
 
@@ -362,8 +361,10 @@ def test_decode_regions_equals_the_enum_decoding_and_errors():
 
 def test_foreground_class_sets():
     assert foreground_classes(Mode.ASTE) == (0, 1, 2)
-    assert foreground_classes(Mode.AOPE) == (AOPE_VALID,)
-    assert AOPE_INVALID == 1 and int(RegionClass.INVALID) == 3
+    assert foreground_classes(Mode.AOPE) == (0,)
+    assert invalid_class(Mode.AOPE) == 1
+    assert invalid_class(Mode.ASTE) == int(RegionClass.INVALID) == 3
+    assert num_classes(Mode.ASTE) == 4 and num_classes(Mode.AOPE) == 2
 
 
 def test_end_to_end_plumbing_with_adversarially_perfect_scores():

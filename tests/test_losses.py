@@ -8,7 +8,7 @@ import pytest
 from tablemt import autograd as ag
 from tablemt.autograd import Tensor
 from tablemt.corpus import Polarity, Sentence
-from tablemt.detector import Mode, RegionProposal, rpn_scores
+from tablemt.detector import Mode, RegionProposal, classify_regions, roi_represent, rpn_scores
 from tablemt.losses import (
     LossBreakdown,
     loss_mmd,
@@ -20,7 +20,7 @@ from tablemt.losses import (
     total_loss,
 )
 from tablemt.encoder import EncoderConfig, encode
-from tablemt.model import as_tensors, classify, forward, init_params
+from tablemt.model import as_tensors, forward, init_params
 from tablemt.tagging import GoldRegion, RegionClass
 
 import reference_ops as ref
@@ -146,8 +146,8 @@ def test_forward_appends_missing_extra_rect_once():
     assert [p.rect() for p in fwd.proposals] == predicted + [missing]
     assert fwd.n_predicted == len(predicted)
     assert fwd.extra_rows == [len(predicted), 0, len(predicted)]
-    _, probs, _ = classify(tl, [n], [fwd], params, Mode.ASTE)
-    _, base_probs, _ = classify(tl, [n], [base], params, Mode.ASTE)
+    probs, _ = classify_regions(roi_represent(tl, [n], [fwd.proposals]), params, Mode.ASTE)
+    base_probs, _ = classify_regions(roi_represent(tl, [n], [base.proposals]), params, Mode.ASTE)
     assert probs.shape[0] == len(predicted) + 1
     assert np.array_equal(probs.data[:-1], base_probs.data)
 

@@ -266,6 +266,39 @@ def test_pseudo_label_cells_rects_are_cells(tiny_data):
         assert pl.a == pl.c and pl.b == pl.d
 
 
+@pytest.mark.parametrize("mode", [Mode.ASTE, Mode.AOPE], ids=["aste", "aope"])
+@pytest.mark.parametrize("cells", ["random", "tied", "signed_zeros"])
+def test_pseudo_label_cells_equal_every_cell_pooled_by_roi_represent(mode, cells):
+    """Each cell's label, classified from its vector three times, equals
+    pooling the cell as a 1x1 region with ``roi_represent``, byte for byte:
+    the RoI rows, the rectangles, confidences and class probabilities."""
+    import tablemt.autograd as ag
+    from tablemt.detector import classify_regions, roi_represent
+    from tablemt.model import as_tensors
+
+    cfg = tiny_cfg(variant=Variant.CTFMT, mode=mode, eta=1e-9)
+    teacher_t = as_tensors(init_params(cfg.encoder, mode, np.random.default_rng(3)))
+    n, rng = 5, np.random.default_rng(11)
+    tl = rng.normal(size=(n * n, cfg.encoder.d))
+    if cells == "tied":  # whole cells repeated, and entries equal across cells
+        tl = np.round(tl)
+        tl[1::3] = tl[0]
+    elif cells == "signed_zeros":
+        tl[rng.random(tl.shape) < 0.3] = -0.0
+        tl[rng.random(tl.shape) < 0.3] = 0.0
+        tl[4] = -0.0
+    rects = [(i, j, i, j) for i in range(n) for j in range(n)]
+    with ag.no_grad():
+        labels = teacher_pseudo_label_cells(teacher_t, Tensor(tl), n, cfg)
+        rois = roi_represent(Tensor(tl), [n], [rects])
+        want, _ = classify_regions(rois, teacher_t, mode)
+    assert rois.data.tobytes() == np.concatenate([tl, tl, tl], axis=1).tobytes()
+    assert [pl.rect() for pl in labels] == rects
+    assert b"".join(pl.probs.tobytes() for pl in labels) == want.data.tobytes()
+    conf = want.data[:, list(foreground_classes(mode))].max(axis=1)
+    assert [pl.confidence for pl in labels] == conf.tolist()
+
+
 @pytest.mark.parametrize("name", ["cls_w", "emb", "tab_w"])
 def test_non_finite_params_fail_loudly(tiny_data, name):
     cfg = tiny_cfg(eta=0.2)
@@ -701,9 +734,9 @@ def _per_sentence_rows(student, src, tgt, pseudo, cfg):
     gathers on its own slice of the packed map, concatenated in sentence and
     proposal order."""
     import tablemt.autograd as ag
-    from tablemt.detector import decode_triplets, rpn_scores
+    from tablemt.detector import classify_regions, decode_triplets, roi_represent, rpn_scores
     from tablemt.encoder import encode
-    from tablemt.model import as_tensors, classify, forward
+    from tablemt.model import as_tensors, forward
     from tablemt.tagging import cells_by_type, encode_region_labels
 
     params_t = as_tensors(student)
@@ -719,7 +752,8 @@ def _per_sentence_rows(student, src, tgt, pseudo, cfg):
         lo += n * n
         with ag.no_grad():
             fwd = forward(*rpn_scores(own, params_t).maps([n])[0], cfg.kappa, extra_rects=extra)
-            rois, probs, _ = classify(own, [n], [fwd], params_t, cfg.mode)
+            rois = roi_represent(own, [n], [fwd.proposals])
+            probs, _ = classify_regions(rois, params_t, cfg.mode)
         if i >= len(src) and fwd.extra_rows:
             uns.append(probs.data[fwd.extra_rows])
         m = fwd.n_predicted
