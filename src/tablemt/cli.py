@@ -105,13 +105,8 @@ def _train_config(args, seed: int) -> TrainConfig:
 def _load_bundle(data_dir: str) -> SynthCorpus:
     """The four ``<split>.txt`` files that ``synth`` writes, one per
     ``SynthCorpus`` field."""
-    splits = {}
-    for f in fields(SynthCorpus):
-        p = Path(data_dir) / f"{f.name}.txt"
-        if not p.exists():
-            raise UsageError(f"missing corpus file: {p}")
-        splits[f.name] = load_dataset(p)
-    return SynthCorpus(**splits)
+    return SynthCorpus(**{f.name: load_dataset(Path(data_dir) / f"{f.name}.txt")
+                          for f in fields(SynthCorpus)})
 
 
 def _write_csv(path: Path, header: tuple | list, rows: list[list]) -> None:
@@ -436,7 +431,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, FileNotFoundError) as exc:  # a missing input names its path
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - CLI boundary

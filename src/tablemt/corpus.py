@@ -254,7 +254,7 @@ class SynthCorpus:
     target_test: list[LabeledSentence]
 
 
-def _make_sentence(rng: np.random.Generator, lex: DomainLexicon, cfg: SynthConfig) -> LabeledSentence:
+def _make_sentence(rng: np.random.Generator, lex: DomainLexicon) -> LabeledSentence:
     """One sentence per the unit grammar ``<ctx>* <aspect> <ctx>* <opinion>
     <ctx>*`` where the context slots draw from the typed shared pools:
     optional determiner, mandatory linker, optional intensifier and trailer."""
@@ -302,13 +302,13 @@ def synth_corpus(cfg: SynthConfig) -> SynthCorpus:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed))
     src = domain_lexicon(cfg, "source")
     tgt = domain_lexicon(cfg, "target")
-    source_train = [_make_sentence(rng, src, cfg) for _ in range(cfg.num_source)]
-    source_dev = [_make_sentence(rng, src, cfg) for _ in range(cfg.num_dev)]
+    source_train = [_make_sentence(rng, src) for _ in range(cfg.num_source)]
+    source_dev = [_make_sentence(rng, src) for _ in range(cfg.num_dev)]
     target_unlabeled = [
-        LabeledSentence(_make_sentence(rng, tgt, cfg).sentence, ())
+        LabeledSentence(_make_sentence(rng, tgt).sentence, ())
         for _ in range(cfg.num_target)
     ]
-    target_test = [_make_sentence(rng, tgt, cfg) for _ in range(cfg.num_test)]
+    target_test = [_make_sentence(rng, tgt) for _ in range(cfg.num_test)]
     return SynthCorpus(source_train, source_dev, target_unlabeled, target_test)
 
 

@@ -125,7 +125,7 @@ def roi_represent(tl: Tensor, sizes: Sequence[int],
                       ag.rect_max(tl, windows, sizes)], axis=1)
 
 
-def classify_regions(rois: Tensor, params: dict[str, Tensor], mode: Mode) -> tuple[Tensor, Tensor]:
+def classify_regions(rois: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Softmax class probabilities and log-probabilities for (m, 3d) RoIs."""
     logits = rois @ params["cls_w"] + params["cls_b"]
     shift = Tensor(logits.data.max(axis=1, keepdims=True))

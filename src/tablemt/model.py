@@ -104,7 +104,7 @@ def detect(tl: Tensor, sizes: list[int], params_t: dict[str, Tensor], mode: Mode
     probs = np.empty((0, num_classes(mode)))
     if any(counts):
         rois = roi_represent(tl, sizes, [f.proposals for f in fwds])
-        probs = classify_regions(rois, params_t, mode)[0].data
+        probs = classify_regions(rois, params_t)[0].data
         check_finite_scores(probs)
     ends = accumulate(counts)
     return [(f.proposals, probs[end - m : end]) for f, m, end in zip(fwds, counts, ends)]

@@ -263,7 +263,7 @@ def teacher_pseudo_label_cells(
     order.  A 1x1 region's RoI row is its cell's vector three times (both
     corners and the max over one cell), so no pooling runs."""
     rects = [(i, j, i, j) for i in range(n) for j in range(n)]
-    probs, _ = classify_regions(ag.concat([tl, tl, tl], axis=1), teacher_t, cfg.mode)
+    probs, _ = classify_regions(ag.concat([tl, tl, tl], axis=1), teacher_t)
     return _confident(rects, probs.data, cfg.mode, cfg.eta)
 
 
@@ -380,7 +380,7 @@ def compute_losses(
     rois = probs = logp = None
     if counts.sum():
         rois = roi_represent(tl, sizes, [f.proposals for f in fwds])
-        probs, logp = classify_regions(rois, student_t, cfg.mode)
+        probs, logp = classify_regions(rois, student_t)
 
     l_rpn_t = l_rpc_t = zero
     if src_batch:
@@ -417,25 +417,16 @@ def train_step(
     teacher: dict | None,
     opt: "Adam",
     src_batch: list[LabeledSentence],
-    tgt_batch: list[LabeledSentence] | None,
+    tgt_sentences: list[Sentence] | None,
     cfg: TrainConfig,
-    rng_aug: np.random.Generator | None = None,
-    aug_lexicon: list | None = None,
 ) -> LossBreakdown:
-    """One optimizer step on the student; the teacher is read-only here."""
-    uns_on, mmd_on = _target_flags(cfg)
-    uns_on = uns_on and teacher is not None
-    tgt_sentences = None
+    """One optimizer step on the student from ``src_batch`` and the target
+    sentences, as the target stream drew them; the teacher is read-only
+    here and labels the target sentences when the consistency term is on."""
     tgt_pseudo = None
-    if (uns_on or mmd_on) and tgt_batch:
-        tgt_sentences = [ls.sentence for ls in tgt_batch]
-        if "no_aug" not in cfg.ablations and cfg.aug_rate > 0:
-            tgt_sentences = [augment(s, cfg.aug_rate, aug_lexicon, rng_aug) for s in tgt_sentences]
-        if uns_on:
-            label = (
-                teacher_pseudo_label_cells if cfg.variant == Variant.CTFMT else teacher_pseudo_label
-            )
-            tgt_pseudo = pseudo_labels(teacher, tgt_sentences, cfg, label)
+    if _target_flags(cfg)[0] and teacher is not None and tgt_sentences:
+        label = teacher_pseudo_label_cells if cfg.variant == Variant.CTFMT else teacher_pseudo_label
+        tgt_pseudo = pseudo_labels(teacher, tgt_sentences, cfg, label)
     student_t = as_tensors(student)
     total, breakdown = compute_losses(student_t, src_batch, cfg, tgt_sentences, tgt_pseudo)
     if not np.isfinite(breakdown.total):
@@ -456,11 +447,20 @@ def _batches(records: list, rng: np.random.Generator, size: int):
         yield [records[i] for i in order[lo : lo + size]]
 
 
-def _endless(records: list, rng: np.random.Generator):
-    """Records in random order, reshuffled whenever the pool runs dry."""
+def _target_stream(records: list[LabeledSentence], cfg: TrainConfig):
+    """The target sentences of ``records``, endlessly: in the random order of
+    the ``_STREAM_TGT_BATCH`` stream, reshuffled whenever the pool runs dry,
+    each augmented as it is drawn, from the ``_STREAM_AUGMENT`` stream and
+    the vocabulary of ``records``, unless ``no_aug`` is set or ``aug_rate``
+    is 0."""
+    rng = _stream(cfg.seed, _STREAM_TGT_BATCH)
+    rng_swap = _stream(cfg.seed, _STREAM_AUGMENT)
+    lexicon = vocabulary(records)
+    aug_on = "no_aug" not in cfg.ablations and cfg.aug_rate > 0
     while True:
         for i in rng.permutation(len(records)):
-            yield records[i]
+            s = records[i].sentence
+            yield augment(s, cfg.aug_rate, lexicon, rng_swap) if aug_on else s
 
 
 def _run_epoch(
@@ -471,8 +471,6 @@ def _run_epoch(
     rng: np.random.Generator,
     cfg: TrainConfig,
     target=None,
-    rng_aug: np.random.Generator | None = None,
-    aug_lexicon: list | None = None,
 ) -> tuple[int, np.ndarray]:
     """Train ``params`` for one pass over ``records``.  Each batch is paired
     with as many sentences from the ``target`` stream, if any, and the
@@ -481,8 +479,8 @@ def _run_epoch(
     sums = np.zeros(len(fields(LossBreakdown)))
     steps = 0
     for batch in _batches(records, rng, cfg.batch):
-        tgt_batch = list(islice(target, len(batch))) if target is not None else None
-        bd = train_step(params, teacher, opt, batch, tgt_batch, cfg, rng_aug, aug_lexicon)
+        tgt_sentences = list(islice(target, len(batch))) if target is not None else None
+        bd = train_step(params, teacher, opt, batch, tgt_sentences, cfg)
         if teacher is not None:
             ema_update(teacher, params, cfg.ema_lambda)
         sums += np.array(astuple(bd))
@@ -600,10 +598,7 @@ def fit(
     if self_train:
         _supervised_warmup(student, opt, data.source_train, cfg)
     rng_src = _stream(cfg.seed, _STREAM_SRC_BATCH)
-    rng_tgt = _stream(cfg.seed, _STREAM_TGT_BATCH)
-    target = _endless(data.target_unlabeled, rng_tgt) if uses_target else None
-    rng_aug = _stream(cfg.seed, _STREAM_AUGMENT)
-    aug_lex = vocabulary(data.target_unlabeled) if uses_target else []
+    target = _target_stream(data.target_unlabeled, cfg) if uses_target else None
 
     rows: list[dict] = []
     best = None  # (dev_f1, epoch, student, teacher)
@@ -614,8 +609,7 @@ def fit(
             sentences = [ls.sentence for ls in data.target_unlabeled]
             labeled = zip(sentences, _self_labels(student, sentences, cfg))
             pool += [LabeledSentence(s, trips) for s, trips in labeled if trips]
-        steps, means = _run_epoch(student, teacher, opt, pool, rng_src, cfg,
-                                  target, rng_aug, aug_lex)
+        steps, means = _run_epoch(student, teacher, opt, pool, rng_src, cfg, target)
         step += steps
         dev_f1 = _f1(data.source_dev, student, cfg)
         test_f1 = _f1(data.target_test, student, cfg) if data.target_test else 0.0

@@ -544,6 +544,25 @@ def test_usage_errors_exit_1(tmp_path, corpus_dir):
     assert main(["train"]) == EXIT_USAGE  # missing required flags
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--config"), ("train", "--data"), ("eval", "--checkpoint"), ("eval", "--data"),
+    ("audit", "--checkpoint"), ("audit", "--data"),
+])
+def test_missing_input_is_a_usage_error_naming_it(tmp_path, corpus_dir, trained_dir, capsys,
+                                                  command, flag):
+    out = tmp_path / "out"
+    flags = {"--data": str(corpus_dir), "--out": str(out)} if command == "train" else {
+        "--checkpoint": str(trained_dir / "checkpoint_tfmt_seed1.bin"),
+        "--data": str(corpus_dir / "target_test.txt"), "--out": str(out / "report.csv")}
+    missing = tmp_path / "nope"
+    flags[flag] = str(missing)
+    extra = TINY_TRAIN if command == "train" else []
+    assert main([command, *(x for kv in flags.items() for x in kv), *extra]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and str(missing) in err
+    assert not out.exists()
+
+
 def test_overfit_then_eval_f1_high(tmp_path, corpus_dir):
     """Overfit a model on a 12-sentence corpus (dev = train so selection
     keeps the overfit weights), then score it on its own training file."""

@@ -231,7 +231,7 @@ def test_classify_zero_weights_uniform():
         params["cls_w"] = Tensor(np.zeros((3 * D, c)))
         params["cls_b"] = Tensor(np.zeros(c))
         rois = Tensor(np.random.default_rng(1).normal(size=(1, 3 * D)))
-        probs, _ = classify_regions(rois, params, mode)
+        probs, _ = classify_regions(rois, params)
         assert probs.shape == (1, c)
         assert np.allclose(probs.data, 1.0 / c)
 
@@ -240,13 +240,13 @@ def test_classify_simplex_and_shift_invariance():
     rng = np.random.default_rng(5)
     params = _params()
     rois = Tensor(rng.normal(size=(7, 3 * D)))
-    probs, logp = classify_regions(rois, params, Mode.ASTE)
+    probs, logp = classify_regions(rois, params)
     assert probs.data.shape == (7, 4)
     assert (probs.data >= 0).all()
     assert np.abs(probs.data.sum(axis=1) - 1.0).max() < 1e-6
     shifted = dict(params)
     shifted["cls_b"] = Tensor(params["cls_b"].data + 123.4)
-    probs2, _ = classify_regions(rois, shifted, Mode.ASTE)
+    probs2, _ = classify_regions(rois, shifted)
     assert np.allclose(probs.data, probs2.data)
     assert np.allclose(np.exp(logp.data), probs.data)
 

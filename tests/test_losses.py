@@ -146,8 +146,8 @@ def test_forward_appends_missing_extra_rect_once():
     assert [p.rect() for p in fwd.proposals] == predicted + [missing]
     assert fwd.n_predicted == len(predicted)
     assert fwd.extra_rows == [len(predicted), 0, len(predicted)]
-    probs, _ = classify_regions(roi_represent(tl, [n], [fwd.proposals]), params, Mode.ASTE)
-    base_probs, _ = classify_regions(roi_represent(tl, [n], [base.proposals]), params, Mode.ASTE)
+    probs, _ = classify_regions(roi_represent(tl, [n], [fwd.proposals]), params)
+    base_probs, _ = classify_regions(roi_represent(tl, [n], [base.proposals]), params)
     assert probs.shape[0] == len(predicted) + 1
     assert np.array_equal(probs.data[:-1], base_probs.data)
 

@@ -2,6 +2,7 @@
 ablation/variant reduction identities, and determinism."""
 
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from tablemt.trainer import (
     teacher_pseudo_label_cells,
     train_step,
     _stream,
+    _target_stream,
 )
 
 TINY_ENC = EncoderConfig(d=8, layers=1, vocab_buckets=256, max_n=16)
@@ -291,7 +293,7 @@ def test_pseudo_label_cells_equal_every_cell_pooled_by_roi_represent(mode, cells
     with ag.no_grad():
         labels = teacher_pseudo_label_cells(teacher_t, Tensor(tl), n, cfg)
         rois = roi_represent(Tensor(tl), [n], [rects])
-        want, _ = classify_regions(rois, teacher_t, mode)
+        want, _ = classify_regions(rois, teacher_t)
     assert rois.data.tobytes() == np.concatenate([tl, tl, tl], axis=1).tobytes()
     assert [pl.rect() for pl in labels] == rects
     assert b"".join(pl.probs.tobytes() for pl in labels) == want.data.tobytes()
@@ -313,6 +315,26 @@ def test_non_finite_params_fail_loudly(tiny_data, name):
         pseudo_labels(params, [sent], cfg, teacher_pseudo_label_cells)
 
 
+@pytest.mark.parametrize("changes,augmented", [
+    ({}, True), ({"ablations": frozenset({"no_aug"})}, False), ({"aug_rate": 0.0}, False),
+], ids=["default", "no_aug", "aug_rate0"])
+def test_target_stream_draws_then_augments(tiny_data, changes, augmented):
+    """The stream's sentences are the ``_stream(seed, 4)`` permutations of the
+    pool, one after another, each then augmented in turn from
+    ``_stream(seed, 5)`` and the pool's vocabulary when augmentation is on."""
+    cfg = tiny_cfg(seed=4, **changes)
+    records = tiny_data.target_unlabeled
+    n = 2 * len(records) + 3  # wraps the pool twice
+    order = _stream(cfg.seed, 4)
+    plain = [records[i].sentence for _ in range(3) for i in order.permutation(len(records))][:n]
+    want = plain
+    if augmented:
+        lex, rng = vocabulary(records), _stream(cfg.seed, 5)
+        want = [augment(s, cfg.aug_rate, lex, rng) for s in plain]
+        assert want != plain
+    assert list(islice(_target_stream(records, cfg), n)) == want
+
+
 def test_teacher_params_only_change_via_ema(tiny_data):
     cfg = tiny_cfg(eta=0.05)
     teacher = init_params(cfg.encoder, cfg.mode, _stream(0, 0))
@@ -323,8 +345,9 @@ def test_teacher_params_only_change_via_ema(tiny_data):
     checksums = {k: v.copy() for k, v in teacher.items()}
     for lo in range(0, 4, 2):
         src = tiny_data.source_train[lo : lo + 2]
-        tgt = tiny_data.target_unlabeled[lo : lo + 2]
-        train_step(student, teacher, opt, src, tgt, cfg, rng_aug, lex)
+        tgt = [augment(ls.sentence, cfg.aug_rate, lex, rng_aug)
+               for ls in tiny_data.target_unlabeled[lo : lo + 2]]
+        train_step(student, teacher, opt, src, tgt, cfg)
         for k in teacher:
             assert np.array_equal(teacher[k], checksums[k]), "teacher moved inside a step"
         ema_update(teacher, student, cfg.ema_lambda)
@@ -348,9 +371,9 @@ def test_a_step_encodes_once_per_role(tiny_data, monkeypatch, variant):
     cfg = tiny_cfg(variant=variant, eta=0.05, ablations=frozenset({"no_aug"}))
     teacher = init_params(cfg.encoder, cfg.mode, _stream(0, 0))
     student = init_params(cfg.encoder, cfg.mode, _stream(0, 1))
-    src, tgt = tiny_data.source_train[:2], tiny_data.target_unlabeled[:2]
+    src, tgt = tiny_data.source_train[:2], [ls.sentence for ls in tiny_data.target_unlabeled[:2]]
     train_step(student, teacher, Adam(student, cfg.lr), src, tgt, cfg)
-    tgt_lengths = [ls.sentence.n for ls in tgt]
+    tgt_lengths = [s.n for s in tgt]
     assert packs == [tgt_lengths, [ls.sentence.n for ls in src] + tgt_lengths]
 
 
@@ -360,7 +383,7 @@ def test_train_step_supervised_only_when_all_ablated(tiny_data):
     student = init_params(cfg.encoder, cfg.mode, _stream(0, 1))
     opt = Adam(student, cfg.lr)
     bd = train_step(student, teacher, opt, tiny_data.source_train[:2],
-                    tiny_data.target_unlabeled[:2], cfg, np.random.default_rng(0), ["x"])
+                    [ls.sentence for ls in tiny_data.target_unlabeled[:2]], cfg)
     assert bd.l_uns == 0.0 and bd.l_mmd == 0.0
     assert bd.total == bd.l_sup
 
@@ -372,8 +395,10 @@ def test_empty_pseudo_set_skips_uns(tiny_data):
     student = init_params(cfg.encoder, cfg.mode, _stream(0, 1))
     opt = Adam(student, cfg.lr)
     lex = vocabulary(tiny_data.target_unlabeled)
-    bd = train_step(student, teacher, opt, tiny_data.source_train[:2],
-                    tiny_data.target_unlabeled[:2], cfg, np.random.default_rng(0), lex)
+    rng_aug = np.random.default_rng(0)
+    tgt = [augment(ls.sentence, cfg.aug_rate, lex, rng_aug)
+           for ls in tiny_data.target_unlabeled[:2]]
+    bd = train_step(student, teacher, opt, tiny_data.source_train[:2], tgt, cfg)
     assert bd.l_uns == 0.0
     assert bd.total == pytest.approx(bd.l_sup + cfg.beta * bd.l_mmd, rel=1e-12)
 
@@ -587,7 +612,7 @@ def _cell_probs(tl, params, mode):
     import tablemt.autograd as ag
     from tablemt.detector import classify_regions
 
-    return classify_regions(ag.concat([tl, tl, tl], axis=1), params, mode)
+    return classify_regions(ag.concat([tl, tl, tl], axis=1), params)
 
 
 def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
@@ -753,7 +778,7 @@ def _per_sentence_rows(student, src, tgt, pseudo, cfg):
         with ag.no_grad():
             fwd = forward(*rpn_scores(own, params_t).maps([n])[0], cfg.kappa, extra_rects=extra)
             rois = roi_represent(own, [n], [fwd.proposals])
-            probs, _ = classify_regions(rois, params_t, cfg.mode)
+            probs, _ = classify_regions(rois, params_t)
         if i >= len(src) and fwd.extra_rows:
             uns.append(probs.data[fwd.extra_rows])
         m = fwd.n_predicted

@@ -22,6 +22,8 @@ The grid:
   sentences in the source, dev and target splits, and 24-token (the default
   ``max_n``) sentences in the source and target splits, so a training batch
   packs maps from 1 token up to ``max_n`` wide;
+- tfmt at eta 0.2 on the small corpus with augmentation off, once by the
+  ``no_aug`` ablation and once by ``aug_rate`` 0;
 - predictions at kappa 1.0 of 2-epoch source-only ASTE and AOPE models (fit
   on the seed-7 corpus) on 100 sentences of 16 to 24 target-domain tokens;
 - the teacher labels of the ASTE one of those models, at eta 0.2 and the
@@ -82,6 +84,9 @@ def fit_cases():
         yield f"fit_{variant.value}_synth7", bench, TrainConfig(variant=variant, epochs=2, seed=7)
     yield "fit_tfmt_aste_eta0.2_edge", edge_corpus(small), TrainConfig(
         eta=0.2, epochs=2, seed=3, batch=2, encoder=tiny)
+    for name, off in (("no_aug", {"ablations": {"no_aug"}}), ("aug0", {"aug_rate": 0.0})):
+        yield f"fit_tfmt_aste_eta0.2_{name}", small, TrainConfig(
+            eta=0.2, epochs=2, seed=3, batch=2, encoder=tiny, **off)
 
 
 def edge_corpus(small):
