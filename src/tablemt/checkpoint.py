@@ -39,7 +39,9 @@ def _to_json(value):
 
 def _from_json(cls, tree: dict):
     """Inverse of ``_to_json``, typed by the field annotations; every field
-    must be present (a missing one raises KeyError, never takes its default)."""
+    must be present (a missing one raises KeyError, never takes its default),
+    and an int field takes a JSON int, a float field any JSON number (else
+    TypeError)."""
     hints = typing.get_type_hints(cls)
     values = {}
     for f in fields(cls):
@@ -48,6 +50,8 @@ def _from_json(cls, tree: dict):
             value = _from_json(kind, value)
         elif issubclass(kind, enum.Enum):
             value = kind(value)
+        elif kind in (int, float) and (type(value) is bool or not isinstance(value, (int, kind))):
+            raise TypeError(f"{cls.__name__}.{f.name} must be a JSON {kind.__name__}: {value!r}")
         values[f.name] = value
     return cls(**values)
 
@@ -55,6 +59,11 @@ def _from_json(cls, tree: dict):
 def _check_finite(path, name: str, arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
         raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
+
+
+def _check_epoch(path, epoch, history: list) -> None:
+    if type(epoch) is not int or not 0 <= epoch <= len(history):
+        raise CheckpointError(f"{path}: epoch {epoch!r} is not an int in [0, {len(history)}]")
 
 
 def _manifest(config: TrainConfig) -> list[tuple[str, list[int]]]:
@@ -73,13 +82,14 @@ def _check_manifest(path, found: list[tuple[str, list[int]]], config: TrainConfi
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write ``ckpt``; tensors other than those its config builds, or a
-    non-finite tensor, raise ``CheckpointError`` before anything is written."""
+    """Write ``ckpt``; tensors other than those its config builds, a non-finite
+    tensor or an epoch outside the history raise ``CheckpointError`` before writing."""
     arrays = {f"{group}/{name}": np.ascontiguousarray(params[name], dtype="<f8")
               for group, params in (("student", ckpt.student), ("teacher", ckpt.teacher))
               for name in sorted(params)}
     tensors = [{"name": name, "shape": list(arr.shape)} for name, arr in arrays.items()]
     _check_manifest(path, [(t["name"], t["shape"]) for t in tensors], ckpt.config)
+    _check_epoch(path, ckpt.epoch, ckpt.history)
     for name, arr in arrays.items():
         _check_finite(path, name, arr)
     header = {
@@ -101,8 +111,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Inverse of ``save_checkpoint``; raises ``CheckpointError`` naming
     ``path`` for a file that is not exactly one complete checkpoint, whose
-    header is malformed (not JSON, a missing field, a config value
-    ``TrainConfig`` rejects or the model cannot be built from), whose
+    header is malformed (not JSON, a missing field, a config value of the
+    wrong JSON type or one ``TrainConfig`` rejects or the model cannot be
+    built from, or an epoch outside the history), whose
     ``encoder_kind`` is not this encoder's, whose tensor
     names or shapes differ from those its config builds, or whose tensors
     hold a non-finite value."""
@@ -123,6 +134,7 @@ def load_checkpoint(path) -> Checkpoint:
         config = _from_json(TrainConfig, header["config"])
         found = [(spec["name"], spec["shape"]) for spec in header["tensors"]]
         epoch, history = header["epoch"], header["history"]
+        _check_epoch(path, epoch, history)
         _check_manifest(path, found, config)
     except CheckpointError:
         raise

@@ -5,6 +5,7 @@ sweeps.  Every subcommand is deterministic given its flags and seed."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import enum
 import sys
@@ -17,7 +18,7 @@ from . import trainer
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import SynthConfig, SynthCorpus, load_dataset, synth_corpus, write_corpus
 from .detector import Mode
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, check_lengths
 from .evaluate import ErrorCategory, audit_pseudo_labels, build_report, gold_items
 from .gradcheck import run_gradcheck
 from .trainer import (
@@ -43,6 +44,16 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse's default exit(2) to exit 1
         raise UsageError(message)
+
+
+@contextlib.contextmanager
+def _usage(prefix: str = ""):
+    """A ``ValueError`` raised inside, turning user input into a value, as a
+    ``UsageError`` whose message is ``prefix`` and its own."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(f"{prefix}{exc}") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -88,18 +99,14 @@ def _train_config(args, seed: int) -> TrainConfig:
     top, enc = {}, {}
     for key, raw in given.items():
         name, parse = TRAIN_KEYS[key]
-        try:
+        with _usage(f"bad value for {key}: "):
             value = parse(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad value for {key}: {exc}") from None
         if name.startswith("encoder."):
             enc[name.removeprefix("encoder.")] = value
         else:
             top[name] = value
-    try:
+    with _usage():
         return TrainConfig(seed=seed, encoder=EncoderConfig(**enc), **top)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _load_bundle(data_dir: str) -> SynthCorpus:
@@ -127,10 +134,8 @@ def _guard_overwrite(path: Path, force: bool) -> None:
 
 def _values(text: str | None, parse, flag: str) -> list:
     """The comma-separated values of ``flag``, none of them repeated."""
-    try:
+    with _usage(f"bad {flag}: "):
         values = [parse(x) for x in (text or "").split(",") if x]
-    except ValueError as exc:
-        raise UsageError(f"bad {flag}: {exc}") from None
     if len(set(values)) < len(values):
         raise UsageError(f"{flag} repeats a value: {text}")
     return values
@@ -155,23 +160,20 @@ def _seed_files(out: Path, tag: str, seed: int) -> tuple[Path, Path]:
     return out / f"metrics_{tag}_seed{seed}.csv", out / f"checkpoint_{tag}_seed{seed}.bin"
 
 
-def _replace(cfg: TrainConfig, **changes) -> TrainConfig:
-    try:
-        return replace(cfg, **changes)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _check_runs(out: Path, table: str, runs: list[tuple[TrainConfig, str]], seeds: list[int],
-                force: bool, write_ckpt: bool) -> None:
-    """Build every seed's config of every ``(cfg, tag)`` run and refuse to
-    overwrite any file the command writes, all before the first fit."""
+def _prepare_runs(data: SynthCorpus, out: Path, table: str, runs: list[tuple[TrainConfig, str]],
+                  seeds: list[int], force: bool, write_ckpt: bool) -> None:
+    """Build every seed's config of every ``(cfg, tag)`` run, refuse every
+    overwrite and check ``data`` for every run, then create ``out``."""
     for cfg, tag in runs:
         for seed in seeds:
-            _replace(cfg, seed=seed)
+            with _usage():
+                replace(cfg, seed=seed)
             for path in _seed_files(out, tag, seed)[: 1 + write_ckpt]:
                 _guard_overwrite(path, force)
     _guard_overwrite(out / table, force)
+    for cfg, _ in runs:
+        trainer.check_corpus(data, cfg)
+    out.mkdir(parents=True, exist_ok=True)
 
 
 def _run_seeds(data: SynthCorpus, cfg: TrainConfig, seeds: list[int], out: Path, tag: str,
@@ -188,11 +190,9 @@ def _run_seeds(data: SynthCorpus, cfg: TrainConfig, seeds: list[int], out: Path,
         _write_csv(mpath, HISTORY_COLUMNS, [[_fmt(r[k]) for k in HISTORY_COLUMNS] for r in rows])
         if write_ckpt:
             save_checkpoint(cpath, ckpt)
-        finals.append({
-            "seed": seed, "best_epoch": ckpt.epoch,
-            "best_dev_f1": max((r["dev_f1"] for r in rows), default=0.0),
-            "test_f1": rows[ckpt.epoch - 1]["test_f1"] if rows and ckpt.epoch >= 1 else 0.0,
-        })
+        best = rows[ckpt.epoch - 1] if ckpt.epoch else {"dev_f1": 0.0, "test_f1": 0.0}
+        finals.append({"seed": seed, "best_epoch": ckpt.epoch,
+                       "best_dev_f1": best["dev_f1"], "test_f1": best["test_f1"]})
     dev = np.array([f["best_dev_f1"] for f in finals])
     test = np.array([f["test_f1"] for f in finals])
     return finals, [float(dev.mean()), float(dev.std()), float(test.mean()), float(test.std())]
@@ -220,10 +220,8 @@ SYNTH_LEXICON_DEFAULTS = {"num_aspects": 10, "num_opinions": 8}
 
 
 def cmd_synth(args) -> int:
-    try:
+    with _usage():
         cfg = SynthConfig(**{f.name: getattr(args, f.name) for f in fields(SynthConfig)})
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     for f in fields(SynthCorpus):
         _guard_overwrite(Path(args.out) / f"{f.name}.txt", args.force)
     corpus = synth_corpus(cfg)
@@ -239,9 +237,7 @@ def cmd_train(args) -> int:
     cfg = _train_config(args, seeds[0])
     variant = cfg.variant.value
     out = Path(args.out)
-    _check_runs(out, "summary.csv", [(cfg, variant)], seeds, args.force, write_ckpt=True)
-    trainer.check_corpus(data, cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    _prepare_runs(data, out, "summary.csv", [(cfg, variant)], seeds, args.force, write_ckpt=True)
     finals, stats = _run_seeds(data, cfg, seeds, out, variant)
     _write_csv(out / "summary.csv", ["variant", "seeds", *SUMMARY_STATS],
                [[variant, ";".join(str(s) for s in seeds), *map(_fmt, stats)]])
@@ -261,7 +257,7 @@ def cmd_eval(args) -> int:
     records = load_dataset(args.data)
     if not records:
         raise UsageError(f"empty test file: {args.data}")
-    trainer.check_lengths(records, args.data, ckpt.config.encoder.max_n)
+    check_lengths([ls.sentence for ls in records], ckpt.config.encoder.max_n, args.data)
     preds = _predict_items(records, ckpt.student, ckpt.config)
     golds = [gold_items(ls, ckpt.config.mode) for ls in records]
     report = build_report(preds, golds)
@@ -274,19 +270,17 @@ def cmd_eval(args) -> int:
 
 def cmd_audit(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    try:
+    with _usage("bad --eta: "):
         cfg = ckpt.config if args.eta is None else replace(ckpt.config, eta=args.eta)
-    except ValueError as exc:
-        raise UsageError(f"bad --eta: {exc}") from None
     if cfg.mode != Mode.ASTE:
         raise UsageError("audit requires an ASTE checkpoint (taxonomy includes polarity)")
     records = load_dataset(args.data)
     if not any(ls.triplets for ls in records):
         raise UsageError(f"audit needs labeled target data: {args.data}")
-    trainer.check_lengths(records, args.data, cfg.encoder.max_n)
+    sentences = [ls.sentence for ls in records]
+    check_lengths(sentences, cfg.encoder.max_n, args.data)
     counts = {cat: 0 for cat in ErrorCategory}
     total_retained = 0
-    sentences = [ls.sentence for ls in records]
     for ls, pls in zip(records, pseudo_labels(ckpt.teacher, sentences, cfg, teacher_pseudo_label)):
         # every retained label counts, under its most confident foreground
         # polarity, even where the overall argmax says INVALID
@@ -306,10 +300,8 @@ def cmd_audit(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     given = {k: getattr(args, k) for k in ("d", "seed", "eps", "tol")}
-    try:
+    with _usage():  # a vacuous point, or eps or tol not finite and > 0
         result = run_gradcheck(**{k: v for k, v in given.items() if v is not None})
-    except ValueError as exc:  # a vacuous point, or eps or tol not finite and > 0
-        raise UsageError(str(exc)) from None
     for name in sorted(result.per_group):
         print(f"  {name:12s} rel err {result.per_group[name]:.3e}")
     print(f"max relative error: {result.max_rel_err:.3e} (tolerance {result.tol:.0e})")
@@ -334,13 +326,11 @@ def cmd_ablate(args) -> int:
     rows += [(f"beta={b}", {"beta": b}, f"beta{b}")
              for b in _values(args.beta_grid, float, "--beta-grid")]
     base = _train_config(args, seeds[0])
-    configs = [_replace(base, **overrides) for _, overrides, _ in rows]
+    with _usage():
+        configs = [replace(base, **overrides) for _, overrides, _ in rows]
     out = Path(args.out)
-    _check_runs(out, "ablation.csv", [(cfg, tag) for (_, _, tag), cfg in zip(rows, configs)],
-                seeds, args.force, write_ckpt=False)
-    for cfg in configs:
-        trainer.check_corpus(data, cfg)
-    out.mkdir(parents=True, exist_ok=True)
+    runs = [(cfg, tag) for (_, _, tag), cfg in zip(rows, configs)]
+    _prepare_runs(data, out, "ablation.csv", runs, seeds, args.force, write_ckpt=False)
     # The rows override only alpha, beta and ablations, which the source-only
     # teacher pretraining never reads, so each seed's rows share one teacher.
     # trainer.pretrain_teacher is looked up at call time, where tracing and

@@ -134,8 +134,6 @@ def parse_aste_line(line: str) -> LabeledSentence:
         a_idx, o_idx, pol = entry
         aspect = _indices_to_span(a_idx, line)
         opinion = _indices_to_span(o_idx, line)
-        if aspect.end >= sentence.n or opinion.end >= sentence.n:
-            raise ParseError(f"index out of range for {sentence.n} tokens", line)
         try:
             polarity = Polarity(pol)
         except ValueError:

@@ -139,13 +139,19 @@ def decode_triplets(
     proposals: list[RegionProposal], probs: np.ndarray, mode: Mode
 ) -> list[Triplet] | list[tuple[Span, Span]]:
     """Argmax class per proposal; rectangles classified INVALID are dropped
-    on the argmax array, before any tuple is built.  ASTE returns triplets,
-    AOPE returns (aspect, opinion) span pairs."""
+    on the argmax array, before any tuple is built.  Returns the
+    ``mode_items`` of the decoded triplets."""
     assert len(proposals) == probs.shape[0]
     picks = probs.argmax(axis=1)
     kept = np.flatnonzero(picks != invalid_class(mode))
     triplets = decode_regions([proposals[i] + (k,)
                                for i, k in zip(kept.tolist(), picks[kept].tolist())])
+    return mode_items(triplets, mode)
+
+
+def mode_items(triplets: Sequence[Triplet], mode: Mode) -> list[Triplet] | list[tuple[Span, Span]]:
+    """The items ``mode`` predicts and scores: the triplets for ASTE, their
+    (aspect, opinion) pairs, deduplicated in order, for AOPE."""
     if mode == Mode.ASTE:
-        return triplets
-    return [(t.aspect, t.opinion) for t in triplets]
+        return list(triplets)
+    return list(dict.fromkeys((t.aspect, t.opinion) for t in triplets))

@@ -108,12 +108,14 @@ def token_buckets(sentence: Sentence, cfg: EncoderConfig) -> np.ndarray:
     return np.array([fnv1a64(t) % cfg.vocab_buckets for t in sentence.tokens], dtype=np.int64)
 
 
-def _sizes(sentences: Sequence[Sentence], cfg: EncoderConfig) -> tuple[int, ...]:
-    """Each sentence's length; raises ``ValueError`` for one over ``cfg.max_n``."""
+def check_lengths(sentences: Sequence[Sentence], max_n: int, name: str = "input"
+                  ) -> tuple[int, ...]:
+    """Each sentence's length; ``ValueError`` names ``name``, the index and
+    the length of the first sentence longer than ``max_n``."""
     sizes = tuple(s.n for s in sentences)
-    for n in sizes:
-        if n > cfg.max_n:
-            raise ValueError(f"sentence length {n} exceeds max_n={cfg.max_n}")
+    for i, n in enumerate(sizes):
+        if n > max_n:
+            raise ValueError(f"{name} record {i}: sentence length {n} exceeds max_n={max_n}")
     return sizes
 
 
@@ -124,7 +126,7 @@ def chunks(sentences: Sequence[Sentence], cfg: EncoderConfig) -> list[list[Sente
     sentence anywhere raises ``ValueError`` before any work."""
     out: list[list[Sentence]] = []
     total = 0
-    for s, n in zip(sentences, _sizes(sentences, cfg)):
+    for s, n in zip(sentences, check_lengths(sentences, cfg.max_n)):
         if not out or total + n > _CHUNK_TOKENS:
             out.append([])
             total = 0
@@ -151,7 +153,7 @@ def _window_mean_matrix(sizes: tuple[int, ...], window: int) -> np.ndarray:
 
 def embed(sentences: Sequence[Sentence], params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
     """Token representations H of every sentence, stacked: shape (Σn, d)."""
-    sizes = _sizes(sentences, cfg)
+    sizes = check_lengths(sentences, cfg.max_n)
     idx = np.concatenate([token_buckets(s, cfg) for s in sentences])
     emb = params["emb"][idx]  # (Σn, d)
     u = emb + params["pos"][np.concatenate([np.arange(n) for n in sizes])]
@@ -190,5 +192,5 @@ def encode(sentences: Sequence[Sentence], params: dict[str, Tensor],
     tables -> layer-L tables.  Returns the (Σn², d) map, each sentence's n²
     row-major cells back to back; an over-length sentence raises
     ``ValueError`` before any work."""
-    sizes = _sizes(sentences, cfg)
+    sizes = check_lengths(sentences, cfg.max_n)
     return conv_stack(build_table(embed(sentences, params, cfg), sizes, params), sizes, params, cfg)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 from .corpus import LabeledSentence, Triplet
-from .detector import Mode
+from .detector import Mode, mode_items
 
 
 def _set_pairs(preds: Sequence, golds: Sequence) -> list[tuple[set, set]]:
@@ -75,14 +75,8 @@ def audit_pseudo_labels(
 
 
 def gold_items(ls: LabeledSentence, mode: Mode):
-    """Comparable gold item set: triplets for ASTE, deduplicated
-    (aspect, opinion) pairs for AOPE."""
-    if mode == Mode.ASTE:
-        return list(ls.triplets)
-    seen = {}
-    for t in ls.triplets:
-        seen.setdefault((t.aspect, t.opinion), (t.aspect, t.opinion))
-    return list(seen.values())
+    """The gold items of ``ls`` that predictions of ``mode`` compare to."""
+    return mode_items(ls.triplets, mode)
 
 
 @dataclass

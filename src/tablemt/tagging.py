@@ -31,11 +31,7 @@ class RegionClass(enum.IntEnum):
     INVALID = 3
 
 
-_POLARITY_TO_CLASS = {
-    Polarity.POS: RegionClass.POS,
-    Polarity.NEU: RegionClass.NEU,
-    Polarity.NEG: RegionClass.NEG,
-}
+_POLARITY_TO_CLASS = {p: RegionClass[p.name] for p in Polarity}
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from .losses import (
     match_gold,
     total_loss,
 )
-from .encoder import EncoderConfig, chunks, encode
+from .encoder import EncoderConfig, check_lengths, chunks, encode
 from .model import (SentenceForward, as_tensors, check_finite_scores, clone_params, detect,
                     forward, init_params, predict_batch)
 from .tagging import CELL_A, CELL_O, cells_by_type, decode_regions, encode_region_labels
@@ -555,16 +555,7 @@ def check_corpus(data: SynthCorpus, cfg: TrainConfig) -> None:
     if uses_target or cfg.variant == Variant.SELF_TRAIN:
         splits.append("target_unlabeled")
     for split in splits:
-        check_lengths(getattr(data, split), split, cfg.encoder.max_n)
-
-
-def check_lengths(records: list[LabeledSentence], name: str, max_n: int) -> None:
-    """Raise ``ValueError`` naming ``name``, the record's index in it and its
-    length at the first sentence of ``records`` longer than ``max_n``."""
-    for i, ls in enumerate(records):
-        if ls.sentence.n > max_n:
-            raise ValueError(f"{name} record {i}: sentence length {ls.sentence.n} "
-                             f"exceeds max_n={max_n}")
+        check_lengths([ls.sentence for ls in getattr(data, split)], cfg.encoder.max_n, split)
 
 
 def fit(
@@ -601,7 +592,7 @@ def fit(
     target = _target_stream(data.target_unlabeled, cfg) if uses_target else None
 
     rows: list[dict] = []
-    best = None  # (dev_f1, epoch, student, teacher)
+    best = (-np.inf, 0, *_snapshot(student, teacher))  # (dev_f1, epoch, student, teacher)
     step = 0
     for epoch in range(1, cfg.epochs + 1):
         pool = list(data.source_train)
@@ -614,9 +605,7 @@ def fit(
         dev_f1 = _f1(data.source_dev, student, cfg)
         test_f1 = _f1(data.target_test, student, cfg) if data.target_test else 0.0
         rows.append(dict(zip(HISTORY_COLUMNS, (epoch, step, *means, dev_f1, test_f1))))
-        if best is None or dev_f1 > best[0]:
+        if dev_f1 > best[0]:
             best = (dev_f1, epoch, *_snapshot(student, teacher))
-    if best is None:  # epochs == 0
-        best = (0.0, 0, *_snapshot(student, teacher))
     ckpt = Checkpoint(config=cfg, student=best[2], teacher=best[3], epoch=best[1], history=rows)
     return ckpt, rows

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,6 +213,25 @@ def test_saving_non_finite_params_raises(tmp_path, bad):
     assert not path.exists()
 
 
+def test_a_json_int_loads_into_a_float_field(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, _checkpoint())
+    header, _ = _split(path)
+    header["config"]["alpha"] = 1
+    _rewrite_header(path, header)
+    assert load_checkpoint(path).config == replace(_checkpoint().config, alpha=1.0)
+
+
+@pytest.mark.parametrize("epoch", [-1, 2, 1.5, True])
+def test_saving_an_epoch_outside_the_history_raises(tmp_path, epoch):
+    ckpt = _checkpoint()
+    ckpt.epoch = epoch
+    path = tmp_path / "model.bin"
+    with pytest.raises(CheckpointError, match=f"epoch {epoch!r} is not an int in \\[0, 1\\]"):
+        save_checkpoint(path, ckpt)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("defect, name", [
     ("extra", "teacher/extra"),
     ("missing", "student/cls_b"),
@@ -236,9 +256,25 @@ def test_saving_tensors_the_config_does_not_build_raises(tmp_path, defect, name)
     assert not path.exists()
 
 
+# Header values of another JSON type than their field's, and epochs that do
+# not select a row of the one-row history (or none, at 0).
+MISTYPED = {
+    "encoder_window_float": lambda h: h["config"]["encoder"].update(window=1.5),
+    "encoder_window_bool": lambda h: h["config"]["encoder"].update(window=True),
+    "batch_float": lambda h: h["config"].update(batch=2.5),
+    "epochs_float": lambda h: h["config"].update(epochs=1.5),
+    "seed_integral_float": lambda h: h["config"].update(seed=1.0),
+    "alpha_bool": lambda h: h["config"].update(alpha=True),
+    "epoch_float": lambda h: h.update(epoch=1.5),
+    "epoch_string": lambda h: h.update(epoch="1"),
+    "epoch_past_history": lambda h: h.update(epoch=99),
+    "epoch_negative": lambda h: h.update(epoch=-1),
+}
+
+
 @pytest.mark.parametrize("defect", [
     "not_json", "not_an_object", "encoder_d_3", "encoder_d_float", "bogus_mode",
-    "no_version", "no_tensors", "no_epoch", "no_history",
+    "no_version", "no_tensors", "no_epoch", "no_history", *MISTYPED,
 ])
 def test_malformed_header_fails_to_load(tmp_path, capsys, defect):
     from tablemt.cli import EXIT_RUNTIME, main
@@ -254,6 +290,8 @@ def test_malformed_header_fails_to_load(tmp_path, capsys, defect):
         header["config"]["encoder"]["d"] = 8.0
     elif defect == "bogus_mode":
         header["config"]["mode"] = "bogus"
+    elif defect in MISTYPED:
+        MISTYPED[defect](header)
     payload = {"not_json": b"{not json", "not_an_object": b"[1]"}.get(
         defect, json.dumps(header).encode("utf-8"))
     path.write_bytes(MAGIC + struct.pack("<Q", len(payload)) + payload + tensors)

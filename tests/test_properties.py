@@ -122,7 +122,7 @@ def checkpoints(draw):
     flat = student[name].reshape(-1)
     flat[: 4] = draw(st.lists(FINITE, min_size=min(4, flat.size), max_size=min(4, flat.size)))
     history = [{"epoch": i + 1, "loss": draw(FINITE)} for i in range(draw(st.integers(0, 2)))]
-    return Checkpoint(cfg, student, teacher, draw(st.integers(0, 9)), history)
+    return Checkpoint(cfg, student, teacher, draw(st.integers(0, len(history))), history)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

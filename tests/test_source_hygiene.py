@@ -1,5 +1,6 @@
 """Source checks that need no import: every parameter of a module-level
-function or method in ``src/tablemt`` is read by its body."""
+function or method in ``src/tablemt`` is read by its body, and ``cli`` maps
+a ``ValueError`` to a usage error in one place."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,17 @@ def test_every_parameter_is_read():
               for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")))
               if (params := _unread(fn))]
     assert not unread, "parameters no body reads:\n" + "\n".join(unread)
+
+
+def test_cli_catches_value_error_only_in_usage():
+    """Every ``except`` in ``cli.py`` that catches ``ValueError`` by name, or
+    bare, is the one inside ``_usage``."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    inside = {node for name, fn in _functions(tree) if name == "_usage" for node in ast.walk(fn)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node not in inside:
+            caught = ast.walk(node.type) if node.type else [ast.Name("ValueError")]
+            if any(isinstance(n, ast.Name) and n.id == "ValueError" for n in caught):
+                found.append(node.lineno)
+    assert not found, f"cli.py lines catching ValueError outside _usage: {sorted(found)}"

@@ -410,6 +410,26 @@ def test_pretrain_epochs_zero_is_random_init(tiny_data):
     assert all(np.array_equal(params[k], fresh[k]) for k in params)
 
 
+@pytest.mark.parametrize("variant", [Variant.SOURCE_ONLY, Variant.TFMT])
+def test_fit_of_zero_epochs_keeps_the_initial_student(tiny_data, variant):
+    cfg = tiny_cfg(epochs=0, variant=variant)
+    ckpt, rows = fit(tiny_data, cfg)
+    assert (ckpt.epoch, ckpt.history, rows) == (0, [], [])
+    fresh = init_params(cfg.encoder, cfg.mode, _stream(cfg.seed, 1))
+    assert all(np.array_equal(ckpt.student[k], fresh[k]) for k in fresh)
+    # source-only has no teacher, so its checkpoint holds the student twice,
+    # as a separate copy; the tfmt teacher is the 0-epoch pretrained one
+    same = [np.array_equal(ckpt.teacher[k], ckpt.student[k]) for k in fresh]
+    assert all(same) == (variant == Variant.SOURCE_ONLY)
+    assert not any(np.shares_memory(ckpt.teacher[k], ckpt.student[k]) for k in fresh)
+
+
+def test_tied_dev_f1_selects_the_first_epoch(tiny_data):
+    ckpt, rows = fit(tiny_data, tiny_cfg(epochs=3, lr=1e-9, variant=Variant.SOURCE_ONLY))
+    assert [r["dev_f1"] for r in rows] == [0.0, 0.0, 0.0]
+    assert ckpt.epoch == 1
+
+
 def test_pretrain_deterministic(tiny_data):
     cfg = tiny_cfg(epochs=1)
     a = pretrain_teacher(tiny_data.source_train, cfg)

@@ -24,6 +24,8 @@ The grid:
   packs maps from 1 token up to ``max_n`` wide;
 - tfmt at eta 0.2 on the small corpus with augmentation off, once by the
   ``no_aug`` ablation and once by ``aug_rate`` 0;
+- tfmt and source-only fits of 0 epochs in ASTE on the small corpus, whose
+  checkpoints hold the initial student and teacher;
 - predictions at kappa 1.0 of 2-epoch source-only ASTE and AOPE models (fit
   on the seed-7 corpus) on 100 sentences of 16 to 24 target-domain tokens;
 - the teacher labels of the ASTE one of those models, at eta 0.2 and the
@@ -87,6 +89,9 @@ def fit_cases():
     for name, off in (("no_aug", {"ablations": {"no_aug"}}), ("aug0", {"aug_rate": 0.0})):
         yield f"fit_tfmt_aste_eta0.2_{name}", small, TrainConfig(
             eta=0.2, epochs=2, seed=3, batch=2, encoder=tiny, **off)
+    for variant in (Variant.TFMT, Variant.SOURCE_ONLY):
+        yield f"fit_{variant.value}_aste_epochs0", small, TrainConfig(
+            variant=variant, epochs=0, seed=3, batch=2, encoder=tiny)
 
 
 def edge_corpus(small):
