@@ -43,12 +43,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "_owns_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, parents: tuple["Tensor", ...] = (), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self._owns_grad = False
         # The one recording rule: inside no_grad every result is a leaf.
         self._parents = parents if _GRAD_ENABLED else ()
         self._backward: Callable[[np.ndarray], None] | None = backward if _GRAD_ENABLED else None
@@ -65,15 +64,12 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         # A gradient may be shared: ``a + b`` hands one array to both parents
         # and the shape ops hand a view of the child's.  So the first
-        # contribution is stored as it is, the second makes a new array, and
-        # only that array, which this node owns, is added into in place.
+        # contribution is stored as it is and each later one makes a new sum,
+        # never writing into an array another node may hold.
         if self.grad is None:
             self.grad = grad
-        elif self._owns_grad:
-            self.grad += grad
         else:
             self.grad = self.grad + grad
-            self._owns_grad = True
 
     def backward(self) -> None:
         """Backpropagate from this (typically scalar) tensor to all leaves."""
@@ -99,7 +95,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
-                node._owns_grad = False  # its parents may now hold its grad
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Tensor(shape={self.data.shape})"
@@ -224,10 +219,7 @@ def _scatter_add(idx, g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         slots = cells.reshape(-1, 1) * inner + np.arange(inner)
         return np.bincount(slots.ravel(), g.ravel(), math.prod(shape)).reshape(shape)
     buf = np.zeros(shape)
-    if any(isinstance(k, (np.ndarray, list)) for k in keys):
-        np.add.at(buf, idx, g)  # a boolean mask, a list, arrays mixed with slices
-    else:
-        buf[idx] += g  # slices and ints pick each element at most once
+    np.add.at(buf, idx, g)  # a mask, a list, a slice, an int or a mix of them
     return buf
 
 
@@ -294,14 +286,6 @@ def packing(sizes: tuple[int, ...]) -> Packing:
     return tables
 
 
-@functools.lru_cache(maxsize=None)
-def _floor_log2(n: int) -> np.ndarray:
-    """Read-only lookup: entry h is floor(log2(h)), for 1 <= h <= n."""
-    table = np.array([0] + [h.bit_length() - 1 for h in range(1, n + 1)])
-    table.flags.writeable = False
-    return table
-
-
 def _window_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                 d: np.ndarray) -> np.ndarray:
     """Row r is ``x[a[r]:c[r]+1, b[r]:d[r]+1].max(axis=(0, 1))`` for an
@@ -315,7 +299,7 @@ def _window_max(x: np.ndarray, a: np.ndarray, b: np.ndarray, c: np.ndarray,
     """
     n, w, k = x.shape
     h = c - a + 1
-    level = _floor_log2(n)[h]
+    level = np.frexp(h)[1] - 1  # floor(log2 h), exact for integers
     table = np.empty((int(level.max()) + 1, n, w * k))
     table[0] = x.reshape(n, w * k)
     for i in range(1, len(table)):

@@ -101,15 +101,9 @@ class PseudoLabel:
     """A teacher-retained region with its class probabilities; confidence is
     the maximum foreground-class probability."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    rect: tuple[int, int, int, int]
     probs: np.ndarray = field(compare=False)
     confidence: float = 0.0
-
-    def rect(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
 
 @dataclass
@@ -196,6 +190,8 @@ class Adam:
         m += (1.0 - self.BETA1) * g
         v *= self.BETA2
         v += (1.0 - self.BETA2) * g * g
+        if np.isinf(v).any():  # from here m / sqrt(inf) would update by 0
+            raise TrainingDivergence("Adam second moment overflowed to inf")
         return self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.EPS)
 
     def _flat(self, keys: list) -> tuple:
@@ -241,7 +237,7 @@ def _confident(rects: list, probs: np.ndarray, mode: Mode, eta: float) -> list[P
     check_finite_scores(probs)
     conf = probs[:, list(foreground_classes(mode))].max(axis=1)
     return [
-        PseudoLabel(*rect, probs[i].copy(), float(conf[i]))
+        PseudoLabel(tuple(rect), probs[i].copy(), float(conf[i]))
         for i, rect in enumerate(rects)
         if conf[i] >= eta
     ]
@@ -375,7 +371,7 @@ def compute_losses(
         ye.append(boundaries.e.ravel())
     for si, (pb, pe) in enumerate(maps[n_src:]):
         pseudo = tgt_pseudo[si] if uns_on else []
-        fwds.append(forward(pb, pe, cfg.kappa, extra_rects=[p.rect() for p in pseudo]))
+        fwds.append(forward(pb, pe, cfg.kappa, extra_rects=[p.rect for p in pseudo]))
     counts = np.array([len(f.proposals) for f in fwds])
     rois = probs = logp = None
     if counts.sum():
@@ -520,7 +516,7 @@ def pseudo_triplet(pl: PseudoLabel, mode: Mode) -> Triplet:
     its most probable foreground class (AOPE carries a placeholder POS)."""
     fg = foreground_classes(mode)
     cls = fg[int(np.argmax(pl.probs[list(fg)]))]
-    (triplet,) = decode_regions([pl.rect() + (cls,)])
+    (triplet,) = decode_regions([pl.rect + (cls,)])
     return triplet
 
 

@@ -523,7 +523,7 @@ def test_audit_counts_invalid_argmax_under_best_foreground(tmp_path, trained_dir
 
     data = tmp_path / "one.txt"
     data.write_text("the tnoun1 was tadj1####[([1], [3], 'NEU')]\n")
-    label = PseudoLabel(1, 3, 1, 3, np.array([0.1, 0.35, 0.05, 0.5]), 0.35)
+    label = PseudoLabel((1, 3, 1, 3), np.array([0.1, 0.35, 0.05, 0.5]), 0.35)
     monkeypatch.setattr(cli, "teacher_pseudo_label", lambda *a, **k: [label])
     out_csv = tmp_path / "audit.csv"
     assert main(["audit", "--checkpoint", str(trained_dir / "checkpoint_tfmt_seed1.bin"),
@@ -542,6 +542,16 @@ def test_usage_errors_exit_1(tmp_path, corpus_dir):
     assert not (tmp_path / "lr").exists()
     assert main(["bogus-command"]) == EXIT_USAGE
     assert main(["train"]) == EXIT_USAGE  # missing required flags
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--beta"])
+def test_a_diverging_train_exits_2_and_writes_no_seed_files(tmp_path, corpus_dir, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["train", "--data", str(corpus_dir), "--out", str(out), "--seed", "1",
+                 flag, "1e300"] + TINY_TRAIN) == EXIT_RUNTIME == 2
+    assert capsys.readouterr().err.startswith("error: TrainingDivergence:")
+    for path in cli._seed_files(out, "tfmt", 1):
+        assert not path.exists()
 
 
 @pytest.mark.parametrize("command,flag", [

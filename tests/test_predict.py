@@ -104,7 +104,7 @@ def test_an_over_length_sentence_anywhere_fails_before_any_encode(sentences, mon
 
 
 def _label_bytes(per_sentence) -> list:
-    return [[(pl.rect(), pl.confidence, pl.probs.tobytes()) for pl in labels]
+    return [[(pl.rect, pl.confidence, pl.probs.tobytes()) for pl in labels]
             for labels in per_sentence]
 
 

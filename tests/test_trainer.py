@@ -22,6 +22,7 @@ from tablemt.model import NonFiniteScoreError, clone_params, init_params, predic
 from tablemt.trainer import (
     Adam,
     TrainConfig,
+    TrainingDivergence,
     Variant,
     augment,
     check_corpus,
@@ -265,7 +266,7 @@ def test_pseudo_label_cells_rects_are_cells(tiny_data):
     sent = tiny_data.target_unlabeled[0].sentence
     (labels,) = pseudo_labels(params, [sent], cfg, teacher_pseudo_label_cells)
     for pl in labels:
-        assert pl.a == pl.c and pl.b == pl.d
+        assert pl.rect[0] == pl.rect[2] and pl.rect[1] == pl.rect[3]
 
 
 @pytest.mark.parametrize("mode", [Mode.ASTE, Mode.AOPE], ids=["aste", "aope"])
@@ -295,7 +296,7 @@ def test_pseudo_label_cells_equal_every_cell_pooled_by_roi_represent(mode, cells
         rois = roi_represent(Tensor(tl), [n], [rects])
         want, _ = classify_regions(rois, teacher_t)
     assert rois.data.tobytes() == np.concatenate([tl, tl, tl], axis=1).tobytes()
-    assert [pl.rect() for pl in labels] == rects
+    assert [pl.rect for pl in labels] == rects
     assert b"".join(pl.probs.tobytes() for pl in labels) == want.data.tobytes()
     conf = want.data[:, list(foreground_classes(mode))].max(axis=1)
     assert [pl.confidence for pl in labels] == conf.tolist()
@@ -313,6 +314,15 @@ def test_non_finite_params_fail_loudly(tiny_data, name):
         pseudo_labels(params, [sent], cfg, teacher_pseudo_label)
     with pytest.raises(NonFiniteScoreError):
         pseudo_labels(params, [sent], cfg, teacher_pseudo_label_cells)
+
+
+@pytest.mark.parametrize("changes,match", [
+    ({"lr": 1e300}, "non-finite loss"),
+    ({"beta": 1e300}, "second moment"),  # v overflows while the loss stays finite
+], ids=["lr", "beta"])
+def test_a_diverging_fit_raises(tiny_data, changes, match):
+    with pytest.raises(TrainingDivergence, match=match):
+        fit(tiny_data, tiny_cfg(eta=0.2, **changes))
 
 
 @pytest.mark.parametrize("changes,augmented", [
@@ -487,8 +497,8 @@ def test_self_training_drops_invalid_argmax_labels(tiny_data, monkeypatch):
     from tablemt.corpus import Polarity, Span, Triplet
     from tablemt.trainer import PseudoLabel, pseudo_triplet
 
-    invalid = PseudoLabel(0, 1, 0, 1, np.array([0.1, 0.35, 0.05, 0.5]), 0.35)
-    valid = PseudoLabel(0, 2, 1, 2, np.array([0.05, 0.1, 0.6, 0.25]), 0.6)
+    invalid = PseudoLabel((0, 1, 0, 1), np.array([0.1, 0.35, 0.05, 0.5]), 0.35)
+    valid = PseudoLabel((0, 2, 1, 2), np.array([0.05, 0.1, 0.6, 0.25]), 0.6)
     assert pseudo_triplet(invalid, Mode.ASTE) == Triplet(Span(0, 0), Span(1, 1), Polarity.NEU)
     monkeypatch.setattr(trainer, "pseudo_labels", lambda *a, **k: [[invalid, valid]])
     kept = trainer._self_labels({}, [tiny_data.target_unlabeled[0].sentence], tiny_cfg(eta=0.3))
@@ -656,7 +666,7 @@ def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
         with ag.no_grad():
             dense, _ = _cell_probs(encode([sent], teacher_t, cfg.encoder), teacher_t, cfg.mode)
         for pl in labels:
-            assert np.array_equal(pl.probs, dense.data[pl.a * sent.n + pl.b])
+            assert np.array_equal(pl.probs, dense.data[pl.rect[0] * sent.n + pl.rect[1]])
         assert len(labels) == int((dense.data[:, list(foreground_classes(cfg.mode))]
                                    .max(axis=1) >= cfg.eta).sum())
 
@@ -668,7 +678,7 @@ def test_ctfmt_consistency_equals_cell_probs_rows(tiny_data):
     rows = []
     for sent, labels in zip(tgt, pseudo):
         probs, _ = _cell_probs(encode([sent], old_t, cfg.encoder), old_t, cfg.mode)
-        rows.append(probs[np.array([p.a * sent.n + p.b for p in labels])])
+        rows.append(probs[np.array([p.rect[0] * sent.n + p.rect[1] for p in labels])])
     teacher_rows = np.concatenate([np.stack([p.probs for p in labels]) for labels in pseudo])
     old = loss_uns(ag.concat(rows, axis=0), teacher_rows)
     old.backward()
@@ -787,7 +797,7 @@ def _per_sentence_rows(student, src, tgt, pseudo, cfg):
     params_t = as_tensors(student)
     sentences = [ls.sentence for ls in src] + tgt
     extras = [[g.rect() for g in encode_region_labels(ls)[1]] for ls in src]
-    extras += [[p.rect() for p in labels] for labels in pseudo]
+    extras += [[p.rect for p in labels] for labels in pseudo]
     with ag.no_grad():
         tl = encode(sentences, params_t, cfg.encoder).data
     uns, groups, lo = [], ({}, {}), 0

@@ -43,7 +43,9 @@ the dev-selected epoch matches and the largest absolute and relative gap of
 each history column over the epochs; for each predict or label case,
 whether the predictions or labels are identical; for the ``mmd`` case,
 whether its values and gradients are.  A change that moves results by rounding only
-states its tolerance from that one command.  ``--json`` prints each case's
+states its tolerance from that one command.  It exits 0 when every case
+is identical, 1 when any case differs or is missing from the other tree,
+and 2 when the run on the other tree fails.  ``--json`` prints each case's
 raw outputs as one JSON object a line, which is what ``--against`` reads.
 """
 
@@ -177,7 +179,7 @@ def label_outputs(labels) -> dict:
     for kept in labels:
         h.update(np.int64(len(kept)).tobytes())
         for pl in kept:
-            h.update(np.array(pl.rect(), dtype=np.int64).tobytes())
+            h.update(np.array(pl.rect, dtype=np.int64).tobytes())
             h.update(np.float64(pl.confidence).tobytes())
             h.update(pl.probs.tobytes())
     return {"digest": h.hexdigest(), "labels": sum(map(len, labels))}
@@ -299,9 +301,11 @@ def main(argv=None) -> int:
     if child.wait() != 0:
         print(f"the run on {args.against} failed", file=sys.stderr)
         return 2
+    differ = False
     for name, out in mine.items():
         print(name, compare(out, others[name]) if name in others else "missing in the other tree")
-    return 0
+        differ |= others.get(name, {}).get("digest") != out["digest"]
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
