@@ -459,6 +459,7 @@ def _target_stream(records: list[LabeledSentence], cfg: TrainConfig):
             yield augment(s, cfg.aug_rate, lexicon, rng_swap) if aug_on else s
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def _run_epoch(
     params: dict,
     teacher: dict | None,
@@ -471,16 +472,20 @@ def _run_epoch(
     """Train ``params`` for one pass over ``records``.  Each batch is paired
     with as many sentences from the ``target`` stream, if any, and the
     ``teacher``, if any, follows by EMA after every step.  Returns the step
-    count and the epoch mean of each ``LossBreakdown`` field."""
+    count and the epoch mean of each ``LossBreakdown`` field.  A float
+    overflow, invalid value or division by zero raises ``TrainingDivergence``."""
     sums = np.zeros(len(fields(LossBreakdown)))
     steps = 0
-    for batch in _batches(records, rng, cfg.batch):
-        tgt_sentences = list(islice(target, len(batch))) if target is not None else None
-        bd = train_step(params, teacher, opt, batch, tgt_sentences, cfg)
-        if teacher is not None:
-            ema_update(teacher, params, cfg.ema_lambda)
-        sums += np.array(astuple(bd))
-        steps += 1
+    try:
+        for batch in _batches(records, rng, cfg.batch):
+            tgt_sentences = list(islice(target, len(batch))) if target is not None else None
+            bd = train_step(params, teacher, opt, batch, tgt_sentences, cfg)
+            if teacher is not None:
+                ema_update(teacher, params, cfg.ema_lambda)
+            sums += np.array(astuple(bd))
+            steps += 1
+    except FloatingPointError as exc:
+        raise TrainingDivergence(f"floating-point fault: {exc}") from exc
     return steps, sums / max(steps, 1)
 
 

@@ -1,7 +1,10 @@
 """CLI subcommands: determinism, file outputs, exit codes."""
 
 import csv
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -552,6 +555,21 @@ def test_a_diverging_train_exits_2_and_writes_no_seed_files(tmp_path, corpus_dir
     assert capsys.readouterr().err.startswith("error: TrainingDivergence:")
     for path in cli._seed_files(out, "tfmt", 1):
         assert not path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--lr", "--beta"])
+def test_a_diverging_train_prints_no_numpy_warning(tmp_path, corpus_dir, flag):
+    """The fault is named once, in the error line; numpy's ``RuntimeWarning``
+    lines, with their source paths, do not reach stderr.  A child process,
+    since pytest captures warnings that a plain run prints."""
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tablemt.cli", "train", "--data", str(corpus_dir),
+         "--out", str(tmp_path / "out"), "--seed", "1", flag, "1e300"] + TINY_TRAIN,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == EXIT_RUNTIME
+    assert proc.stderr.startswith("error: TrainingDivergence: floating-point fault: overflow")
+    assert "RuntimeWarning" not in proc.stderr and len(proc.stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command,flag", [

@@ -341,16 +341,16 @@ def test_mmd_equals_three_pass_reference(name, xs, ys):
 
     got, got_grads = run(mmd)
     want, want_grads = run(_three_pass_mmd)
-    assert np.array_equal(got, want)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
     for g, w in zip(got_grads, want_grads):
-        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
 
 def _composed_mmd(x, y):
-    """``mmd`` as the composed tape ops it equals: ``concat``, pairwise
-    differences, the median bandwidth's gathers, the kernel blocks' means and
-    ``clamp_min``, about thirty nodes.  The fused op must equal it byte for
-    byte, value and gradients."""
+    """``mmd`` as composed tape ops: ``concat``, pairwise differences, the
+    median bandwidth's gathers, the kernel blocks' means and ``clamp_min``,
+    about thirty nodes.  The fused op must match it, value and gradients, to
+    within 1e-12 relative with a 1e-15 absolute floor."""
     xm, ym = (v if isinstance(v, Tensor) else Tensor(v) for v in (x, y))
     m, k = xm.shape[0], ym.shape[0]
     if m == 0 or k == 0:
@@ -415,11 +415,14 @@ ALL_MMD_CASES = list(_mmd_cases()) + list(_fit_shape_cases())
 @pytest.mark.parametrize("how", ["concat", "gather"])
 @pytest.mark.parametrize("name,xs,ys", ALL_MMD_CASES, ids=[c[0] for c in ALL_MMD_CASES])
 def test_fused_mmd_equals_the_composed_graph_byte_for_byte(name, xs, ys, how):
+    """The name is older than the Gram-form ``mmd``: this checks the
+    tolerance that ``_composed_mmd`` states, not bytes."""
     got = _leaf_grads(mmd, xs, ys, how)
     want = _leaf_grads(_composed_mmd, xs, ys, how)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-15)
 
 
 def test_mmd_records_one_node_with_parents_x_and_y():
@@ -461,6 +464,74 @@ def test_fused_mmd_gradients_match_fd_at_a_fit_shape():
             minus = z0.copy(); minus[r, c] -= eps
             fd = (value(plus) - value(minus)) / (2 * eps)
             assert grad[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9), (r, c)
+
+
+def test_mmd_rows_that_differ_only_in_the_sign_of_a_zero_are_0_apart():
+    """``[0.0, 1.0]`` and ``[-0.0, 1.0]`` are one row: with every row like
+    that, every distance is 0, the bandwidth falls back and the value is
+    exactly 0.  So it does at a fit shape (p 36, dim 48) for copies of one
+    row whose six zeros take random signs, where a Gram product over the
+    rows as distinct bytes leaves rounding residues between the copies."""
+    x = Tensor(np.array([[0.0, 1.0], [-0.0, 1.0]]))
+    y = Tensor(np.array([[-0.0, 1.0], [0.0, 1.0]]))
+    out = mmd(x, y)
+    assert out.item() == 0.0
+    out.backward()
+    assert not x.grad.any() and not y.grad.any()
+    rng = np.random.default_rng(24)
+    for _ in range(10):
+        z = np.tile(rng.normal(size=48), (36, 1))
+        for col in rng.choice(48, size=6, replace=False):
+            z[:, col] = np.where(rng.random(36) < 0.5, -0.0, 0.0)
+        assert mmd(z[:18], z[18:]).item() == 0.0
+
+
+def test_mmd_gradients_match_fd_with_repeated_rows():
+    """Central differences at a shape of the ``b`` and ``e`` groups (p 37,
+    dim 16, 20 distinct rows, 17 of them twice) on every entry of the rows
+    of the median pairs, which include a repeated row and its twin, each
+    with its own gradient.  Repeated rows tie many distances; the median
+    here sits on two that nothing else ties with, where it is smooth."""
+    rng = np.random.default_rng(0)
+    base = rng.normal(size=(20, 16))
+    idx = rng.permutation(np.concatenate([np.arange(20), np.arange(17)]))
+    z0, m = base[idx], 20
+    iu, ju = np.triu_indices(len(z0), k=1)
+    dists = np.sqrt(((z0[iu] - z0[ju]) ** 2).sum(axis=1))
+    order = np.argsort(dists, kind="stable")
+    ranked, lo, hi = dists[order], (len(dists) - 1) // 2, len(dists) // 2
+    assert ranked[lo] - ranked[lo - 1] > 1e-4 and ranked[hi + 1] - ranked[hi] > 1e-4
+    median_rows = np.unique(np.concatenate([iu[order[lo : hi + 1]], ju[order[lo : hi + 1]]]))
+    twins = [r for r in median_rows if (idx == idx[r]).sum() == 2]
+    assert len(twins) == 2 and (median_rows < m).any() and (median_rows >= m).any()
+
+    def value(z):
+        return mmd(z[:m], z[m:]).item()
+
+    x, y = Tensor(z0[:m].copy()), Tensor(z0[m:].copy())
+    mmd(x, y).backward()
+    grad = np.concatenate([x.grad, y.grad])
+    assert not np.array_equal(grad[twins[0]], grad[twins[1]])
+    eps = 1e-6
+    for r in median_rows:
+        for c in range(z0.shape[1]):
+            plus = z0.copy(); plus[r, c] += eps
+            minus = z0.copy(); minus[r, c] -= eps
+            fd = (value(plus) - value(minus)) / (2 * eps)
+            assert grad[r, c] == pytest.approx(fd, rel=1e-5, abs=1e-9), (r, c)
+
+
+def test_mmd_of_a_row_permutation_is_exactly_0_at_a_fit_shape():
+    """Sides that hold the same rows in another order (p 36, dim 48) give
+    exactly 0 and pass no gradient, in each of 20 draws."""
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        x = rng.normal(size=(18, 48))
+        xt, yt = Tensor(x), Tensor(x[rng.permutation(18)])
+        out = mmd(xt, yt)
+        assert out.item() == 0.0
+        out.backward()
+        assert not xt.grad.any() and not yt.grad.any()
 
 
 def test_loss_mmd_region_level_identical_and_empty():

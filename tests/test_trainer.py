@@ -317,8 +317,8 @@ def test_non_finite_params_fail_loudly(tiny_data, name):
 
 
 @pytest.mark.parametrize("changes,match", [
-    ({"lr": 1e300}, "non-finite loss"),
-    ({"beta": 1e300}, "second moment"),  # v overflows while the loss stays finite
+    ({"lr": 1e300}, "floating-point fault: overflow encountered in matmul"),
+    ({"beta": 1e300}, "floating-point fault: overflow encountered in multiply"),
 ], ids=["lr", "beta"])
 def test_a_diverging_fit_raises(tiny_data, changes, match):
     with pytest.raises(TrainingDivergence, match=match):

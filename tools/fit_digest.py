@@ -34,15 +34,18 @@ The grid:
 - ``losses.mmd`` alone, on fixed inputs: the (m, k) shapes of a 5-epoch tfmt
   fit at the default sizes, at dims 16 and 48; two sets whose median
   pairwise distance is 0, so they take the fallback bandwidth; x equal to y
-  and to y shuffled, where the clamp at 0 fires; and the shapes (1, 1), with
-  one pairwise distance, and (1, 9) and (9, 1), with one row on a side.
+  and to y shuffled, whose value is exactly 0 and which pass no gradient;
+  and the shapes (1, 1), with one pairwise distance, and (1, 9) and (9, 1),
+  with one row on a side.
 
 ``--against OTHER_SRC`` runs the grid on both trees, the other one in a
 child process, and says how far apart they are: for each fit case, whether
 the dev-selected epoch matches and the largest absolute and relative gap of
 each history column over the epochs; for each predict or label case,
 whether the predictions or labels are identical; for the ``mmd`` case,
-whether its values and gradients are.  A change that moves results by rounding only
+whether its values and gradients are and, when they are not, the largest
+absolute and relative gap of the values and of each input's gradients over
+the calls.  A change that moves results by rounding only
 states its tolerance from that one command.  It exits 0 when every case
 is identical, 1 when any case differs or is missing from the other tree,
 and 2 when the run on the other tree fails.  ``--json`` prints each case's
@@ -66,6 +69,8 @@ PREDICT_SENTENCES = 100
 PREDICT_LENGTHS = (16, 24)
 # (m, k) row counts that ``mmd`` sees in a 5-epoch tfmt fit: pooled p from 13 to 60
 MMD_SHAPES = ((6, 7), (12, 5), (20, 39), (36, 24))
+# the ``mmd`` case's raw outputs, every call's entries flattened in call order
+MMD_OUTPUTS = ("value", "x grad", "y grad")
 
 
 def fit_cases():
@@ -203,13 +208,15 @@ def mmd_outputs() -> dict:
     inputs += [(rng.normal(size=(m, 16)), rng.normal(size=(k, 16)))
                for m, k in ((1, 1), (1, 9), (9, 1))]
     h = hashlib.sha256()
+    raw: dict[str, list] = {key: [] for key in MMD_OUTPUTS}
     for xs, ys in inputs:
         x, y = Tensor(xs), Tensor(ys)
         out = mmd(x, y)
         out.backward()
-        for a in (out.data, x.grad, y.grad):
+        for key, a in zip(MMD_OUTPUTS, (out.data, x.grad, y.grad)):
             h.update(a.tobytes())
-    return {"digest": h.hexdigest(), "calls": len(inputs)}
+            raw[key] += a.ravel().tolist()
+    return {"digest": h.hexdigest(), "calls": len(inputs), **raw}
 
 
 def case_outputs():
@@ -222,19 +229,22 @@ def case_outputs():
     yield "mmd", mmd_outputs()
 
 
+def _gap(mine, other) -> str:
+    """The largest absolute / relative gap between two equal-length runs of
+    numbers, the relative one against the larger magnitude of each pair."""
+    a, b = np.asarray(mine, dtype=float), np.asarray(other, dtype=float)
+    gap = np.abs(a - b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0)
+    return f"{gap.max(initial=0.0):.2g}/{rel.max(initial=0.0):.2g}"
+
+
 def _gaps(mine: list[dict], other: list[dict]) -> str:
     """The largest absolute / relative gap of each history column."""
     from tablemt.trainer import HISTORY_COLUMNS
 
-    out = []
-    for col in HISTORY_COLUMNS:
-        a = np.array([r[col] for r in mine], dtype=float)
-        b = np.array([r[col] for r in other], dtype=float)
-        gap = np.abs(a - b)
-        scale = np.maximum(np.abs(a), np.abs(b))
-        rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0)
-        out.append(f"{col} {gap.max(initial=0.0):.2g}/{rel.max(initial=0.0):.2g}")
-    return ", ".join(out)
+    return ", ".join(f"{col} {_gap([r[col] for r in mine], [r[col] for r in other])}"
+                     for col in HISTORY_COLUMNS)
 
 
 def compare(mine: dict, other: dict) -> str:
@@ -246,8 +256,10 @@ def compare(mine: dict, other: dict) -> str:
         same = mine["digest"] == other["digest"]
         return f"labels {'identical' if same else 'DIFFER'} ({mine['labels']} labels)"
     if "calls" in mine:
-        same = mine["digest"] == other["digest"]
-        return f"values and gradients {'identical' if same else 'DIFFER'} ({mine['calls']} calls)"
+        if mine["digest"] == other["digest"]:
+            return f"values and gradients identical ({mine['calls']} calls)"
+        gaps = ", ".join(f"{key} {_gap(mine[key], other[key])}" for key in MMD_OUTPUTS)
+        return f"values and gradients DIFFER ({mine['calls']} calls); abs/rel gaps: {gaps}"
     if mine["digest"] == other["digest"]:
         return f"byte-identical, epoch {mine['epoch']}"
     epoch = ("epoch same" if mine["epoch"] == other["epoch"]
